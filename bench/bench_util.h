@@ -154,15 +154,19 @@ class Harness {
   }
 
   /// Write the report and/or trace now (idempotent; the destructor calls it).
+  /// A report or trace that cannot be written ends the process with exit
+  /// status 1, so a run whose artifact is missing never looks successful.
   void finish() {
     if (finished_) return;
     finished_ = true;
+    bool ok = true;
     if (!json_path_.empty()) {
       if (report_.write_file(json_path_)) {
         std::fprintf(stderr, "wrote %s (%zu rows)\n", json_path_.c_str(),
                      report_.rows.size());
       } else {
         std::fprintf(stderr, "FAILED to write %s\n", json_path_.c_str());
+        ok = false;
       }
     }
     if (!trace_path_.empty()) {
@@ -173,8 +177,10 @@ class Harness {
                          obs::Tracer::instance().events_recorded()));
       } else {
         std::fprintf(stderr, "FAILED to write %s\n", trace_path_.c_str());
+        ok = false;
       }
     }
+    if (!ok) std::exit(1);
   }
 
  private:

@@ -1,5 +1,8 @@
 #include "apps/equation_solver.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/check.h"
 #include "dsm/system.h"
 
@@ -280,7 +283,9 @@ SolverResult solve_barrier_elastic(const LinearSystem& sys, const SolverOptions&
         }
         const double resid = residual_inf(sys, xs);
         const bool stop = resid < opt.tol || sweep >= opt.max_iters;
-        if (stop) node.write_int(lay.done(), 1);
+        // `done` names the final sweep (+1) so a late joiner knows which
+        // barrier instances it still owes (see the joiner below).
+        if (stop) node.write_int(lay.done(), static_cast<std::int64_t>(sweep) + 1);
         const dsm::View view = node.view();
         std::uint64_t plan = 0;
         for (std::size_t w = 0; w < opt.workers; ++w) {
@@ -314,11 +319,21 @@ SolverResult solve_barrier_elastic(const LinearSystem& sys, const SolverOptions&
       // only name this worker after the announcement is read, and the plan
       // itself is always read at the sweep boundary, so there is no sweep
       // where this worker is planned without knowing it.
+      // A joiner that already sees `done` may still have been counted into
+      // the final sweep's two barrier instances (2k and 2k+1 for final
+      // sweep k); leaving without arriving there would strand everyone.
+      const auto finished = [&] {
+        const std::int64_t done = node.read_int(lay.done(), ReadMode::kPram);
+        if (done == 0) return false;
+        const auto last_instance = 2 * static_cast<std::uint64_t>(done - 1) + 1;
+        while (node.next_barrier_epoch() <= last_instance) node.barrier();
+        return true;
+      };
       node.join();
-      if (node.read_int(lay.done(), ReadMode::kPram) != 0) return;
+      if (finished()) return;
       if (node.next_barrier_epoch() % 2 == 1) {
         node.barrier();  // consume the pending install-phase barrier
-        if (node.read_int(lay.done(), ReadMode::kPram) != 0) return;
+        if (finished()) return;
       }
       node.write_int(lay.ready(w), 1);
       plan = 0;  // passive until the coordinator plans us in
@@ -395,19 +410,23 @@ SolverResult solve_async_gauss_seidel(const LinearSystem& sys, const SolverOptio
     if (p == 0) {
       // Coordinator: poll the estimate until the residual is small.  No
       // synchronization with the workers at all — the only exit channel is
-      // the `done` flag, which workers poll through PRAM reads.
+      // the `done` flag, which workers poll through PRAM reads.  It gives
+      // up only once the slowest worker has published max_iters rounds, so
+      // a preempted worker is waited for rather than outpolled.
       std::vector<double> xs(sys.n);
-      std::size_t polls = 0;
       for (;;) {
+        std::int64_t slowest = std::numeric_limits<std::int64_t>::max();
+        for (std::size_t w = 0; w < opt.workers; ++w) {
+          slowest = std::min(slowest, node.read_int(lay.computed(w), ReadMode::kPram));
+        }
         for (std::size_t i = 0; i < sys.n; ++i) {
           xs[i] = node.read_double(lay.x(i), ReadMode::kPram);
         }
         const double resid = residual_inf(sys, xs);
-        ++polls;
-        if (resid < opt.tol || polls >= opt.max_iters * 16) {
+        if (resid < opt.tol || slowest >= static_cast<std::int64_t>(opt.max_iters)) {
           node.write_int(lay.done(), 1);
           out.x = xs;
-          out.iterations = polls;
+          out.iterations = static_cast<std::size_t>(slowest);
           out.converged = resid < opt.tol;
           break;
         }
@@ -415,8 +434,14 @@ SolverResult solve_async_gauss_seidel(const LinearSystem& sys, const SolverOptio
       }
     } else {
       // Worker: chaotic Gauss-Seidel relaxation — install each component
-      // immediately and keep sweeping with whatever has arrived.
+      // immediately and keep sweeping with whatever has arrived, never
+      // waiting for anyone.  A sweep completes a *round* once every other
+      // worker has published at least this worker's round count, so the
+      // published count measures information exchanged rather than raw
+      // sweeps: a worker racing through sweeps on a stale view (its peers
+      // descheduled) does not run down the coordinator's budget.
       const auto [r0, r1] = lay.rows(p - 1);
+      std::int64_t rounds = 0;
       while (node.read_int(lay.done(), ReadMode::kPram) == 0) {
         for (std::size_t i = r0; i < r1; ++i) {
           double sum = 0.0;
@@ -427,6 +452,12 @@ SolverResult solve_async_gauss_seidel(const LinearSystem& sys, const SolverOptio
                             (sys.b[i] - sum) / sys.at(i, i);
           node.write_double(lay.x(i), xi);
         }
+        bool peers_caught_up = true;
+        for (std::size_t w = 0; w < opt.workers && peers_caught_up; ++w) {
+          peers_caught_up =
+              w == p - 1 || node.read_int(lay.computed(w), ReadMode::kPram) >= rounds;
+        }
+        if (peers_caught_up) node.write_int(lay.computed(p - 1), ++rounds);
       }
     }
   });

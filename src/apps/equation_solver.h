@@ -141,10 +141,16 @@ SolverResult solve_barrier_elastic(const LinearSystem& sys, const SolverOptions&
 /// relaxation algorithms such as Gauss-Seidel iteration converge even with
 /// PRAM."  Workers sweep their row blocks Gauss-Seidel style with *no*
 /// synchronization, installing each component as soon as it is computed and
-/// reading whatever PRAM values have arrived; the coordinator polls the
-/// residual and raises `done`.  The result matches the reference solution
-/// numerically (same fixed point) but not bitwise, and iteration counts are
-/// schedule-dependent.
+/// reading whatever PRAM values have arrived.  Each worker publishes, in an
+/// ordinary PRAM-written variable, how many *rounds* it has completed — a
+/// sweep finishes a round once every peer has published at least as many —
+/// and the coordinator polls the residual and raises `done`, giving up only
+/// once the slowest worker has completed max_iters rounds.  Rounds count
+/// information exchanged, not raw sweeps or polls, so the verdict does not
+/// depend on host speed or scheduling.  `iterations` is the slowest
+/// worker's round count.  The result matches
+/// the reference solution numerically (same fixed point) but not bitwise,
+/// and iteration counts are schedule-dependent.
 SolverResult solve_async_gauss_seidel(const LinearSystem& sys, const SolverOptions& opt);
 
 /// Variant hooks used by tests: run Figure 2 with a chosen read label

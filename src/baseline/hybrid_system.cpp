@@ -45,58 +45,61 @@ void HybridNode::stop() {
 }
 
 void HybridNode::run_delivery() {
-  while (auto m = fabric_.recv(self_)) {
-    obs::TraceSpan span("deliver", "net", {"kind", m->kind}, {"src", m->src});
-    obs::trace_flow_end("msg", "net", m->trace_id);
-    switch (m->kind) {
-      case kHybridWeak: {
-        {
-          std::scoped_lock lk(mu_);
-          store_[static_cast<VarId>(m->a)] = m->b;
+  std::vector<net::Message> batch;
+  while (fabric_.drain(self_, batch)) {
+    for (const net::Message& m : batch) {
+      obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
+      obs::trace_flow_end("msg", "net", m.trace_id);
+      switch (m.kind) {
+        case kHybridWeak: {
+          {
+            std::scoped_lock lk(mu_);
+            store_[static_cast<VarId>(m.a)] = m.b;
+          }
+          cv_.notify_all();
+          break;
         }
-        cv_.notify_all();
-        break;
-      }
-      case kHybridOrdered: {
-        {
-          std::scoped_lock lk(mu_);
-          MC_CHECK_MSG(m->d == applied_global_ + 1, "strong order gap at a replica");
-          applied_global_ = m->d;
-          store_[static_cast<VarId>(m->a)] = m->b;
-          if (static_cast<ProcId>(m->payload.at(0)) == self_) ++applied_own_strong_;
+        case kHybridOrdered: {
+          {
+            std::scoped_lock lk(mu_);
+            MC_CHECK_MSG(m.d == applied_global_ + 1, "strong order gap at a replica");
+            applied_global_ = m.d;
+            store_[static_cast<VarId>(m.a)] = m.b;
+            if (static_cast<ProcId>(m.payload.at(0)) == self_) ++applied_own_strong_;
+          }
+          cv_.notify_all();
+          break;
         }
-        cv_.notify_all();
-        break;
-      }
-      case kHybridFlush: {
-        // FIFO channels: by the time the probe arrives, every earlier weak
-        // write from the prober has been applied here.
-        net::Message ack;
-        ack.src = self_;
-        ack.dst = m->src;
-        ack.kind = kHybridFlushAck;
-        ack.a = m->a;
-        fabric_.send(std::move(ack));
-        break;
-      }
-      case kHybridFlushAck: {
-        {
-          std::scoped_lock lk(mu_);
-          ++flush_acks_[m->a];
+        case kHybridFlush: {
+          // FIFO channels: by the time the probe arrives, every earlier weak
+          // write from the prober has been applied here.
+          net::Message ack;
+          ack.src = self_;
+          ack.dst = m.src;
+          ack.kind = kHybridFlushAck;
+          ack.a = m.a;
+          fabric_.send(std::move(ack));
+          break;
         }
-        cv_.notify_all();
-        break;
-      }
-      case kHybridTicket: {
-        {
-          std::scoped_lock lk(mu_);
-          read_tickets_[m->a] = m->b;
+        case kHybridFlushAck: {
+          {
+            std::scoped_lock lk(mu_);
+            ++flush_acks_[m.a];
+          }
+          cv_.notify_all();
+          break;
         }
-        cv_.notify_all();
-        break;
+        case kHybridTicket: {
+          {
+            std::scoped_lock lk(mu_);
+            read_tickets_[m.a] = m.b;
+          }
+          cv_.notify_all();
+          break;
+        }
+        default:
+          break;
       }
-      default:
-        break;
     }
   }
 }
@@ -204,34 +207,37 @@ void HybridSystem::run_sequencer() {
   const auto seq_ep = static_cast<net::Endpoint>(cfg_.num_procs);
   std::vector<net::Endpoint> everyone(cfg_.num_procs);
   for (net::Endpoint e = 0; e < cfg_.num_procs; ++e) everyone[e] = e;
-  while (auto m = fabric_.recv(seq_ep)) {
-    obs::TraceSpan span("deliver", "net", {"kind", m->kind}, {"src", m->src});
-    obs::trace_flow_end("msg", "net", m->trace_id);
-    switch (m->kind) {
-      case kHybridStrongWrite: {
-        net::Message ordered;
-        ordered.src = seq_ep;
-        ordered.kind = kHybridOrdered;
-        ordered.a = m->a;
-        ordered.b = m->b;
-        ordered.c = m->c;
-        ordered.d = ++next_seq_;
-        ordered.payload = {m->src};
-        fabric_.multicast(ordered, everyone);
-        break;
+  std::vector<net::Message> batch;
+  while (fabric_.drain(seq_ep, batch)) {
+    for (const net::Message& m : batch) {
+      obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
+      obs::trace_flow_end("msg", "net", m.trace_id);
+      switch (m.kind) {
+        case kHybridStrongWrite: {
+          net::Message ordered;
+          ordered.src = seq_ep;
+          ordered.kind = kHybridOrdered;
+          ordered.a = m.a;
+          ordered.b = m.b;
+          ordered.c = m.c;
+          ordered.d = ++next_seq_;
+          ordered.payload = {m.src};
+          fabric_.multicast(ordered, everyone);
+          break;
+        }
+        case kHybridReadTicket: {
+          net::Message ticket;
+          ticket.src = seq_ep;
+          ticket.dst = m.src;
+          ticket.kind = kHybridTicket;
+          ticket.a = m.a;
+          ticket.b = next_seq_;  // the strong prefix the reader must apply
+          fabric_.send(std::move(ticket));
+          break;
+        }
+        default:
+          break;
       }
-      case kHybridReadTicket: {
-        net::Message ticket;
-        ticket.src = seq_ep;
-        ticket.dst = m->src;
-        ticket.kind = kHybridTicket;
-        ticket.a = m->a;
-        ticket.b = next_seq_;  // the strong prefix the reader must apply
-        fabric_.send(std::move(ticket));
-        break;
-      }
-      default:
-        break;
     }
   }
 }

@@ -35,35 +35,38 @@ void ScNode::stop() {
 }
 
 void ScNode::run_delivery() {
-  while (auto m = fabric_.recv(self_)) {
-    obs::TraceSpan span("deliver", "net", {"kind", m->kind}, {"src", m->src});
-    obs::trace_flow_end("msg", "net", m->trace_id);
-    switch (m->kind) {
-      case kScOrdered: {
-        std::unique_lock lk(mu_);
-        // The sequencer multicasts in sequence order over FIFO channels, so
-        // ordered writes arrive — and are applied — in global order.
-        MC_CHECK_MSG(m->d == applied_seq_ + 1, "global order gap at a replica");
-        applied_seq_ = m->d;
-        const auto writer = static_cast<ProcId>(m->payload.at(0));
-        Slot& s = store_[static_cast<VarId>(m->a)];
-        s.value = m->b;
-        s.last = WriteId{writer, m->c};
-        if (writer == self_) ++applied_own_writes_;
-        lk.unlock();
-        cv_.notify_all();
-        break;
-      }
-      case kScBarrierRelease: {
-        {
-          std::scoped_lock lk(mu_);
-          barrier_release_[{static_cast<BarrierId>(m->a), m->b}] = m->c;
+  std::vector<net::Message> batch;
+  while (fabric_.drain(self_, batch)) {
+    for (const net::Message& m : batch) {
+      obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
+      obs::trace_flow_end("msg", "net", m.trace_id);
+      switch (m.kind) {
+        case kScOrdered: {
+          std::unique_lock lk(mu_);
+          // The sequencer multicasts in sequence order over FIFO channels, so
+          // ordered writes arrive — and are applied — in global order.
+          MC_CHECK_MSG(m.d == applied_seq_ + 1, "global order gap at a replica");
+          applied_seq_ = m.d;
+          const auto writer = static_cast<ProcId>(m.payload.at(0));
+          Slot& s = store_[static_cast<VarId>(m.a)];
+          s.value = m.b;
+          s.last = WriteId{writer, m.c};
+          if (writer == self_) ++applied_own_writes_;
+          lk.unlock();
+          cv_.notify_all();
+          break;
         }
-        cv_.notify_all();
-        break;
+        case kScBarrierRelease: {
+          {
+            std::scoped_lock lk(mu_);
+            barrier_release_[{static_cast<BarrierId>(m.a), m.b}] = m.c;
+          }
+          cv_.notify_all();
+          break;
+        }
+        default:
+          break;
       }
-      default:
-        break;
     }
   }
 }

@@ -33,6 +33,19 @@ class Counter {
 /// lock-free recording; quantile extraction is approximate to bucket width.
 class LatencyHistogram {
  public:
+  LatencyHistogram() = default;
+  /// Copies are snapshots: the source's samples folded into a fresh
+  /// histogram (relaxed loads, so a copy taken during concurrent recording
+  /// may straddle a sample).
+  LatencyHistogram(const LatencyHistogram& other) { merge(other); }
+  LatencyHistogram& operator=(const LatencyHistogram& other) {
+    if (this != &other) {
+      reset();
+      merge(other);
+    }
+    return *this;
+  }
+
   void record(std::chrono::nanoseconds d) { record_ns(static_cast<std::uint64_t>(d.count())); }
   void record_ns(std::uint64_t ns);
 

@@ -49,12 +49,15 @@ std::vector<ProcId> BarrierManager::members_of(BarrierId b) const {
 }
 
 void BarrierManager::run() {
-  while (auto m = fabric_.recv(self_)) {
-    heartbeats_.add();
-    obs::TraceSpan span("deliver", "net", {"kind", m->kind}, {"src", m->src});
-    obs::trace_flow_end("msg", "net", m->trace_id);
-    if (m->kind == kBarrierArrive) handle_arrive(*m);
-    else if (m->kind == kViewCommit) handle_view_commit(*m);
+  std::vector<net::Message> batch;
+  while (fabric_.drain(self_, batch)) {
+    for (const net::Message& m : batch) {
+      heartbeats_.add();
+      obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
+      obs::trace_flow_end("msg", "net", m.trace_id);
+      if (m.kind == kBarrierArrive) handle_arrive(m);
+      else if (m.kind == kViewCommit) handle_view_commit(m);
+    }
   }
 }
 

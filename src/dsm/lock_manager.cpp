@@ -26,18 +26,21 @@ void LockManager::join() {
 }
 
 void LockManager::run() {
-  while (auto m = fabric_.recv(self_)) {
-    heartbeats_.add();
-    obs::TraceSpan span("deliver", "net", {"kind", m->kind}, {"src", m->src});
-    obs::trace_flow_end("msg", "net", m->trace_id);
-    switch (m->kind) {
-      case kLockReq: handle_request(*m); break;
-      case kUnlock: handle_unlock(*m); break;
-      case kViewFault:
-      case kViewJoin:
-      case kViewLeave: handle_view_trigger(*m); break;
-      case kViewAck: handle_view_ack(*m); break;
-      default: break;
+  std::vector<net::Message> batch;
+  while (fabric_.drain(self_, batch)) {
+    for (const net::Message& m : batch) {
+      heartbeats_.add();
+      obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
+      obs::trace_flow_end("msg", "net", m.trace_id);
+      switch (m.kind) {
+        case kLockReq: handle_request(m); break;
+        case kUnlock: handle_unlock(m); break;
+        case kViewFault:
+        case kViewJoin:
+        case kViewLeave: handle_view_trigger(m); break;
+        case kViewAck: handle_view_ack(m); break;
+        default: break;
+      }
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
+#include <thread>
 
 #include "common/check.h"
 #include "dsm/staleness.h"
@@ -110,222 +112,244 @@ void Node::wait_or_die(std::unique_lock<std::mutex>& lk, const char* what, Pred 
 // ----------------------------------------------------------------------
 
 void Node::run_delivery() {
-  while (auto m = fabric_.recv(self_)) {
-    obs::TraceSpan span("deliver", "net", {"kind", m->kind}, {"src", m->src});
-    // Close the message's flow inside the deliver span so the Perfetto
-    // arrow from its send binds to this slice.
-    obs::trace_flow_end("msg", "net", m->trace_id);
-    switch (m->kind) {
-      case kUpdate:
-        on_update(*m);
-        break;
-      case kBatch:
-        on_batch(*m);
-        break;
-      case kLockGrant: {
-        GrantInfo info;
-        info.episode = m->b;
-        info.prev_holders_mask = m->c;
-        info.release_vc = VectorClock(cfg_.num_procs);
-        // Directory mode ships BOTH payload forms: per-sender unlock counts
-        // first, then the merged release clock (see LockManager::send_grant).
-        const std::size_t vc_at = dir_mode_ ? cfg_.num_procs : 0;
-        MC_CHECK(m->payload.size() >= vc_at + cfg_.num_procs + 2 * m->d);
-        if (dir_mode_) {
-          info.counts = VectorClock(cfg_.num_procs);
-          for (ProcId p = 0; p < cfg_.num_procs; ++p) info.counts.set(p, m->payload[p]);
-        }
-        for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-          info.release_vc.set(p, m->payload[vc_at + p]);
-        }
-        for (std::uint64_t k = 0; k < m->d; ++k) {
-          info.invalid.emplace_back(
-              static_cast<VarId>(m->payload[vc_at + cfg_.num_procs + 2 * k]),
-              static_cast<net::Endpoint>(m->payload[vc_at + cfg_.num_procs + 2 * k + 1]));
-        }
-        info.trace_id = m->trace_id;
-        {
-          std::scoped_lock lk(mu_);
-          pending_grants_[static_cast<LockId>(m->a)] = std::move(info);
-        }
-        cv_.notify_all();
-        break;
+  // One drained batch is handled in arrival order across kinds: a
+  // kViewHello baseline, say, must land before the updates queued behind
+  // it.  Each maximal run of consecutive kUpdates applies under one mu_
+  // hold with one causal drain, and the whole batch ends with one wake-up
+  // of the application thread (DESIGN.md decision 9).
+  std::vector<net::Message> batch;
+  while (fabric_.drain(self_, batch)) {
+    const std::span<const net::Message> msgs(batch);
+    for (std::size_t i = 0; i < msgs.size();) {
+      std::size_t end = i;
+      while (end < msgs.size() && msgs[end].kind == kUpdate) ++end;
+      if (end > i) {
+        on_updates(msgs.subspan(i, end - i));
+        i = end;
+      } else {
+        deliver(msgs[i++]);
       }
-      case kBarrierRelease: {
-        // Directory mode: transposed sent-counts first, merged clock second
-        // (see BarrierManager::maybe_release).
-        const std::size_t vc_at = dir_mode_ ? cfg_.num_procs : 0;
-        MC_CHECK(m->payload.size() == vc_at + cfg_.num_procs);
-        BarrierRelease rel;
-        rel.vc = VectorClock(cfg_.num_procs);
-        for (ProcId p = 0; p < cfg_.num_procs; ++p) rel.vc.set(p, m->payload[vc_at + p]);
-        if (dir_mode_) {
-          rel.counts = VectorClock(cfg_.num_procs);
-          for (ProcId p = 0; p < cfg_.num_procs; ++p) rel.counts.set(p, m->payload[p]);
-        }
-        rel.trace_id = m->trace_id;
-        {
-          std::scoped_lock lk(mu_);
-          barrier_release_[{static_cast<BarrierId>(m->a), m->b}] = std::move(rel);
-        }
-        cv_.notify_all();
-        break;
-      }
-      case kSyncReq: {
-        // FIFO channels guarantee the prober's earlier updates are already
-        // applied to our PRAM view; acknowledge immediately.
-        net::Message ack;
-        ack.src = self_;
-        ack.dst = m->src;
-        ack.kind = kSyncAck;
-        ack.a = m->a;
-        fabric_.send(std::move(ack));
-        break;
-      }
-      case kSyncAck: {
-        {
-          std::scoped_lock lk(mu_);
-          ++sync_acks_[m->a];
-        }
-        cv_.notify_all();
-        break;
-      }
-      case kFetchReq:
-        on_fetch_request(*m);
-        break;
-      case kViewPropose:
-        if (elastic_) on_view_propose(*m);
-        break;
-      case kViewCommit:
-        if (elastic_) on_view_commit(*m);
-        break;
-      case kViewState:
-        if (elastic_) on_view_state(*m);
-        break;
-      case kViewBarrierSync:
-        if (elastic_) on_view_barrier_sync(*m);
-        break;
-      case kViewHello:
-        if (elastic_) on_view_hello(*m);
-        break;
-      case kFetchBulkReq:
-        on_fetch_bulk_req(*m);
-        break;
-      case kFetchBulkResp:
-        on_fetch_bulk_resp(*m);
-        break;
-      case kDirSharerAdd:
-        on_dir_sharer_add(*m);
-        break;
-      case kDirAck:
-        on_dir_ack(*m);
-        break;
-      case kDirUnregister:
-        on_dir_unregister(*m);
-        break;
-      case kDirSharerDel:
-        on_dir_sharer_del(*m);
-        break;
-      case kFrontierReq: {
-        // Flush first, reply second, same channel: FIFO puts every staged
-        // write ahead of the frontier stamp, so the stamp's promise ("all
-        // my writes up to this counter are on the wire to you") holds.
-        net::Message resp;
-        resp.dst = m->src;
-        {
-          std::scoped_lock lk(mu_);
-          if (cfg_.batching.has_value()) flush_staged_locked();
-          resp.src = self_;
-          resp.kind = kFrontierResp;
-          resp.a = write_counter_;
-        }
-        fabric_.send(std::move(resp));
-        break;
-      }
-      case kFrontierResp: {
-        {
-          std::scoped_lock lk(mu_);
-          resolved_.set(static_cast<ProcId>(m->src),
-                        std::max(resolved_[static_cast<ProcId>(m->src)], m->a));
-        }
-        cv_.notify_all();
-        break;
-      }
-      case kDirSharerSync:
-        on_dir_sharer_sync(*m);
-        break;
-      case kFetchResp: {
-        FetchResult res;
-        res.value = m->c;
-        res.id = WriteId{static_cast<ProcId>(m->d), m->payload.empty() ? 0 : m->payload[0]};
-        res.vc = VectorClock(cfg_.num_procs);
-        MC_CHECK(m->payload.size() == 1 + cfg_.num_procs);
-        for (ProcId p = 0; p < cfg_.num_procs; ++p) res.vc.set(p, m->payload[1 + p]);
-        res.trace_id = m->trace_id;
-        {
-          std::scoped_lock lk(mu_);
-          fetch_results_[m->b] = std::move(res);
-        }
-        cv_.notify_all();
-        break;
-      }
-      default:
-        break;
     }
+    cv_.notify_all();
+    // Let the application thread just woken take mu_ before this thread
+    // re-takes it for the next batch: on a busy host, draining straight
+    // on hands the woken thread a lock convoy instead of the lock.
+    std::this_thread::yield();
   }
 }
 
-void Node::on_update(const net::Message& m) {
-  BatchRecord r;
-  r.var = static_cast<VarId>(m.a);
-  r.value = m.b;
-  r.seq = m.c;
-  r.flags = m.d;
-  const auto sender = static_cast<ProcId>(m.src);
-
-  if (cfg_.omit_timestamps) {
-    // Count-vector fast path (Section 6): apply in per-sender FIFO arrival
-    // order and feed the receive index to the count floors.  With
-    // selective multicast the writer sequence may skip values for this
-    // receiver; it must still be monotone per channel.
-    MC_CHECK(m.payload.empty());
-    std::scoped_lock lk(mu_);
-    if (cfg_.update_subscribers.empty()) {
-      MC_CHECK_MSG(r.seq == applied_[sender] + 1,
-                   "per-sender FIFO violated on the update channel");
-    } else {
-      MC_CHECK_MSG(r.seq > applied_[sender],
-                   "per-sender FIFO violated on the update channel");
+void Node::deliver(const net::Message& m) {
+  obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
+  // Close the message's flow inside the deliver span so the Perfetto
+  // arrow from its send binds to this slice.
+  obs::trace_flow_end("msg", "net", m.trace_id);
+  switch (m.kind) {
+    case kBatch:
+      on_batch(m);
+      break;
+    case kLockGrant: {
+      GrantInfo info;
+      info.episode = m.b;
+      info.prev_holders_mask = m.c;
+      info.release_vc = VectorClock(cfg_.num_procs);
+      // Directory mode ships BOTH payload forms: per-sender unlock counts
+      // first, then the merged release clock (see LockManager::send_grant).
+      const std::size_t vc_at = dir_mode_ ? cfg_.num_procs : 0;
+      MC_CHECK(m.payload.size() >= vc_at + cfg_.num_procs + 2 * m.d);
+      if (dir_mode_) {
+        info.counts = VectorClock(cfg_.num_procs);
+        for (ProcId p = 0; p < cfg_.num_procs; ++p) info.counts.set(p, m.payload[p]);
+      }
+      for (ProcId p = 0; p < cfg_.num_procs; ++p) {
+        info.release_vc.set(p, m.payload[vc_at + p]);
+      }
+      for (std::uint64_t k = 0; k < m.d; ++k) {
+        info.invalid.emplace_back(
+            static_cast<VarId>(m.payload[vc_at + cfg_.num_procs + 2 * k]),
+            static_cast<net::Endpoint>(m.payload[vc_at + cfg_.num_procs + 2 * k + 1]));
+      }
+      info.trace_id = m.trace_id;
+      {
+        std::scoped_lock lk(mu_);
+        pending_grants_[static_cast<LockId>(m.a)] = std::move(info);
+      }
+      break;
     }
-    received_from_.set(sender, received_from_[sender] + 1);
-    mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, r.vc,
-               received_from_[sender]);
-    applied_.set(sender, r.seq);
-    cv_.notify_all();
-    return;
+    case kBarrierRelease: {
+      // Directory mode: transposed sent-counts first, merged clock second
+      // (see BarrierManager::maybe_release).
+      const std::size_t vc_at = dir_mode_ ? cfg_.num_procs : 0;
+      MC_CHECK(m.payload.size() == vc_at + cfg_.num_procs);
+      BarrierRelease rel;
+      rel.vc = VectorClock(cfg_.num_procs);
+      for (ProcId p = 0; p < cfg_.num_procs; ++p) rel.vc.set(p, m.payload[vc_at + p]);
+      if (dir_mode_) {
+        rel.counts = VectorClock(cfg_.num_procs);
+        for (ProcId p = 0; p < cfg_.num_procs; ++p) rel.counts.set(p, m.payload[p]);
+      }
+      rel.trace_id = m.trace_id;
+      {
+        std::scoped_lock lk(mu_);
+        barrier_release_[{static_cast<BarrierId>(m.a), m.b}] = std::move(rel);
+      }
+      break;
+    }
+    case kSyncReq: {
+      // FIFO channels guarantee the prober's earlier updates were handled
+      // ahead of this probe (the delivery batch keeps arrival order);
+      // acknowledge immediately.
+      net::Message ack;
+      ack.src = self_;
+      ack.dst = m.src;
+      ack.kind = kSyncAck;
+      ack.a = m.a;
+      fabric_.send(std::move(ack));
+      break;
+    }
+    case kSyncAck: {
+      std::scoped_lock lk(mu_);
+      ++sync_acks_[m.a];
+      break;
+    }
+    case kFetchReq:
+      on_fetch_request(m);
+      break;
+    case kViewPropose:
+      if (elastic_) on_view_propose(m);
+      break;
+    case kViewCommit:
+      if (elastic_) on_view_commit(m);
+      break;
+    case kViewState:
+      if (elastic_) on_view_state(m);
+      break;
+    case kViewBarrierSync:
+      if (elastic_) on_view_barrier_sync(m);
+      break;
+    case kViewHello:
+      if (elastic_) on_view_hello(m);
+      break;
+    case kFetchBulkReq:
+      on_fetch_bulk_req(m);
+      break;
+    case kFetchBulkResp:
+      on_fetch_bulk_resp(m);
+      break;
+    case kDirSharerAdd:
+      on_dir_sharer_add(m);
+      break;
+    case kDirAck:
+      on_dir_ack(m);
+      break;
+    case kDirUnregister:
+      on_dir_unregister(m);
+      break;
+    case kDirSharerDel:
+      on_dir_sharer_del(m);
+      break;
+    case kFrontierReq: {
+      // Flush first, reply second, same channel: FIFO puts every staged
+      // write ahead of the frontier stamp, so the stamp's promise ("all
+      // my writes up to this counter are on the wire to you") holds.
+      net::Message resp;
+      resp.dst = m.src;
+      {
+        std::scoped_lock lk(mu_);
+        if (cfg_.batching.has_value()) flush_staged_locked();
+        resp.src = self_;
+        resp.kind = kFrontierResp;
+        resp.a = write_counter_;
+      }
+      fabric_.send(std::move(resp));
+      break;
+    }
+    case kFrontierResp: {
+      std::scoped_lock lk(mu_);
+      resolved_.set(static_cast<ProcId>(m.src),
+                    std::max(resolved_[static_cast<ProcId>(m.src)], m.a));
+      break;
+    }
+    case kDirSharerSync:
+      on_dir_sharer_sync(m);
+      break;
+    case kFetchResp: {
+      FetchResult res;
+      res.value = m.c;
+      res.id = WriteId{static_cast<ProcId>(m.d), m.payload.empty() ? 0 : m.payload[0]};
+      res.vc = VectorClock(cfg_.num_procs);
+      MC_CHECK(m.payload.size() == 1 + cfg_.num_procs);
+      for (ProcId p = 0; p < cfg_.num_procs; ++p) res.vc.set(p, m.payload[1 + p]);
+      res.trace_id = m.trace_id;
+      {
+        std::scoped_lock lk(mu_);
+        fetch_results_[m.b] = std::move(res);
+      }
+      break;
+    }
+    default:
+      break;
   }
+}
 
-  PendingUpdate u;
-  u.vc = VectorClock(cfg_.num_procs);
-  // Elastic updates carry one extra word: the writer's view epoch (wire.h).
-  MC_CHECK(m.payload.size() == cfg_.num_procs + (elastic_ ? 1 : 0));
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) u.vc.set(p, m.payload[p]);
-  if (elastic_) r.epoch = m.payload[cfg_.num_procs];
-  r.vc = u.vc;
-  u.recs.push_back(std::move(r));
+void Node::on_updates(std::span<const net::Message> run) {
+  std::scoped_lock lk(mu_);
+  VectorClock vc(cfg_.num_procs);  // decode buffer, reused across the run
+  for (const net::Message& m : run) {
+    obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
+    obs::trace_flow_end("msg", "net", m.trace_id);
+    BatchRecord r;
+    r.var = static_cast<VarId>(m.a);
+    r.value = m.b;
+    r.seq = m.c;
+    r.flags = m.d;
+    const auto sender = static_cast<ProcId>(m.src);
 
-  {
-    std::scoped_lock lk(mu_);
+    if (cfg_.omit_timestamps) {
+      // Count-vector fast path (Section 6): apply in per-sender FIFO
+      // arrival order and feed the receive index to the count floors.
+      // With selective multicast the writer sequence may skip values for
+      // this receiver; it must still be monotone per channel.
+      MC_CHECK(m.payload.empty());
+      if (cfg_.update_subscribers.empty()) {
+        MC_CHECK_MSG(r.seq == applied_[sender] + 1,
+                     "per-sender FIFO violated on the update channel");
+      } else {
+        MC_CHECK_MSG(r.seq > applied_[sender],
+                     "per-sender FIFO violated on the update channel");
+      }
+      received_from_.set(sender, received_from_[sender] + 1);
+      mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, r.vc,
+                 received_from_[sender]);
+      applied_.set(sender, r.seq);
+      continue;
+    }
+
+    // Elastic updates carry one extra word: the writer's view epoch (wire.h).
+    MC_CHECK(m.payload.size() == cfg_.num_procs + (elastic_ ? 1 : 0));
+    for (ProcId p = 0; p < cfg_.num_procs; ++p) vc.set(p, m.payload[p]);
+    if (elastic_) r.epoch = m.payload[cfg_.num_procs];
     // Arrival must stay FIFO per sender; application to the local copy
-    // happens in causally-ready order (drain_causal_buffers) for both
-    // read modes.
-    MC_CHECK_MSG(u.vc[sender] == update_arrived_[sender] + 1,
+    // happens in causally-ready order for both read modes.
+    MC_CHECK_MSG(vc[sender] == update_arrived_[sender] + 1,
                  "per-sender FIFO violated on the update channel");
-    update_arrived_.set(sender, u.vc[sender]);
+    update_arrived_.set(sender, vc[sender]);
+    if (causal_buffer_[sender].empty() && causally_ready(vc, sender, /*gap_ok=*/false)) {
+      // The common case: nothing from this sender is waiting and the
+      // update's dependencies are applied, so it applies now, unbuffered.
+      mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, vc, 0, /*force=*/false,
+                 r.weight, r.epoch);
+      applied_.set(sender, vc[sender]);
+      continue;
+    }
+    // The record keeps an empty clock: drain_causal_buffers applies it
+    // under the update's own.
+    PendingUpdate u;
+    u.vc = vc;
+    u.recs.push_back(std::move(r));
     causal_buffer_[sender].push_back(std::move(u));
-    drain_causal_buffers();
   }
-  cv_.notify_all();
+  // An update applied above may have made buffered ones ready.
+  if (!cfg_.omit_timestamps) drain_causal_buffers();
 }
 
 void Node::on_batch(const net::Message& m) {
@@ -351,7 +375,6 @@ void Node::on_batch(const net::Message& m) {
                  received_from_[sender], /*force=*/false, r.weight);
     }
     applied_.set(sender, std::max(applied_[sender], max_seq));
-    cv_.notify_all();
     return;
   }
 
@@ -394,7 +417,6 @@ void Node::on_batch(const net::Message& m) {
     // The flush stamp: everything this sender addressed to us up to its
     // m.b-th write has now arrived (per-channel FIFO).
     resolved_.set(sender, std::max(resolved_[sender], m.b));
-    cv_.notify_all();
     return;
   }
 
@@ -403,15 +425,17 @@ void Node::on_batch(const net::Message& m) {
   u.vc = VectorClock(cfg_.num_procs);
   for (const BatchRecord& r : recs) u.vc.merge(r.vc);
   u.recs = std::move(recs);
-  {
-    std::scoped_lock lk(mu_);
-    MC_CHECK_MSG(u.vc[sender] > update_arrived_[sender],
-                 "per-sender FIFO violated on the batch channel");
-    update_arrived_.set(sender, u.vc[sender]);
-    causal_buffer_[sender].push_back(std::move(u));
-    drain_causal_buffers();
-  }
-  cv_.notify_all();
+  std::scoped_lock lk(mu_);
+  MC_CHECK_MSG(u.vc[sender] > update_arrived_[sender],
+               "per-sender FIFO violated on the batch channel");
+  update_arrived_.set(sender, u.vc[sender]);
+  causal_buffer_[sender].push_back(std::move(u));
+  drain_causal_buffers();
+}
+
+bool Node::causally_ready(const VectorClock& vc, ProcId sender, bool gap_ok) const {
+  return elastic_ ? vc.ready_after_masked(applied_, sender, gap_ok, view_.alive_mask)
+                  : vc.ready_after(applied_, sender, gap_ok);
 }
 
 void Node::drain_causal_buffers() {
@@ -420,12 +444,7 @@ void Node::drain_causal_buffers() {
     progress = false;
     for (ProcId s = 0; s < cfg_.num_procs; ++s) {
       auto& q = causal_buffer_[s];
-      auto ready = [&](const PendingUpdate& u) {
-        return elastic_
-                   ? u.vc.ready_after_masked(applied_, s, u.gap_ok, view_.alive_mask)
-                   : u.vc.ready_after(applied_, s, u.gap_ok);
-      };
-      while (!q.empty() && ready(q.front())) {
+      while (!q.empty() && causally_ready(q.front().vc, s, q.front().gap_ok)) {
         const PendingUpdate& u = q.front();
         // A batch applies atomically: every record lands under this one
         // mutex hold, so no reader observes a mid-batch state (which the
@@ -735,7 +754,6 @@ void Node::on_view_commit(const net::Message& m) {
       fabric_.send(std::move(sync));
     }
   }
-  cv_.notify_all();
   lk.unlock();
   for (net::Message& dm : replay) {
     if (dm.kind == kFetchBulkReq) on_fetch_bulk_req(dm);
@@ -780,7 +798,6 @@ void Node::on_view_state(const net::Message& m) {
     stats_.reseeds_in.add();
   }
   if (full_snapshot) snapshot_done_ = true;
-  cv_.notify_all();
 }
 
 void Node::on_view_barrier_sync(const net::Message& m) {
@@ -792,7 +809,6 @@ void Node::on_view_barrier_sync(const net::Message& m) {
     e = std::max(e, m.payload[2 * k + 1]);
   }
   barrier_synced_ = true;
-  cv_.notify_all();
 }
 
 void Node::on_view_hello(const net::Message& m) {
@@ -807,7 +823,9 @@ void Node::on_view_hello(const net::Message& m) {
   // resolved frontier — everything before it was broadcast to the old
   // membership only and is waived for this node.
   if (dir_mode_) resolved_.set(sender, std::max(resolved_[sender], m.a));
-  cv_.notify_all();
+  // The raised applied floor may have made buffered updates from other
+  // senders ready (their clocks can cover the waived writes).
+  drain_causal_buffers();
 }
 
 View Node::view() const {
@@ -1077,7 +1095,6 @@ void Node::on_dir_ack(const net::Message& m) {
     // Ack for a pre-leave handoff probe (leave()): the target has applied
     // our re-homing offers.
     dir_handoff_wait_ &= ~(std::uint64_t{1} << static_cast<ProcId>(m.src));
-    cv_.notify_all();
     return;
   }
   const auto key = std::make_pair(static_cast<ProcId>(m.b), m.a);
@@ -1173,7 +1190,6 @@ void Node::on_fetch_bulk_resp(const net::Message& m) {
     it->second.done = true;
     enforce_budget_locked();
   }
-  cv_.notify_all();
 }
 
 void Node::enforce_budget_locked() {
@@ -1272,7 +1288,6 @@ void Node::on_dir_sharer_sync(const net::Message& m) {
     sharer_mask_[static_cast<VarId>(m.payload[2 * k])] = m.payload[2 * k + 1];
   }
   dir_sync_from_ |= std::uint64_t{1} << static_cast<ProcId>(m.src);
-  cv_.notify_all();
 }
 
 void Node::ping_lagging_locked(const VectorClock& floor, VectorClock& pinged) {
@@ -1368,33 +1383,41 @@ void Node::broadcast_update(VarId x, Value value, std::uint64_t flags, SeqNo seq
     // receiver's LWW arbitration can prefer new-view writes (store.cpp).
     if (elastic_) m.payload.push_back(epoch);
   }
-  const auto subs = cfg_.update_subscribers.find(x);
-  if (subs != cfg_.update_subscribers.end()) {
-    for (const ProcId p : subs->second) {
-      if (p == self_) continue;
+  // Every destination but the last gets a copy of the encoded update; the
+  // last one gets the original.
+  const std::size_t update_bytes =
+      net::Message::kHeaderBytes + m.payload.size() * sizeof(std::uint64_t);
+  const auto send_to = [&](ProcId p, bool last) {
+    if (last) {
+      m.dst = p;
+      fabric_.send(std::move(m));
+    } else {
       net::Message copy = m;
       copy.dst = p;
       fabric_.send(std::move(copy));
-      sent_to_.set(p, sent_to_[p] + 1);
-      if (profiler_ != nullptr) {
-        profiler_->record_update_bytes(
-            x, net::Message::kHeaderBytes + m.payload.size() * sizeof(std::uint64_t));
-      }
+    }
+    sent_to_.set(p, sent_to_[p] + 1);
+    if (profiler_ != nullptr) profiler_->record_update_bytes(x, update_bytes);
+  };
+  const auto subs = cfg_.update_subscribers.find(x);
+  if (subs != cfg_.update_subscribers.end()) {
+    const std::vector<ProcId>& dests = subs->second;
+    std::size_t last = dests.size();
+    while (last > 0 && dests[last - 1] == self_) --last;
+    for (std::size_t i = 0; i < last; ++i) {
+      if (dests[i] != self_) send_to(dests[i], i + 1 == last);
     }
     return;
   }
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    // Elastic: non-members get nothing — the departed are gone, and a
-    // not-yet-admitted joiner gets its baseline via kViewHello instead.
-    if (p == self_ || (elastic_ && !view_.is_alive(p))) continue;
-    net::Message copy = m;
-    copy.dst = p;
-    fabric_.send(std::move(copy));
-    sent_to_.set(p, sent_to_[p] + 1);
-    if (profiler_ != nullptr) {
-      profiler_->record_update_bytes(
-          x, net::Message::kHeaderBytes + m.payload.size() * sizeof(std::uint64_t));
-    }
+  // Elastic: non-members get nothing — the departed are gone, and a
+  // not-yet-admitted joiner gets its baseline via kViewHello instead.
+  const auto member = [&](ProcId p) {
+    return p != self_ && (!elastic_ || view_.is_alive(p));
+  };
+  ProcId last = cfg_.num_procs;
+  while (last > 0 && !member(last - 1)) --last;
+  for (ProcId p = 0; p < last; ++p) {
+    if (member(p)) send_to(p, p + 1 == last);
   }
 }
 

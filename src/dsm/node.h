@@ -4,22 +4,24 @@
 // Architecture (see DESIGN.md):
 //   - every write/delta is stamped with the process's vector clock and
 //     broadcast over FIFO channels;
-//   - two store views absorb the same update stream: the PRAM view applies
-//     in per-sender FIFO arrival order, the causal view buffers until
-//     causally ready;
-//   - reads block on per-view *floors*: vector clocks raised by the
-//     synchronization machinery (lock grants, barrier releases, await
-//     resolutions) and by previously observed values, implementing the
-//     |-> lock, |-> bar, |-> await orders and the reads-from obligations of
-//     Definitions 2 and 3;
+//   - incoming updates are buffered until causally ready and then applied,
+//     in that one order, to a single local copy (DESIGN.md decision 1);
+//   - a read's label selects which *floor* it blocks on: vector clocks
+//     raised by the synchronization machinery (lock grants, barrier
+//     releases, await resolutions) and by previously observed values,
+//     implementing the |-> lock, |-> bar, |-> await orders and the
+//     reads-from obligations of Definitions 2 and 3;
 //   - the causal floor absorbs full vector clocks (transitive visibility);
 //     the PRAM floor is raised only on the components of *direct*
 //     predecessor processes, matching the transitive reduction in
 //     Definition 3.
 //
 // One application thread drives the public API; one internal delivery
-// thread applies incoming fabric traffic.  All shared node state is guarded
-// by a single mutex (CP.20-style scoped locking throughout).
+// thread applies incoming fabric traffic, a drained batch at a time: in
+// arrival order across kinds, each run of consecutive updates under one
+// lock hold, one wake-up of the application thread per batch (DESIGN.md
+// decision 9).  All shared node state is guarded by a single mutex
+// (CP.20-style scoped locking throughout).
 
 #pragma once
 
@@ -29,6 +31,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -270,10 +273,17 @@ class Node {
     std::uint64_t need_acks = 0;  // procs whose kDirAck is still pending
   };
 
-  // Delivery-thread handlers.
+  // Delivery-thread handlers.  They never wake the application thread
+  // themselves: run_delivery notifies cv_ once per drained batch.
   void run_delivery();
-  void on_update(const net::Message& m);
+  /// Handle one non-kUpdate message.
+  void deliver(const net::Message& m);
+  /// Apply a run of consecutive kUpdates under one mu_ hold and one causal
+  /// drain.
+  void on_updates(std::span<const net::Message> run);
   void on_batch(const net::Message& m);
+  /// An update from `sender` stamped `vc` may apply now (expects mu_).
+  [[nodiscard]] bool causally_ready(const VectorClock& vc, ProcId sender, bool gap_ok) const;
   void drain_causal_buffers();
   void on_fetch_request(const net::Message& m);
 

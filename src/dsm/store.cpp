@@ -4,6 +4,13 @@
 
 namespace mc::dsm {
 
+namespace {
+Value subtract(Value from, Value amount, std::uint64_t op) {
+  return op == kFlagIntDelta ? value_of(int_of(from) - int_of(amount))
+                             : value_of(double_of(from) - double_of(amount));
+}
+}  // namespace
+
 void Store::apply(VarId x, Value value, std::uint64_t flags, WriteId id,
                   const VectorClock& vc, std::uint64_t arrival, bool force,
                   std::uint64_t weight, std::uint64_t epoch) {
@@ -26,13 +33,21 @@ void Store::apply(VarId x, Value value, std::uint64_t flags, WriteId id,
   // order; otherwise one process's two views could disagree on the winner
   // and its trace would have no single serialization.  On the ideal
   // fabric the mailbox's global deliver_at order makes this a no-op.
-  // Deltas are exempt (they commute and every copy must be counted), and
-  // `force` exempts demand-policy migratory writes, whose clocks are
-  // deliberately not ticked — those are write-lock-ordered, so no
-  // concurrent write to the variable can exist.
+  // Deltas are exempt (they commute and every copy must be counted); a
+  // write is ordered against the winning *write*, and when it wins it
+  // re-applies the deltas it has not seen, so a write concurrent with an
+  // already-applied delta neither loses to it nor erases it.  `force`
+  // exempts demand-policy migratory writes, whose clocks are deliberately
+  // not ticked — those are write-lock-ordered, so no concurrent write to
+  // the variable can exist.
   const std::uint64_t op = flags & kFlagOpMask;
-  if (!force && op == kFlagWrite && !vc.empty() && !e.vc.empty()) {
-    switch (vc.compare(e.vc)) {
+  // The winning write the LWW order compares against: the entry itself,
+  // or the recorded base while deltas are layered on top of it.
+  const bool layered = !e.deltas.empty();
+  const VectorClock& base_vc = layered ? e.base_vc : e.vc;
+  const WriteId base = layered ? e.base : e.last;
+  if (!force && op == kFlagWrite && !vc.empty() && !base_vc.empty()) {
+    switch (vc.compare(base_vc)) {
       case ClockOrder::kBefore:
       case ClockOrder::kEqual:
         return;
@@ -51,7 +66,7 @@ void Store::apply(VarId x, Value value, std::uint64_t flags, WriteId id,
         const auto key = [](std::uint64_t ep, const VectorClock& c, WriteId w) {
           return std::tuple(ep, c.total(), w.proc, w.seq);
         };
-        if (key(epoch, vc, id) < key(e.epoch, e.vc, e.last)) return;
+        if (key(epoch, vc, id) < key(e.epoch, base_vc, base)) return;
         break;
       }
     }
@@ -59,30 +74,43 @@ void Store::apply(VarId x, Value value, std::uint64_t flags, WriteId id,
   // Each applied update records its own receive index, paired with
   // e.last's sender (the floor machinery raises per-sender counts).
   e.arrival = arrival;
-  switch (op) {
-    case kFlagWrite:
-      e.value = value;
+  if (op == kFlagWrite) {
+    e.value = value;
+    e.epoch = epoch;
+    // Keep the deltas this write has not seen (a delta is in the write's
+    // causal past iff the write's clock covers the delta's own tick) and
+    // re-apply them on top, in their original order.
+    if (force || vc.empty()) {
+      e.deltas.clear();
+    } else {
+      std::erase_if(e.deltas, [&](const VarEntry::Delta& d) {
+        return d.tick <= vc[d.id.proc];
+      });
+    }
+    if (e.deltas.empty()) {
       e.vc = vc;
-      e.epoch = epoch;
-      break;
-    case kFlagIntDelta:
-      e.value = value_of(int_of(e.value) - int_of(value));
-      e.delta_touched = true;
-      if (!vc.empty()) {
-        if (e.vc.empty()) e.vc = VectorClock(num_procs_);
-        e.vc.merge(vc);
-      }
-      break;
-    case kFlagDoubleDelta:
-      e.value = value_of(double_of(e.value) - double_of(value));
-      e.delta_touched = true;
-      if (!vc.empty()) {
-        if (e.vc.empty()) e.vc = VectorClock(num_procs_);
-        e.vc.merge(vc);
-      }
-      break;
-    default:
-      MC_CHECK_MSG(false, "unknown update flags");
+      e.last = id;
+      e.base_vc = VectorClock();
+      return;
+    }
+    for (const VarEntry::Delta& d : e.deltas) e.value = subtract(e.value, d.amount, d.op);
+    e.base = id;
+    e.base_vc = vc;
+    e.vc.merge(vc);
+    e.last = e.deltas.back().id;
+    return;
+  }
+  MC_CHECK_MSG(op == kFlagIntDelta || op == kFlagDoubleDelta, "unknown update flags");
+  e.value = subtract(e.value, value, op);
+  e.delta_touched = true;
+  if (!vc.empty()) {
+    if (!layered) {
+      e.base = e.last;
+      e.base_vc = e.vc;
+    }
+    e.deltas.push_back(VarEntry::Delta{id, vc[id.proc], value, op});
+    if (e.vc.empty()) e.vc = VectorClock(num_procs_);
+    e.vc.merge(vc);
   }
   e.last = id;
 }
@@ -96,6 +124,8 @@ void Store::install(VarId x, Value value, WriteId id, const VectorClock& vc,
   e.vc = vc;
   e.delta_touched = e.delta_touched || delta_touched;
   e.epoch = epoch;
+  e.deltas.clear();
+  e.base_vc = VectorClock();
 }
 
 }  // namespace mc::dsm

@@ -47,6 +47,26 @@ struct VarEntry {
   /// overwrite of the same variable, and the re-seed must not resurrect
   /// it over the overwrite at replicas that already applied the newer one.
   std::uint64_t epoch = 0;
+
+  /// A delta applied on top of the current winning write that is not in
+  /// that write's causal past: `tick` is the delta's own clock component
+  /// (its issuer's event count).  A later write concurrent with the delta
+  /// must not erase it, so a winning write re-applies every logged delta
+  /// it has not seen (see apply() in store.cpp).
+  struct Delta {
+    WriteId id;
+    std::uint64_t tick = 0;
+    Value amount = 0;
+    std::uint64_t op = 0;  // kFlagIntDelta or kFlagDoubleDelta
+  };
+  /// Deltas layered on the winning write, in apply order; empty in
+  /// count-vector mode and whenever the winning write has seen them all.
+  std::vector<Delta> deltas;
+  /// The winning write's id and clock while `deltas` is non-empty (vc then
+  /// also merges the deltas' clocks).  An empty base_vc is the initial
+  /// value, which every write beats.
+  WriteId base = kInitialWrite;
+  VectorClock base_vc;
 };
 
 class Store {
@@ -65,7 +85,9 @@ class Store {
   /// the entry a last-writer-wins register under a total order extending
   /// causality (see store.cpp), so the PRAM and causal views converge on
   /// the same winner regardless of apply order; deltas subtract and merge
-  /// metadata.  `arrival` is the count-vector-mode receive index (0 for
+  /// metadata, and a winning write re-applies the deltas it is concurrent
+  /// with, so the value does not depend on whether a write or a concurrent
+  /// delta landed first.  `arrival` is the count-vector-mode receive index (0 for
   /// local writes and VC mode).  `force` bypasses the write ordering —
   /// only for demand-policy migratory writes, whose clocks are not ticked.
   /// `weight` is how many original updates this record stands for (> 1 for

@@ -24,7 +24,8 @@ enum MsgKind : std::uint16_t {
 
   /// Eager-release flush probe.  a=token.  Receiver replies kSyncAck after
   /// the probe is processed (FIFO channels imply all of the sender's prior
-  /// updates have been applied to the PRAM view by then).
+  /// updates have reached the receiver by then — applied to its store, or
+  /// buffered there until causally ready).
   kSyncReq = 2,
   /// a=token.
   kSyncAck = 3,

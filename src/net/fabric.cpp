@@ -23,7 +23,9 @@ struct Fabric::Ext {
 };
 
 Fabric::Fabric(std::size_t endpoints, LatencyModel latency, std::uint64_t seed)
-    : stamper_(latency, endpoints, seed), channel_seq_(endpoints * endpoints, 0) {
+    : stamper_(latency, endpoints, seed),
+      channel_seq_(std::make_unique<std::atomic<std::uint64_t>[]>(endpoints * endpoints)),
+      shards_(std::make_unique<SenderShard[]>(endpoints)) {
   MC_CHECK(endpoints > 0);
   mailboxes_.reserve(endpoints);
   for (std::size_t i = 0; i < endpoints; ++i) {
@@ -55,22 +57,22 @@ void Fabric::send_raw(Message m) {
   deliver(std::move(m), ext_.load(std::memory_order_acquire));
 }
 
+void Fabric::SenderShard::account(const Message& m) {
+  const std::size_t bytes_on_wire = m.wire_bytes();
+  const std::size_t bucket = std::min<std::size_t>(m.kind, kKindBuckets - 1);
+  per_kind[bucket].add();
+  per_kind_bytes[bucket].add(bytes_on_wire);
+}
+
 void Fabric::deliver(Message m, Ext* ext) {
-  MC_CHECK(m.src < mailboxes_.size());
-  MC_CHECK(m.dst < mailboxes_.size());
+  const std::size_t n = mailboxes_.size();
+  MC_CHECK(m.src < n);
+  MC_CHECK(m.dst < n);
   const auto t0 = std::chrono::steady_clock::now();
-  {
-    std::scoped_lock lk(stamp_mu_);
-    m.channel_seq = channel_seq_[m.src * mailboxes_.size() + m.dst]++;
-    m.deliver_at = stamper_.stamp(m, t0);
-  }
-  messages_.add();
-  bytes_.add(m.wire_bytes());
-  {
-    const std::size_t bucket = std::min<std::size_t>(m.kind, kKindBuckets - 1);
-    per_kind_[bucket].add();
-    per_kind_bytes_[bucket].add(m.wire_bytes());
-  }
+  SenderShard& shard = shards_[m.src];
+  m.channel_seq = channel_seq_[m.src * n + m.dst].fetch_add(1, std::memory_order_relaxed);
+  m.deliver_at = stamper_.stamp(m, t0);
+  shard.account(m);
 
   FaultInjector::Decision fate;
   if (ext != nullptr) {
@@ -81,7 +83,7 @@ void Fabric::deliver(Message m, Ext* ext) {
     }
   }
   if (fate.drop) {
-    send_ns_.record(std::chrono::steady_clock::now() - t0);
+    shard.send_ns.record(std::chrono::steady_clock::now() - t0);
     return;
   }
   m.deliver_at += fate.extra_delay;
@@ -94,32 +96,31 @@ void Fabric::deliver(Message m, Ext* ext) {
     obs::trace_instant("send", "net", {"kind", m.kind}, {"dst", m.dst});
     obs::trace_flow_start("msg", "net", m.trace_id, {"kind", m.kind});
   }
-  const Endpoint dst = m.dst;
+  Mailbox& dst = *mailboxes_[m.dst];
   if (fate.duplicate) {
     // The wire carried the message twice: account for the extra copy and
     // deliver it with identical stamps (the mailbox keeps arrival order).
-    messages_.add();
-    bytes_.add(m.wire_bytes());
-    {
-      const std::size_t bucket = std::min<std::size_t>(m.kind, kKindBuckets - 1);
-      per_kind_[bucket].add();
-      per_kind_bytes_[bucket].add(m.wire_bytes());
-    }
-    Message copy = m;
-    if (!mailboxes_[dst]->push(std::move(copy))) send_after_close_.add();
+    shard.account(m);
+    if (!dst.push(m)) shard.send_after_close.add();
   }
-  if (!mailboxes_[dst]->push(std::move(m))) send_after_close_.add();
-  send_ns_.record(std::chrono::steady_clock::now() - t0);
+  if (!dst.push(std::move(m))) shard.send_after_close.add();
+  shard.send_ns.record(std::chrono::steady_clock::now() - t0);
 }
 
-std::optional<Message> Fabric::recv(Endpoint e) {
+bool Fabric::drain(Endpoint e, std::vector<Message>& out, std::size_t max) {
   MC_CHECK(e < mailboxes_.size());
   Ext* ext = ext_.load(std::memory_order_acquire);
   if (ext != nullptr) {
     ReliableChannel* rel = ext->reliable.load(std::memory_order_acquire);
-    if (rel != nullptr) return rel->recv(e);
+    if (rel != nullptr) return rel->drain(e, out, max);
   }
-  return mailboxes_[e]->recv();
+  return mailboxes_[e]->drain(out, max);
+}
+
+std::optional<Message> Fabric::recv(Endpoint e) {
+  std::vector<Message> one;
+  if (!drain(e, one, 1)) return std::nullopt;
+  return std::move(one.front());
 }
 
 void Fabric::multicast(const Message& m, const std::vector<Endpoint>& dsts) {
@@ -184,12 +185,47 @@ ReliableChannel* Fabric::reliable_channel() {
   return ext == nullptr ? nullptr : ext->reliable.load(std::memory_order_acquire);
 }
 
+template <typename Get>
+std::uint64_t Fabric::sum_shards(Get get) const {
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < endpoints(); ++s) total += get(shards_[s]);
+  return total;
+}
+
 std::uint64_t Fabric::messages_of_kind(std::uint16_t kind) const {
-  return per_kind_[std::min<std::size_t>(kind, kKindBuckets - 1)].get();
+  const std::size_t bucket = std::min<std::size_t>(kind, kKindBuckets - 1);
+  return sum_shards([&](const SenderShard& sh) { return sh.per_kind[bucket].get(); });
 }
 
 std::uint64_t Fabric::bytes_of_kind(std::uint16_t kind) const {
-  return per_kind_bytes_[std::min<std::size_t>(kind, kKindBuckets - 1)].get();
+  const std::size_t bucket = std::min<std::size_t>(kind, kKindBuckets - 1);
+  return sum_shards([&](const SenderShard& sh) { return sh.per_kind_bytes[bucket].get(); });
+}
+
+std::uint64_t Fabric::messages_sent() const {
+  return sum_shards([](const SenderShard& sh) {
+    std::uint64_t n = 0;
+    for (const Counter& c : sh.per_kind) n += c.get();
+    return n;
+  });
+}
+
+std::uint64_t Fabric::bytes_sent() const {
+  return sum_shards([](const SenderShard& sh) {
+    std::uint64_t n = 0;
+    for (const Counter& c : sh.per_kind_bytes) n += c.get();
+    return n;
+  });
+}
+
+std::uint64_t Fabric::sends_after_close() const {
+  return sum_shards([](const SenderShard& sh) { return sh.send_after_close.get(); });
+}
+
+LatencyHistogram Fabric::send_latency() const {
+  LatencyHistogram merged;
+  for (std::size_t s = 0; s < endpoints(); ++s) merged.merge(shards_[s].send_ns);
+  return merged;
 }
 
 std::vector<std::size_t> Fabric::in_flight() const {
@@ -207,21 +243,35 @@ void Fabric::name_kind(std::uint16_t kind, std::string name) {
 
 MetricsSnapshot Fabric::metrics() const {
   MetricsSnapshot snap;
-  snap.values["net.messages"] = messages_.get();
-  snap.values["net.bytes"] = bytes_.get();
-  snap.values["net.send_after_close"] = send_after_close_.get();
-  snap.add_histogram("net.send_ns", send_ns_);
+  // Each kind's count and bytes are read from the shards once and
+  // net.messages / net.bytes are their sums, so the per-kind keys reconcile
+  // exactly with the totals even while senders are still running.
+  std::array<std::uint64_t, kKindBuckets> kind_msgs{};
+  std::array<std::uint64_t, kKindBuckets> kind_bytes{};
+  for (std::size_t s = 0; s < endpoints(); ++s) {
+    for (std::size_t k = 0; k < kKindBuckets; ++k) {
+      kind_msgs[k] += shards_[s].per_kind[k].get();
+      kind_bytes[k] += shards_[s].per_kind_bytes[k].get();
+    }
+  }
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
   {
     std::scoped_lock lk(names_mu_);
     for (std::size_t k = 0; k < kKindBuckets; ++k) {
-      const std::uint64_t n = per_kind_[k].get();
-      if (n == 0) continue;
+      if (kind_msgs[k] == 0) continue;
+      messages += kind_msgs[k];
+      bytes += kind_bytes[k];
       const std::string& name = kind_names_[k];
       const std::string label = name.empty() ? std::to_string(k) : name;
-      snap.values["net.msg." + label] = n;
-      snap.values["net.bytes." + label] = per_kind_bytes_[k].get();
+      snap.values["net.msg." + label] = kind_msgs[k];
+      snap.values["net.bytes." + label] = kind_bytes[k];
     }
   }
+  snap.values["net.messages"] = messages;
+  snap.values["net.bytes"] = bytes;
+  snap.values["net.send_after_close"] = sends_after_close();
+  snap.add_histogram("net.send_ns", send_latency());
   {
     std::scoped_lock lk(ext_mu_);
     if (ext_storage_) {

@@ -6,6 +6,13 @@
 // owns a mailbox, and every protocol byte is counted so benchmarks can
 // report machine-independent costs.
 //
+// The send path takes no fabric-wide lock: channel sequence numbers are
+// per-channel atomics, latency stamping keeps its state per sender
+// (net/latency.h), and accounting lives in cache-line-aligned per-sender
+// shards that metrics() sums.  The only lock a send takes is the
+// destination mailbox's.  Receiving is bulk: drain() hands a consumer every
+// deliverable message at once (net/mailbox.h).
+//
 // Two optional layers sandwich the ideal channel (both off by default, one
 // branch on a null pointer when absent):
 //   - a FaultInjector (net/fault.h) makes the channel lossy — seeded drops,
@@ -17,6 +24,7 @@
 
 #include <array>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -60,9 +68,15 @@ class Fabric {
   /// still face the fault plan and normal stamping/accounting).
   void send_raw(Message m);
 
-  /// Receive the next message for endpoint `e`: the reliable in-order
-  /// stream when reliability is enabled, the raw mailbox otherwise.  One
-  /// consumer thread per endpoint.
+  /// Bulk receive for endpoint `e`: clears `out`, blocks until a message
+  /// is deliverable, then moves up to `max` messages into `out` in delivery
+  /// order — the reliable in-order stream when reliability is enabled, the
+  /// raw mailbox otherwise.  Returns false once the endpoint is closed and
+  /// drained.  One consumer thread per endpoint.
+  bool drain(Endpoint e, std::vector<Message>& out,
+             std::size_t max = std::numeric_limits<std::size_t>::max());
+
+  /// Single-message form of drain().
   std::optional<Message> recv(Endpoint e);
 
   /// Send a copy of `m` from `src` to every endpoint in `dsts`.
@@ -90,23 +104,22 @@ class Fabric {
 
   // --- accounting ---
 
-  [[nodiscard]] std::uint64_t messages_sent() const { return messages_.get(); }
-  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_.get(); }
+  [[nodiscard]] std::uint64_t messages_sent() const;
+  [[nodiscard]] std::uint64_t bytes_sent() const;
   [[nodiscard]] std::uint64_t messages_of_kind(std::uint16_t kind) const;
   [[nodiscard]] std::uint64_t bytes_of_kind(std::uint16_t kind) const;
 
   /// Sends rejected because the destination mailbox had already been
   /// closed — shutdown races, visible instead of silent.
-  [[nodiscard]] std::uint64_t sends_after_close() const {
-    return send_after_close_.get();
-  }
+  [[nodiscard]] std::uint64_t sends_after_close() const;
 
   /// Messages currently sitting in each endpoint's mailbox (diagnostics).
   [[nodiscard]] std::vector<std::size_t> in_flight() const;
 
-  /// Latency of the send path itself (stamping + mailbox insertion,
-  /// including contention on the stamping lock) — the fabric's hot path.
-  [[nodiscard]] const LatencyHistogram& send_latency() const { return send_ns_; }
+  /// Latency of the send path itself (stamping + accounting + mailbox
+  /// insertion, including contention on the destination mailbox's lock) —
+  /// the fabric's hot path.  A snapshot merged across the sender shards.
+  [[nodiscard]] LatencyHistogram send_latency() const;
 
   /// Snapshot of fabric-level metrics, with per-kind counts labeled through
   /// `kind_name` (protocol layers install their kind names at startup).
@@ -121,24 +134,33 @@ class Fabric {
   /// branch when neither is installed.
   struct Ext;
 
+  /// Send-side accounting of one sending endpoint, on its own cache lines
+  /// so concurrent senders never bump a shared counter.  Message and byte
+  /// totals are sums of the per-kind counters.
+  struct alignas(64) SenderShard {
+    Counter send_after_close;
+    std::array<Counter, kKindBuckets> per_kind;
+    std::array<Counter, kKindBuckets> per_kind_bytes;
+    LatencyHistogram send_ns;
+
+    void account(const Message& m);
+  };
+
   void deliver(Message m, Ext* ext);
+
+  /// Sum of get(shard) over every sender's shard.
+  template <typename Get>
+  [[nodiscard]] std::uint64_t sum_shards(Get get) const;
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 
-  std::mutex stamp_mu_;
   LatencyStamper stamper_;
-  std::vector<std::uint64_t> channel_seq_;  // [src * n + dst]
+  std::unique_ptr<std::atomic<std::uint64_t>[]> channel_seq_;  // [src * n + dst]
+  std::unique_ptr<SenderShard[]> shards_;                      // [src]
 
   mutable std::mutex ext_mu_;           // guards installation, not the hot path
   std::unique_ptr<Ext> ext_storage_;
   std::atomic<Ext*> ext_{nullptr};
-
-  Counter messages_;
-  Counter bytes_;
-  Counter send_after_close_;
-  std::array<Counter, kKindBuckets> per_kind_;
-  std::array<Counter, kKindBuckets> per_kind_bytes_;
-  LatencyHistogram send_ns_;
 
   mutable std::mutex names_mu_;
   std::array<std::string, kKindBuckets> kind_names_;

@@ -8,8 +8,10 @@
 
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 
 #include "net/message.h"
 
@@ -36,20 +38,29 @@ struct LatencyModel {
 };
 
 /// Stateful stamper: produces monotone per-channel deliver_at stamps so the
-/// simulated channels stay FIFO under jitter.  Not thread-safe; the fabric
-/// guards it.
+/// simulated channels stay FIFO under jitter.
+///
+/// State is kept per sender: each source endpoint owns its row of
+/// per-destination "last stamp" slots and its own jitter RNG, seeded from
+/// (seed, src).  Both are atomics, so concurrent senders never share a lock
+/// or a cache line on the fabric's send path, and one sender's stamp
+/// sequence is deterministic given its seed and its own send order.
 class LatencyStamper {
  public:
   LatencyStamper(LatencyModel model, std::size_t endpoints, std::uint64_t seed);
 
-  /// Compute the deliver_at stamp for a message sent now.
+  /// Compute the deliver_at stamp for a message sent now.  Thread-safe.
   SimTime stamp(const Message& m, SimTime now);
 
  private:
+  struct alignas(64) Sender {
+    std::atomic<std::uint64_t> rng{0};
+    std::unique_ptr<std::atomic<SimTime::rep>[]> last;  // [dst]
+  };
+
   LatencyModel model_;
   std::size_t endpoints_;
-  std::uint64_t rng_state_;
-  std::vector<SimTime> last_;  // [src * endpoints_ + dst]
+  std::unique_ptr<Sender[]> senders_;  // [src]
 };
 
 }  // namespace mc::net

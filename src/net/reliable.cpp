@@ -176,34 +176,30 @@ void ReliableChannel::process(Endpoint e, Message m, std::vector<Message>& acks_
   }
 }
 
-std::optional<Message> ReliableChannel::recv(Endpoint e) {
+bool ReliableChannel::drain(Endpoint e, std::vector<Message>& out, std::size_t max) {
+  out.clear();
+  std::vector<Message> raw;
+  std::vector<Message> acks;
+  bool open = true;
   for (;;) {
-    std::vector<Message> acks;
     {
       std::scoped_lock lk(mu_);
-      if (!ready_[e].empty()) {
-        Message out = std::move(ready_[e].front());
-        ready_[e].pop_front();
-        return out;
+      for (Message& m : raw) process(e, std::move(m), acks);
+      std::deque<Message>& ready = ready_[e];
+      while (!ready.empty() && out.size() < max) {
+        out.push_back(std::move(ready.front()));
+        ready.pop_front();
       }
-    }
-    auto raw = fabric_.mailbox(e).recv();
-    if (!raw.has_value()) {
-      std::scoped_lock lk(mu_);
-      if (ready_[e].empty()) return std::nullopt;
-      Message out = std::move(ready_[e].front());
-      ready_[e].pop_front();
-      return out;
-    }
-    {
-      std::scoped_lock lk(mu_);
-      process(e, std::move(*raw), acks);
     }
     for (Message& a : acks) {
       acks_sent_.add();
       ack_bytes_.add(a.wire_bytes());
       fabric_.send_raw(std::move(a));
     }
+    acks.clear();
+    if (!out.empty()) return true;
+    if (!open) return false;
+    open = fabric_.mailbox(e).drain(raw);
   }
 }
 

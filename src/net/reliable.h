@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -107,12 +108,17 @@ class ReliableChannel {
   /// lossy path.  Thread-safe.
   void on_send(Message& m);
 
-  /// Receiver side: blocking receive of the next in-order message for
-  /// endpoint `e` — the reliable replacement for Mailbox::recv.  Consumes
-  /// protocol traffic (acks, duplicates, out-of-order buffering)
-  /// internally.  Returns nullopt once the underlying mailbox is closed
-  /// and drained.  One consumer thread per endpoint.
-  std::optional<Message> recv(Endpoint e);
+  /// Receiver side: blocking bulk receive of the in-order stream for
+  /// endpoint `e` — the reliable replacement for Mailbox::drain.  Drains
+  /// the raw mailbox in bulk and processes the whole drain under one
+  /// channel-lock hold, consuming protocol traffic (acks, duplicates,
+  /// out-of-order buffering) internally; the acks it owes go out after the
+  /// lock is released.  Clears `out` and moves up to `max` in-order
+  /// messages into it (any surplus waits for the next call).  Returns false
+  /// once the underlying mailbox is closed and drained.  One consumer
+  /// thread per endpoint.
+  bool drain(Endpoint e, std::vector<Message>& out,
+             std::size_t max = std::numeric_limits<std::size_t>::max());
 
   /// Stop the retransmit timer (idempotent; called by Fabric::shutdown
   /// before mailboxes close).
@@ -181,9 +187,9 @@ class ReliableChannel {
     return static_cast<std::size_t>(src) * endpoints_ + dst;
   }
 
-  /// Process one raw message for consumer `e`; in-order app messages are
-  /// appended to ready_[e].  Returns acks to transmit (sent without the
-  /// lock held).
+  /// Process one raw message for consumer `e` (caller holds mu_); in-order
+  /// app messages are appended to ready_[e].  Returns acks to transmit
+  /// (sent without the lock held).
   void process(Endpoint e, Message m, std::vector<Message>& acks_out);
   void handle_ack(std::size_t ch, std::uint64_t acked);
   [[nodiscard]] Message make_ack(Endpoint from, Endpoint to, std::uint64_t acked) const;
@@ -197,7 +203,7 @@ class ReliableChannel {
   mutable std::mutex mu_;
   std::vector<SendState> send_;                 // [src * n + dst]
   std::vector<RecvState> recv_;                 // [src * n + dst]
-  std::vector<std::deque<Message>> ready_;      // per endpoint, in order
+  std::vector<std::deque<Message>> ready_;      // per endpoint, not yet handed up
   std::vector<PeerUnreachable> errors_;
   std::function<void(const PeerUnreachable&)> unreachable_cb_;
 

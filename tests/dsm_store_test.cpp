@@ -83,6 +83,56 @@ TEST(Store, DoubleDeltaSubtracts) {
   EXPECT_DOUBLE_EQ(double_of(s.entry(3).value), 8.25);
 }
 
+TEST(Store, WriteConcurrentWithAppliedDeltaStillLands) {
+  // Process 1 applies its own delta first; process 0's earlier write,
+  // concurrent with it, arrives next, then process 0's later delta.  The
+  // write must land under the delta (re-applied on top), or process 1
+  // ends at -5 and has applied process 0's delta without its write.
+  Store s(1, 2);
+  s.apply(0, value_of(2.5), kFlagDoubleDelta, WriteId{1, 1}, VectorClock{0, 1});
+  s.apply(0, value_of(10.0), kFlagWrite, WriteId{0, 1}, VectorClock{1, 0});
+  EXPECT_DOUBLE_EQ(double_of(s.entry(0).value), 7.5);
+  EXPECT_EQ(s.entry(0).vc, (VectorClock{1, 1}));
+  s.apply(0, value_of(2.5), kFlagDoubleDelta, WriteId{0, 2}, VectorClock{1, 1});
+  EXPECT_DOUBLE_EQ(double_of(s.entry(0).value), 5.0);
+
+  // The other apply order (write, then both deltas) reaches the same value.
+  Store t(1, 2);
+  t.apply(0, value_of(10.0), kFlagWrite, WriteId{0, 1}, VectorClock{1, 0});
+  t.apply(0, value_of(2.5), kFlagDoubleDelta, WriteId{1, 1}, VectorClock{0, 1});
+  t.apply(0, value_of(2.5), kFlagDoubleDelta, WriteId{0, 2}, VectorClock{1, 1});
+  EXPECT_DOUBLE_EQ(double_of(t.entry(0).value), 5.0);
+}
+
+TEST(Store, WriteDropsOnlyTheDeltasItHasSeen) {
+  Store s(1, 3);
+  s.apply(0, value_of(std::int64_t{1}), kFlagIntDelta, WriteId{1, 1}, VectorClock{0, 1, 0});
+  s.apply(0, value_of(std::int64_t{2}), kFlagIntDelta, WriteId{2, 1}, VectorClock{0, 0, 1});
+  // The write saw process 1's delta but not process 2's: only the latter
+  // is re-applied.
+  s.apply(0, value_of(std::int64_t{50}), kFlagWrite, WriteId{0, 1}, VectorClock{1, 1, 0});
+  EXPECT_EQ(int_of(s.entry(0).value), 48);
+  // A write that has seen everything replaces the value outright.
+  s.apply(0, value_of(std::int64_t{7}), kFlagWrite, WriteId{0, 2}, VectorClock{2, 1, 1});
+  EXPECT_EQ(int_of(s.entry(0).value), 7);
+  EXPECT_EQ(s.entry(0).vc, (VectorClock{2, 1, 1}));
+  EXPECT_EQ(s.entry(0).last, (WriteId{0, 2}));
+}
+
+TEST(Store, WriteVersusWriteStaysLwwUnderLayeredDeltas) {
+  Store s(1, 3);
+  s.apply(0, value_of(std::int64_t{40}), kFlagWrite, WriteId{1, 1}, VectorClock{0, 1, 0});
+  s.apply(0, value_of(std::int64_t{5}), kFlagIntDelta, WriteId{2, 1}, VectorClock{0, 0, 1});
+  // Concurrent with both the installed write and the delta, and losing to
+  // the write on the (sum, proc, seq) key: rejected, delta kept.
+  s.apply(0, value_of(std::int64_t{90}), kFlagWrite, WriteId{0, 1}, VectorClock{1, 0, 0});
+  EXPECT_EQ(int_of(s.entry(0).value), 35);
+  // Causally after the installed write but concurrent with the delta:
+  // lands, with the delta re-applied.
+  s.apply(0, value_of(std::int64_t{60}), kFlagWrite, WriteId{0, 2}, VectorClock{2, 1, 0});
+  EXPECT_EQ(int_of(s.entry(0).value), 55);
+}
+
 TEST(Store, DeltaWithEmptyClockLeavesClockAlone) {
   Store s(4, 2);
   s.apply(0, value_of(std::int64_t{1}), kFlagIntDelta, WriteId{0, 1}, VectorClock{});

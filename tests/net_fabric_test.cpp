@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -52,6 +54,86 @@ TEST(Mailbox, DrainsPendingMessagesAfterClose) {
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->a, 42u);
   EXPECT_FALSE(f.mailbox(1).recv().has_value());
+}
+
+TEST(Mailbox, DrainMovesOutEveryDeliverableMessage) {
+  Mailbox mb;
+  std::vector<const std::uint64_t*> storage;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    Message m = make(0, 1, 1, i);
+    m.payload = {i, i + 1, i + 2};
+    storage.push_back(m.payload.data());
+    ASSERT_TRUE(mb.push(std::move(m)));
+  }
+  std::vector<Message> out;
+  ASSERT_TRUE(mb.drain(out));
+  ASSERT_EQ(out.size(), 5u);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(out[i].a, i);
+    // Moved, not copied: the payload is the very buffer that was pushed.
+    EXPECT_EQ(out[i].payload.data(), storage[i]);
+  }
+  EXPECT_EQ(mb.pending(), 0u);
+}
+
+TEST(Mailbox, DrainOrdersByDeliverAtThenArrival) {
+  Mailbox mb;
+  const SimTime past = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  const std::vector<std::pair<int, std::uint64_t>> pushes = {
+      {3, 0}, {1, 1}, {2, 2}, {1, 3}, {0, 4}, {2, 5}};
+  for (const auto& [offset_us, tag] : pushes) {
+    Message m = make(0, 1, 1, tag);
+    m.deliver_at = past + std::chrono::microseconds(offset_us);
+    ASSERT_TRUE(mb.push(std::move(m)));
+  }
+  std::vector<Message> out;
+  ASSERT_TRUE(mb.drain(out));
+  std::vector<std::uint64_t> tags;
+  for (const Message& m : out) tags.push_back(m.a);
+  EXPECT_EQ(tags, (std::vector<std::uint64_t>{4, 1, 3, 2, 5, 0}));
+}
+
+TEST(Mailbox, DrainGatesOnDeliverAt) {
+  Mailbox mb;
+  const SimTime now = std::chrono::steady_clock::now();
+  Message later = make(0, 1, 1, 1);
+  later.deliver_at = now + std::chrono::milliseconds(30);
+  Message due = make(0, 1, 1, 2);
+  due.deliver_at = now;
+  ASSERT_TRUE(mb.push(std::move(later)));
+  ASSERT_TRUE(mb.push(std::move(due)));
+  std::vector<Message> out;
+  ASSERT_TRUE(mb.drain(out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].a, 2u);
+  // The next drain blocks until the held message's stamp passes.
+  ASSERT_TRUE(mb.drain(out));
+  EXPECT_GE(std::chrono::steady_clock::now(), now + std::chrono::milliseconds(30));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].a, 1u);
+}
+
+TEST(Mailbox, DrainRespectsMaxAndKeepsTheRest) {
+  Mailbox mb;
+  for (std::uint64_t i = 0; i < 5; ++i) ASSERT_TRUE(mb.push(make(0, 1, 1, i)));
+  std::vector<Message> out;
+  ASSERT_TRUE(mb.drain(out, 2));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].a, 1u);
+  ASSERT_TRUE(mb.drain(out));
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].a, 2u);
+}
+
+TEST(Mailbox, DrainStillDrainsAfterClose) {
+  Mailbox mb;
+  for (std::uint64_t i = 0; i < 3; ++i) ASSERT_TRUE(mb.push(make(0, 1, 1, i)));
+  mb.close();
+  std::vector<Message> out;
+  ASSERT_TRUE(mb.drain(out));
+  EXPECT_EQ(out.size(), 3u);
+  EXPECT_FALSE(mb.drain(out));
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Fabric, ChannelsAreFifoPerSenderUnderJitter) {
@@ -208,6 +290,60 @@ TEST(Fabric, ConcurrentSendersDoNotLoseMessages) {
   while (f.mailbox(4).try_recv().has_value()) ++received;
   EXPECT_EQ(received, 2000);
   EXPECT_EQ(f.messages_sent(), 2000u);
+}
+
+TEST(Fabric, SenderShardsReconcileUnderConcurrentSenders) {
+  // Five senders, each fanning three kinds of varying size out to every
+  // endpoint (itself included): the per-kind keys must sum exactly to the
+  // totals, and every channel's sequence numbers must be dense and in
+  // send order.
+  constexpr Endpoint kEndpoints = 5;
+  constexpr std::uint64_t kRounds = 300;
+  Fabric f(kEndpoints);
+  f.name_kind(1, "one");
+  f.name_kind(2, "two");
+  std::vector<std::thread> senders;
+  for (Endpoint s = 0; s < kEndpoints; ++s) {
+    senders.emplace_back([&f, s] {
+      for (std::uint64_t i = 0; i < kRounds; ++i) {
+        for (Endpoint d = 0; d < kEndpoints; ++d) {
+          Message m = make(s, d, static_cast<std::uint16_t>(1 + (i + d) % 3), i);
+          m.payload.assign((i + s) % 4, 0);
+          f.send(std::move(m));
+        }
+      }
+    });
+  }
+  for (auto& t : senders) t.join();
+
+  const MetricsSnapshot snap = f.metrics();
+  const std::uint64_t total = std::uint64_t{kEndpoints} * kEndpoints * kRounds;
+  EXPECT_EQ(snap.get("net.messages"), total);
+  EXPECT_EQ(f.messages_sent(), total);
+  std::uint64_t kind_msgs = 0;
+  std::uint64_t kind_bytes = 0;
+  for (const auto& [key, v] : snap.values) {
+    if (key.rfind("net.msg.", 0) == 0) kind_msgs += v;
+    if (key.rfind("net.bytes.", 0) == 0) kind_bytes += v;
+  }
+  EXPECT_EQ(kind_msgs, snap.get("net.messages"));
+  EXPECT_EQ(kind_bytes, snap.get("net.bytes"));
+  EXPECT_EQ(snap.get("net.bytes"), f.bytes_sent());
+  EXPECT_EQ(snap.get("net.send_ns.count"), total);
+  EXPECT_EQ(f.send_latency().count(), total);
+
+  for (Endpoint d = 0; d < kEndpoints; ++d) {
+    std::map<Endpoint, std::uint64_t> next_seq;
+    std::map<Endpoint, std::uint64_t> next_round;
+    std::vector<Message> out;
+    while (f.mailbox(d).pending() > 0 && f.mailbox(d).drain(out)) {
+      for (const Message& m : out) {
+        EXPECT_EQ(m.channel_seq, next_seq[m.src]++);
+        EXPECT_EQ(m.a, next_round[m.src]++);
+      }
+    }
+    for (Endpoint s = 0; s < kEndpoints; ++s) EXPECT_EQ(next_seq[s], kRounds);
+  }
 }
 
 }  // namespace
