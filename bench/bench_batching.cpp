@@ -4,9 +4,11 @@
 // equation solver with the reliability layer on a *clean* fabric (so every
 // message is protocol cost, none is repair):
 //
-//   unbatched-ack1  — the C11 "reliable" configuration: one kUpdate fan-out
-//                     per write, one standalone ack per delivery.
-//   batch8-ack1     — coalesced kBatch frames (≤8 records), classic acks.
+//   unbatched-ack1  — the C11 "reliable" configuration: one one-record
+//                     update frame per write and destination, one
+//                     standalone ack per delivery.
+//   batch8-ack1     — coalesced multi-record frames (≤8 records), classic
+//                     acks.
 //   batch32-ack1    — bigger frames; the per-message floor amortizes more.
 //   batch32-ack8    — frames plus delayed cumulative acks (stride 8): the
 //                     full stack, and the configuration the acceptance
@@ -87,7 +89,7 @@ void solver_table(Harness& h) {
   const LinearSystem sys = LinearSystem::random(n, 1000 + n);
   print_header("C12 — batched update propagation: Figure 2 solver, reliable "
                "clean fabric",
-               "unbatched vs kBatch frames vs delayed cumulative acks; expect "
+               "unbatched vs multi-record frames vs delayed cumulative acks; expect "
                "≥3x fewer messages and ack/data ≤0.2 with the full stack");
   for (const Variant& v : variants()) {
     SolverOptions opt;

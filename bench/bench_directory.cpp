@@ -7,8 +7,8 @@
 // neighbour's stripe — the paper's locality assumption: the keyspace is
 // far larger than any node's working set.
 //
-//   full-replication — kBatch staging, every update fanned out to all
-//                      P-1 peers (PR 4 semantics).
+//   full-replication — batched staging, every update frame fanned out to
+//                      all P-1 peers.
 //   directory        — the same staging, but each update multicast only
 //                      to the variable's registered sharers; foreign
 //                      reads demand-page replicas in and the LRU budget
@@ -94,12 +94,12 @@ RunResult run_case(const Harness& h, const Shape& s,
 void report(Harness& h, const std::string& name, const Shape& s,
             const RunResult& r) {
   std::printf("%-18s time=%8.2fms msgs=%-9llu bytes=%-11llu fills=%-6llu "
-              "evicts=%-6llu batch-bytes=%llu\n",
+              "evicts=%-6llu update-bytes=%llu\n",
               name.c_str(), r.wall_ms, msgs(r.metrics), bytes(r.metrics),
               static_cast<unsigned long long>(r.metrics.get("directory.fills")),
               static_cast<unsigned long long>(
                   r.metrics.get("directory.evictions")),
-              static_cast<unsigned long long>(r.metrics.get("net.bytes.batch")));
+              static_cast<unsigned long long>(r.metrics.get("net.bytes.update")));
   auto& row = h.add_row(name);
   row.params["variant"] = name;
   row.params["procs"] = std::to_string(s.procs);

@@ -45,6 +45,9 @@ class VectorClock {
     c_[p] = v;
   }
 
+  /// Overwrite every component, reusing the clock's storage when it fits.
+  void assign(std::span<const std::uint64_t> c) { c_.assign(c.begin(), c.end()); }
+
   /// Component-wise maximum: the causal join used when a message's
   /// dependencies are absorbed into the local clock.
   void merge(const VectorClock& other);
@@ -66,8 +69,8 @@ class VectorClock {
   ///   (a) it is the next write of `writer`:  (*this)[writer] == applied[writer] + 1
   ///   (b) all other dependencies are in:     (*this)[k] <= applied[k], k != writer
   /// With `allow_gap`, condition (a) relaxes to (*this)[writer] >
-  /// applied[writer]: coalesced batches (dsm/batch.h) legitimately skip
-  /// writer sequence numbers whose updates were collapsed away, but still
+  /// applied[writer]: a multi-record update frame (dsm/batch.h) advances
+  /// the writer's component by its total record weight, and frames still
   /// arrive FIFO per channel, so "strictly newer" is the right test.
   [[nodiscard]] bool ready_after(const VectorClock& applied, ProcId writer,
                                  bool allow_gap = false) const;

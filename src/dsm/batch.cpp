@@ -1,8 +1,7 @@
 #include "dsm/batch.h"
 
 #include <algorithm>
-#include <bit>
-#include <limits>
+#include <array>
 
 #include "common/check.h"
 #include "dsm/wire.h"
@@ -13,42 +12,63 @@ namespace {
 constexpr std::uint64_t kVarBits = 32;
 constexpr std::uint64_t kFlagBits = 8;
 constexpr std::uint64_t kWeightBits = 64 - kVarBits - kFlagBits;
+// Option bits of a record's wire flags, derived by the encoder and stripped
+// by the decoder: which optional words follow, and whether the record's
+// clock equals the frame's base clock (no clock words at all).
+constexpr std::uint64_t kHasWriter = 0x10;
+constexpr std::uint64_t kHasEpoch = 0x20;
+constexpr std::uint64_t kHasBaseline = 0x40;
+constexpr std::uint64_t kClockIsBase = 0x80;
+constexpr std::uint64_t kOptionBits = 0xF0;
+constexpr std::size_t kMaxProcs = 64;
+
+std::uint64_t option_bits(const BatchRecord& r) {
+  return (r.writer != kNoProc ? kHasWriter : 0) | (r.epoch != 0 ? kHasEpoch : 0) |
+         (r.baseline != 0 ? kHasBaseline : 0);
+}
 }  // namespace
 
-net::Message encode_batch(const std::vector<BatchRecord>& recs, std::size_t num_procs,
+net::Message encode_frame(std::span<const BatchRecord> recs, std::size_t num_procs,
                           bool omit_timestamps) {
   MC_CHECK(!recs.empty());
-  net::Message m;
-  m.kind = kBatch;
-  m.a = recs.size();
-
-  std::vector<std::uint64_t> base;
+  MC_CHECK_MSG(num_procs <= kMaxProcs, "frame clock-delta masks assume <= 64 processes");
+  const std::size_t clock_words = omit_timestamps ? 0 : num_procs;
+  std::array<std::uint64_t, kMaxProcs> base{};
   if (!omit_timestamps) {
-    MC_CHECK_MSG(num_procs <= 64, "batch clock-delta masks assume <= 64 processes");
-    base.assign(num_procs, std::numeric_limits<std::uint64_t>::max());
-    for (const BatchRecord& r : recs) {
-      MC_CHECK(r.vc.size() == num_procs);
+    for (const BatchRecord& r : recs) MC_CHECK(r.vc.size() == num_procs);
+    std::copy_n(recs[0].vc.components().begin(), num_procs, base.begin());
+    for (const BatchRecord& r : recs.subspan(1)) {
       for (ProcId p = 0; p < num_procs; ++p) base[p] = std::min(base[p], r.vc[p]);
     }
-    m.payload.insert(m.payload.end(), base.begin(), base.end());
   }
-
-  for (const BatchRecord& r : recs) {
+  net::Message m;
+  m.kind = kUpdate;
+  // Enough for any one-record frame, so an unbatched write allocates once.
+  m.payload.reserve(clock_words + 3 * recs.size());
+  m.payload.insert(m.payload.end(), base.begin(), base.begin() + clock_words);
+  for (std::size_t k = 0; k < recs.size(); ++k) {
+    const BatchRecord& r = recs[k];
     MC_CHECK(r.var < (std::uint64_t{1} << kVarBits));
-    MC_CHECK(r.flags < (std::uint64_t{1} << kFlagBits));
+    MC_CHECK(r.flags < kHasWriter);
     MC_CHECK(r.weight < (std::uint64_t{1} << kWeightBits));
-    m.payload.push_back(r.var | (r.flags << kVarBits) |
-                        (r.weight << (kVarBits + kFlagBits)));
-    m.payload.push_back(r.value);
-    m.payload.push_back(r.seq);
-    if (r.flags & kFlagHasWriter) m.payload.push_back(r.writer);
-    if (r.flags & kFlagHasEpoch) m.payload.push_back(r.epoch);
-    if (r.flags & kFlagHasBaseline) m.payload.push_back(r.baseline);
-    if (omit_timestamps) continue;
     std::uint64_t mask = 0;
-    for (ProcId p = 0; p < num_procs; ++p) {
+    for (ProcId p = 0; p < clock_words; ++p) {
       if (r.vc[p] != base[p]) mask |= std::uint64_t{1} << p;
     }
+    const std::uint64_t flags =
+        r.flags | option_bits(r) | (!omit_timestamps && mask == 0 ? kClockIsBase : 0);
+    const std::uint64_t w0 = r.var | (flags << kVarBits) | (r.weight << (kVarBits + kFlagBits));
+    if (k == 0) {
+      m.a = w0;
+      m.c = r.value;
+      m.d = r.seq;
+    } else {
+      m.payload.insert(m.payload.end(), {w0, r.value, r.seq});
+    }
+    if (flags & kHasWriter) m.payload.push_back(r.writer);
+    if (flags & kHasEpoch) m.payload.push_back(r.epoch);
+    if (flags & kHasBaseline) m.payload.push_back(r.baseline);
+    if (mask == 0) continue;
     m.payload.push_back(mask);
     for (ProcId p = 0; p < num_procs; ++p) {
       if (mask & (std::uint64_t{1} << p)) m.payload.push_back(r.vc[p] - base[p]);
@@ -57,54 +77,53 @@ net::Message encode_batch(const std::vector<BatchRecord>& recs, std::size_t num_
   return m;
 }
 
-std::vector<BatchRecord> decode_batch(const net::Message& m, std::size_t num_procs,
-                                      bool omit_timestamps) {
-  MC_CHECK(m.kind == kBatch || m.kind == kFetchBulkResp);
-  const std::size_t n = m.a;
-  MC_CHECK(n >= 1);
-  std::vector<BatchRecord> recs;
-  recs.reserve(n);
-  std::size_t i = 0;
-  VectorClock base;
+FrameReader::FrameReader(const net::Message& m, std::size_t num_procs, bool omit_timestamps)
+    : m_(m) {
+  MC_CHECK(m.kind == kUpdate || m.kind == kFetchBulkResp);
   if (!omit_timestamps) {
-    MC_CHECK(m.payload.size() >= num_procs);
-    base = VectorClock(num_procs);
-    for (ProcId p = 0; p < num_procs; ++p) base.set(p, m.payload[p]);
-    i = num_procs;
+    MC_CHECK(num_procs <= kMaxProcs && m.payload.size() >= num_procs);
+    base_ = std::span(m.payload).first(num_procs);
+    pos_ = num_procs;
   }
-  for (std::size_t k = 0; k < n; ++k) {
-    MC_CHECK(i + 3 <= m.payload.size());
-    BatchRecord r;
-    const std::uint64_t w0 = m.payload[i++];
-    r.var = static_cast<VarId>(w0 & ((std::uint64_t{1} << kVarBits) - 1));
-    r.flags = (w0 >> kVarBits) & ((std::uint64_t{1} << kFlagBits) - 1);
-    r.weight = w0 >> (kVarBits + kFlagBits);
-    r.value = m.payload[i++];
-    r.seq = m.payload[i++];
-    if (r.flags & kFlagHasWriter) {
-      MC_CHECK(i < m.payload.size());
-      r.writer = static_cast<ProcId>(m.payload[i++]);
-    }
-    if (r.flags & kFlagHasEpoch) {
-      MC_CHECK(i < m.payload.size());
-      r.epoch = m.payload[i++];
-    }
-    if (r.flags & kFlagHasBaseline) {
-      MC_CHECK(i < m.payload.size());
-      r.baseline = m.payload[i++];
-    }
-    if (!omit_timestamps) {
-      MC_CHECK(i < m.payload.size());
-      const std::uint64_t mask = m.payload[i++];
-      MC_CHECK(i + static_cast<std::size_t>(std::popcount(mask)) <= m.payload.size());
-      r.vc = base;
-      for (ProcId p = 0; p < num_procs; ++p) {
-        if (mask & (std::uint64_t{1} << p)) r.vc.set(p, base[p] + m.payload[i++]);
-      }
-    }
-    recs.push_back(std::move(r));
+}
+
+void FrameReader::next(BatchRecord& r) {
+  MC_CHECK(!done());
+  const auto take = [this] {
+    MC_CHECK(pos_ < m_.payload.size());
+    return m_.payload[pos_++];
+  };
+  const std::uint64_t w0 = first_ ? m_.a : take();
+  r.value = first_ ? m_.c : take();
+  r.seq = first_ ? m_.d : take();
+  first_ = false;
+  r.var = static_cast<VarId>(w0 & ((std::uint64_t{1} << kVarBits) - 1));
+  const std::uint64_t flags = (w0 >> kVarBits) & ((std::uint64_t{1} << kFlagBits) - 1);
+  r.flags = flags & ~kOptionBits;
+  r.weight = w0 >> (kVarBits + kFlagBits);
+  r.writer = (flags & kHasWriter) ? static_cast<ProcId>(take()) : kNoProc;
+  r.epoch = (flags & kHasEpoch) ? take() : 0;
+  r.baseline = (flags & kHasBaseline) ? take() : 0;
+  if (base_.empty()) {
+    MC_CHECK((flags & kClockIsBase) == 0);
+    r.vc = VectorClock();
+    return;
   }
-  MC_CHECK(i == m.payload.size());
+  r.vc.assign(base_);
+  if (flags & kClockIsBase) return;
+  const std::uint64_t mask = take();
+  MC_CHECK(mask != 0 && (base_.size() == kMaxProcs || mask >> base_.size() == 0));
+  for (ProcId p = 0; p < base_.size(); ++p) {
+    if (mask & (std::uint64_t{1} << p)) r.vc.set(p, base_[p] + take());
+  }
+}
+
+std::vector<BatchRecord> decode_frame(const net::Message& m, std::size_t num_procs,
+                                      bool omit_timestamps) {
+  std::vector<BatchRecord> recs;
+  for (FrameReader reader(m, num_procs, omit_timestamps); !reader.done();) {
+    reader.next(recs.emplace_back());
+  }
   return recs;
 }
 

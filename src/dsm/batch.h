@@ -1,43 +1,39 @@
-// Framed wire batches: N coalesced memory updates in one kBatch Message
-// (Config::batching; DESIGN.md §6.3).
+// Update frames: N >= 1 memory-update records in one kUpdate message, the
+// only wire format updates travel in (DESIGN.md §6.3).  An unbatched write
+// is a one-record frame; a batching flush ships one frame per destination;
+// directory fills (kFetchBulkResp) reuse the codec.
 //
-// Payload layout, vector-clock mode (P = num_procs, P <= 64):
+// Record 0 rides in the header (a = its w0, c = value, d = seq); b is left
+// to the carrying kind.  Payload (P = num_procs <= 64):
 //
-//   word 0 .. P-1        base clock: component-wise MINIMUM of the record
+//   base clock           P words: component-wise MINIMUM of the record
 //                        clocks (coalescing can make record clocks
-//                        non-monotone within a batch, so min — not the
-//                        first record's clock — is the only safe base)
-//   then per record:
-//     w0                 var (bits 0..31) | flags (bits 32..39)
-//                        | weight (bits 40..63)
-//     w1                 value bits
-//     w2                 writer sequence number (WriteId::seq)
-//     optional words     writer (kFlagHasWriter), write epoch
-//                        (kFlagHasEpoch), staleness baseline
-//                        (kFlagHasBaseline) — in that order, each present
-//                        only when its flag bit is set
-//     w_m                clock-delta mask m: bit k set <=> vc[k] != base[k]
-//     popcount(m) words  vc[k] - base[k], for each set bit k ascending
+//                        non-monotone within a frame); absent in
+//                        count-vector mode (Config::omit_timestamps)
+//   record 0's tail
+//   per record 1..N-1:   w0 = var (bits 0..31) | flags (bits 32..39)
+//                        | weight (bits 40..63), then value, seq, tail
 //
-// Count-vector mode (Config::omit_timestamps): no base clock and no clock
-// words; records are w0..w2 plus the optional words only.
+// A record's tail is its optional words — writer, write epoch, staleness
+// baseline, in that order, each present only when the field is not at its
+// default — then, in vector-clock mode, its clock: nothing when it equals
+// the base, else a mask m (bit k set <=> vc[k] != base[k]) and vc[k] -
+// base[k] for each set bit k ascending.  Bits 0x10..0x80 of the flags byte
+// say which of these follow; the encoder derives them and the decoder
+// strips them, so a record's `flags` hold only the operation and
+// kFlagCounterBase.  Records are self-delimiting, so N is implicit.  A
+// one-record frame thus costs exactly a bare timestamped update: the
+// header plus P words (plus the epoch word in elastic runs), the header
+// alone in count mode.  The payload holds exactly the words a real wire
+// format would ship, so Message::wire_bytes() charges the encoded size.
 //
-// The flags byte packs the operation in its low bits (kFlagOpMask) and the
-// record options above it; consumers must mask with kFlagOpMask before
-// switching on the operation.  Directory fills (kFetchBulkResp) reuse this
-// codec with the optional words carrying per-variable install metadata.
-//
-// The payload holds exactly the words a real wire format would ship, so
-// Message::wire_bytes() (header + payload) charges the delta-encoded size —
-// never the P full clocks an unbatched kUpdate stream would have carried.
-//
-// `weight` counts how many original updates were coalesced into the record
-// (last-writer-wins writes, summed deltas).  Count-vector receivers advance
-// their per-sender receive index by `weight`, keeping Section 6's count
-// synchronization truthful even though the collapsed updates never travel.
+// `weight` counts the original updates coalesced into a record (LWW
+// writes, summed deltas); receivers advance their per-sender receive index
+// by it, keeping Section 6's count synchronization truthful.
 
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -46,7 +42,7 @@
 
 namespace mc::dsm {
 
-/// One staged (possibly coalesced) update inside a batch.
+/// One staged (possibly coalesced) update inside a frame.
 struct BatchRecord {
   VarId var = 0;
   Value value = 0;
@@ -54,24 +50,44 @@ struct BatchRecord {
   SeqNo seq = 0;
   std::uint64_t weight = 1;
   VectorClock vc;  // empty in count-vector mode
-  /// View epoch of the write; travels on the wire only when kFlagHasEpoch
-  /// is set (elastic runs), else decoded records stay at 0.
+  /// View epoch of the write (elastic runs; 0 otherwise).
   std::uint64_t epoch = 0;
-  /// Explicit writer (kFlagHasWriter); kNoProc means "the frame sender".
+  /// Explicit writer; kNoProc means "the frame sender".
   ProcId writer = kNoProc;
-  /// Staleness baseline shipped with directory fills (kFlagHasBaseline):
-  /// the home's applied-write count for the variable.
+  /// Staleness baseline shipped with directory fills: the home's
+  /// applied-write count for the variable.
   std::uint64_t baseline = 0;
 
   friend bool operator==(const BatchRecord&, const BatchRecord&) = default;
 };
 
-/// Encode records into a kBatch message.  src/dst are left for the caller.
-[[nodiscard]] net::Message encode_batch(const std::vector<BatchRecord>& recs,
+/// Encode records into one kUpdate frame.  src, dst and b are left for the
+/// caller.
+[[nodiscard]] net::Message encode_frame(std::span<const BatchRecord> recs,
                                         std::size_t num_procs, bool omit_timestamps);
 
-/// Decode a kBatch payload produced by encode_batch.
-[[nodiscard]] std::vector<BatchRecord> decode_batch(const net::Message& m,
+/// Reads a frame produced by encode_frame one record at a time, without
+/// allocating: the base clock is read in place, and each record decodes
+/// into a caller-owned BatchRecord whose clock storage is reused.
+class FrameReader {
+ public:
+  FrameReader(const net::Message& m, std::size_t num_procs, bool omit_timestamps);
+
+  /// True once every record has been read.
+  [[nodiscard]] bool done() const { return !first_ && pos_ == m_.payload.size(); }
+
+  /// Decode the next record into `r`, overwriting every field.
+  void next(BatchRecord& r);
+
+ private:
+  const net::Message& m_;
+  std::span<const std::uint64_t> base_;  // empty in count-vector mode
+  std::size_t pos_ = 0;
+  bool first_ = true;
+};
+
+/// Decode a whole frame (tests and directory fills).
+[[nodiscard]] std::vector<BatchRecord> decode_frame(const net::Message& m,
                                                     std::size_t num_procs,
                                                     bool omit_timestamps);
 

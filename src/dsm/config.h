@@ -44,7 +44,7 @@ enum class LockPolicy : std::uint8_t {
 /// application can be used to reduce the communication cost"; Munin-style
 /// write coalescing, see DESIGN.md §6.3).  Updates destined for the same
 /// endpoint accumulate in a per-channel staging buffer and ship as one
-/// framed kBatch message.  Staged plain writes to the same variable
+/// multi-record kUpdate frame.  Staged plain writes to the same variable
 /// collapse last-writer-wins and staged deltas merge by summation, so a
 /// flush can carry far fewer records than the writes it covers.  The node
 /// flushes unconditionally before every synchronization action (lock
@@ -60,9 +60,6 @@ struct BatchingConfig {
   /// (e.g. the Section 5.1 asynchronous solver, which never synchronizes).
   /// Mandatory flush-on-sync does not wait for this.
   std::chrono::nanoseconds max_delay{std::chrono::microseconds(200)};
-  /// Collapse same-variable same-kind staged records (writes last-writer-
-  /// wins, deltas by summation).  Off: batching only frames, never merges.
-  bool coalesce = true;
 };
 
 /// Directory-based partial replication (docs/DIRECTORY.md).  Every variable
@@ -101,9 +98,11 @@ struct Config {
   bool reliable = false;
   net::ReliabilityConfig reliability;
 
-  /// Coalesce and frame update broadcasts into kBatch messages (see
-  /// BatchingConfig above).  Absent by default: every write is its own
-  /// kUpdate fan-out, matching the paper's naive Section 6 sketch.
+  /// Stage, coalesce and frame update broadcasts into multi-record kUpdate
+  /// frames (see BatchingConfig above).  Absent by default: every write is
+  /// its own one-record kUpdate fan-out, matching the paper's naive
+  /// Section 6 sketch.  Both modes share the wire format, the destination
+  /// set and the receive path; only the staging differs.
   std::optional<BatchingConfig> batching;
 
   LockPolicy default_lock_policy = LockPolicy::kLazy;
@@ -169,8 +168,8 @@ struct Config {
   std::map<VarId, std::vector<ProcId>> update_subscribers;
 
   /// Directory-based partial replication (see DirectoryConfig above).
-  /// Requires batching (fills reuse the batch codec and the staging
-  /// buffers carry the sharer-only multicast) and vector-clock mode;
+  /// Requires batching (the staging buffers carry the sharer-only
+  /// multicast and its frontier stamps) and vector-clock mode;
   /// incompatible with update_subscribers (the directory subsumes static
   /// subscription).  Elastic membership is supported: view commits purge
   /// departed sharers and re-home their variables.

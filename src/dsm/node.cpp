@@ -1,6 +1,7 @@
 #include "dsm/node.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <span>
 #include <thread>
@@ -114,8 +115,8 @@ void Node::wait_or_die(std::unique_lock<std::mutex>& lk, const char* what, Pred 
 void Node::run_delivery() {
   // One drained batch is handled in arrival order across kinds: a
   // kViewHello baseline, say, must land before the updates queued behind
-  // it.  Each maximal run of consecutive kUpdates applies under one mu_
-  // hold with one causal drain, and the whole batch ends with one wake-up
+  // it.  Each maximal run of consecutive kUpdate frames applies under one
+  // mu_ hold with one causal drain, and the whole batch ends with one wake-up
   // of the application thread (DESIGN.md decision 9).
   std::vector<net::Message> batch;
   while (fabric_.drain(self_, batch)) {
@@ -124,7 +125,7 @@ void Node::run_delivery() {
       std::size_t end = i;
       while (end < msgs.size() && msgs[end].kind == kUpdate) ++end;
       if (end > i) {
-        on_updates(msgs.subspan(i, end - i));
+        on_update_frames(msgs.subspan(i, end - i));
         i = end;
       } else {
         deliver(msgs[i++]);
@@ -144,9 +145,6 @@ void Node::deliver(const net::Message& m) {
   // arrow from its send binds to this slice.
   obs::trace_flow_end("msg", "net", m.trace_id);
   switch (m.kind) {
-    case kBatch:
-      on_batch(m);
-      break;
     case kLockGrant: {
       GrantInfo info;
       info.episode = m.b;
@@ -258,7 +256,7 @@ void Node::deliver(const net::Message& m) {
         if (cfg_.batching.has_value()) flush_staged_locked();
         resp.src = self_;
         resp.kind = kFrontierResp;
-        resp.a = write_counter_;
+        resp.a = dep_vc_[self_];
       }
       fabric_.send(std::move(resp));
       break;
@@ -291,151 +289,119 @@ void Node::deliver(const net::Message& m) {
   }
 }
 
-void Node::on_updates(std::span<const net::Message> run) {
+void Node::on_update_frames(std::span<const net::Message> run) {
+  const std::size_t procs = cfg_.num_procs;
+  const bool count_mode = cfg_.omit_timestamps;
+  // Full replication: every write of the sender's reaches this node, so a
+  // frame must advance the sender by exactly its total record weight.
+  // Static subscriptions skip writes per receiver; the directory policy
+  // also carries re-homing offers under other writers' clocks.
+  const bool full_replication = !dir_mode_ && cfg_.update_subscribers.empty();
   std::scoped_lock lk(mu_);
-  VectorClock vc(cfg_.num_procs);  // decode buffer, reused across the run
   for (const net::Message& m : run) {
     obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
     obs::trace_flow_end("msg", "net", m.trace_id);
-    BatchRecord r;
-    r.var = static_cast<VarId>(m.a);
-    r.value = m.b;
-    r.seq = m.c;
-    r.flags = m.d;
     const auto sender = static_cast<ProcId>(m.src);
+    std::size_t n = 0;
+    for (FrameReader reader(m, procs, count_mode); !reader.done(); ++n) {
+      if (n == frame_.size()) frame_.emplace_back();
+      reader.next(frame_[n]);
+    }
+    const std::span<const BatchRecord> recs(frame_.data(), n);
 
-    if (cfg_.omit_timestamps) {
-      // Count-vector fast path (Section 6): apply in per-sender FIFO
-      // arrival order and feed the receive index to the count floors.
-      // With selective multicast the writer sequence may skip values for
-      // this receiver; it must still be monotone per channel.
-      MC_CHECK(m.payload.empty());
-      if (cfg_.update_subscribers.empty()) {
-        MC_CHECK_MSG(r.seq == applied_[sender] + 1,
-                     "per-sender FIFO violated on the update channel");
-      } else {
-        MC_CHECK_MSG(r.seq > applied_[sender],
-                     "per-sender FIFO violated on the update channel");
+    // Per-sender FIFO.  Coalescing keeps a merged record at its staging
+    // position with its latest stamp, so the frame's position is the
+    // maximum over its records, not the last record's.
+    std::uint64_t weight = 0;
+    std::uint64_t pos = 0;
+    for (const BatchRecord& r : recs) {
+      weight += r.weight;
+      pos = std::max(pos, count_mode ? r.seq : r.vc[sender]);
+    }
+    if (!dir_mode_) {
+      MC_CHECK_MSG(full_replication ? pos == update_arrived_[sender] + weight
+                                    : pos > update_arrived_[sender],
+                   "per-sender FIFO violated on the update channel");
+    }
+    update_arrived_.set(sender, std::max(update_arrived_[sender], pos));
+
+    if (count_mode) {
+      // Section 6's count vectors: apply in arrival order and advance the
+      // receive index by each record's weight — the collapsed originals
+      // never travel, but the sender counted them in sent_to_.
+      for (const BatchRecord& r : recs) {
+        received_from_.set(sender, received_from_[sender] + r.weight);
+        mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, r.vc,
+                   received_from_[sender], /*force=*/false, r.weight);
       }
-      received_from_.set(sender, received_from_[sender] + 1);
-      mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, r.vc,
-                 received_from_[sender]);
-      applied_.set(sender, r.seq);
       continue;
     }
-
-    // Elastic updates carry one extra word: the writer's view epoch (wire.h).
-    MC_CHECK(m.payload.size() == cfg_.num_procs + (elastic_ ? 1 : 0));
-    for (ProcId p = 0; p < cfg_.num_procs; ++p) vc.set(p, m.payload[p]);
-    if (elastic_) r.epoch = m.payload[cfg_.num_procs];
-    // Arrival must stay FIFO per sender; application to the local copy
-    // happens in causally-ready order for both read modes.
-    MC_CHECK_MSG(vc[sender] == update_arrived_[sender] + 1,
-                 "per-sender FIFO violated on the update channel");
-    update_arrived_.set(sender, vc[sender]);
-    if (causal_buffer_[sender].empty() && causally_ready(vc, sender, /*gap_ok=*/false)) {
+    if (dir_mode_) {
+      apply_dir_frame_locked(sender, recs);
+      // The flush stamp: everything this sender addressed to us up to its
+      // m.b-th clocked write has now arrived (per-channel FIFO).
+      resolved_.set(sender, std::max(resolved_[sender], m.b));
+      continue;
+    }
+    frame_vc_.assign(recs[0].vc.components());
+    for (const BatchRecord& r : recs.subspan(1)) frame_vc_.merge(r.vc);
+    if (causal_buffer_[sender].empty() && causally_ready(frame_vc_, sender)) {
       // The common case: nothing from this sender is waiting and the
-      // update's dependencies are applied, so it applies now, unbuffered.
-      mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, vc, 0, /*force=*/false,
-                 r.weight, r.epoch);
-      applied_.set(sender, vc[sender]);
+      // frame's dependencies are applied, so it applies now, unbuffered.
+      for (const BatchRecord& r : recs) {
+        mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, r.vc, 0,
+                   /*force=*/false, r.weight, r.epoch);
+      }
+      applied_.set(sender, frame_vc_[sender]);
       continue;
     }
-    // The record keeps an empty clock: drain_causal_buffers applies it
-    // under the update's own.
-    PendingUpdate u;
-    u.vc = vc;
-    u.recs.push_back(std::move(r));
-    causal_buffer_[sender].push_back(std::move(u));
+    causal_buffer_[sender].push_back(
+        PendingUpdate{std::vector<BatchRecord>(recs.begin(), recs.end()), frame_vc_});
   }
-  // An update applied above may have made buffered ones ready.
-  if (!cfg_.omit_timestamps) drain_causal_buffers();
+  // A frame applied above may have made buffered ones ready.
+  if (!count_mode && !dir_mode_) drain_causal_buffers();
 }
 
-void Node::on_batch(const net::Message& m) {
-  const auto sender = static_cast<ProcId>(m.src);
-  std::vector<BatchRecord> recs = decode_batch(m, cfg_.num_procs, cfg_.omit_timestamps);
-
-  if (cfg_.omit_timestamps) {
-    // Coalescing keeps a merged record at its original staging position
-    // with its *latest* sequence number, so sequence numbers inside a
-    // batch are neither dense nor monotone — but the batch as a whole must
-    // still move the per-sender channel strictly forward.
-    std::scoped_lock lk(mu_);
-    SeqNo max_seq = 0;
-    for (const BatchRecord& r : recs) max_seq = std::max(max_seq, r.seq);
-    MC_CHECK_MSG(max_seq > applied_[sender],
-                 "per-sender FIFO violated on the batch channel");
-    for (const BatchRecord& r : recs) {
-      // Advance the receive index by the record's weight: the collapsed
-      // originals never travel, but the sender counted them in sent_to_,
-      // and Section 6's count synchronization compares the two.
-      received_from_.set(sender, received_from_[sender] + r.weight);
-      mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, r.vc,
-                 received_from_[sender], /*force=*/false, r.weight);
+void Node::apply_dir_frame_locked(ProcId sender, std::span<const BatchRecord> recs) {
+  // Directory mode applies at arrival with no causal buffering: each
+  // variable is an apply-order-independent LWW register (store.cpp), and
+  // the read gate blocks on the resolved frontier instead of waiting for
+  // causally-ready application.  Records for variables this node does not
+  // cache are counted (the sender counted them in sent_to_, and Section
+  // 6's count synchronization compares the two) but not applied.
+  for (const BatchRecord& r : recs) {
+    received_from_.set(sender, received_from_[sender] + r.weight);
+    // Re-homing offers carry the original writer's id.
+    const ProcId writer = r.writer == kNoProc ? sender : r.writer;
+    if (cached_[r.var]) {
+      mem_.apply(r.var, r.value, r.flags, WriteId{writer, r.seq}, r.vc,
+                 received_from_[sender], /*force=*/false, r.weight, r.epoch);
+    } else if (fill_inflight_[r.var]) {
+      // The fill's ack fence already registered us, so writers multicast
+      // here before our snapshot arrives.  The home's snapshot is fixed
+      // when its last fence ack lands — it may or may not cover this
+      // write — so hold the record and let the install replay it against
+      // the snapshot clock (on_fetch_bulk_resp).
+      BatchRecord held = r;
+      held.writer = writer;
+      fill_backlog_[r.var].push_back(std::move(held));
+    } else if (r.writer != kNoProc) {
+      // A re-homing offer or leave handoff addressed to this node as an
+      // incoming home: the offer and the view commit that pins cached_
+      // race on independent channels, so apply it to the store either
+      // way — the entry only becomes readable once the pin (or a fill)
+      // marks the variable cached.
+      mem_.apply(r.var, r.value, r.flags, WriteId{writer, r.seq}, r.vc,
+                 received_from_[sender], /*force=*/false, r.weight, r.epoch);
     }
-    applied_.set(sender, std::max(applied_[sender], max_seq));
-    return;
+    applied_.set(sender, std::max(applied_[sender], r.vc[sender]));
   }
-
-  if (dir_mode_) {
-    // Directory mode applies at arrival with no causal buffering: each
-    // variable is an apply-order-independent LWW register (store.cpp), and
-    // the read gate blocks on the resolved frontier instead of waiting for
-    // causally-ready application.  Records for variables this node does not
-    // cache are counted (the sender counted them in sent_to_, and Section
-    // 6's count synchronization compares the two) but not applied.
-    std::scoped_lock lk(mu_);
-    for (const BatchRecord& r : recs) {
-      received_from_.set(sender, received_from_[sender] + r.weight);
-      // Re-homing offers carry the original writer's id (kFlagHasWriter).
-      const ProcId writer = r.writer == kNoProc ? sender : r.writer;
-      if (cached_[r.var]) {
-        mem_.apply(r.var, r.value, r.flags, WriteId{writer, r.seq}, r.vc,
-                   received_from_[sender], /*force=*/false, r.weight, r.epoch);
-      } else if (fill_inflight_[r.var]) {
-        // The fill's ack fence already registered us, so writers multicast
-        // here before our snapshot arrives.  The home's snapshot is fixed
-        // when its last fence ack lands — it may or may not cover this
-        // write — so hold the record and let the install replay it against
-        // the snapshot clock (on_fetch_bulk_resp).
-        BatchRecord held = r;
-        held.writer = writer;
-        fill_backlog_[r.var].push_back(std::move(held));
-      } else if (r.writer != kNoProc) {
-        // A re-homing offer or leave handoff addressed to this node as an
-        // incoming home: the offer and the view commit that pins cached_
-        // race on independent channels, so apply it to the store either
-        // way — the entry only becomes readable once the pin (or a fill)
-        // marks the variable cached.
-        mem_.apply(r.var, r.value, r.flags, WriteId{writer, r.seq}, r.vc,
-                   received_from_[sender], /*force=*/false, r.weight, r.epoch);
-      }
-      applied_.set(sender, std::max(applied_[sender], r.vc[sender]));
-      update_arrived_.set(sender, std::max(update_arrived_[sender], r.vc[sender]));
-    }
-    // The flush stamp: everything this sender addressed to us up to its
-    // m.b-th write has now arrived (per-channel FIFO).
-    resolved_.set(sender, std::max(resolved_[sender], m.b));
-    return;
-  }
-
-  PendingUpdate u;
-  u.gap_ok = true;
-  u.vc = VectorClock(cfg_.num_procs);
-  for (const BatchRecord& r : recs) u.vc.merge(r.vc);
-  u.recs = std::move(recs);
-  std::scoped_lock lk(mu_);
-  MC_CHECK_MSG(u.vc[sender] > update_arrived_[sender],
-               "per-sender FIFO violated on the batch channel");
-  update_arrived_.set(sender, u.vc[sender]);
-  causal_buffer_[sender].push_back(std::move(u));
-  drain_causal_buffers();
 }
 
-bool Node::causally_ready(const VectorClock& vc, ProcId sender, bool gap_ok) const {
-  return elastic_ ? vc.ready_after_masked(applied_, sender, gap_ok, view_.alive_mask)
-                  : vc.ready_after(applied_, sender, gap_ok);
+bool Node::causally_ready(const VectorClock& vc, ProcId sender) const {
+  return elastic_ ? vc.ready_after_masked(applied_, sender, /*allow_gap=*/true,
+                                          view_.alive_mask)
+                  : vc.ready_after(applied_, sender, /*allow_gap=*/true);
 }
 
 void Node::drain_causal_buffers() {
@@ -444,15 +410,14 @@ void Node::drain_causal_buffers() {
     progress = false;
     for (ProcId s = 0; s < cfg_.num_procs; ++s) {
       auto& q = causal_buffer_[s];
-      while (!q.empty() && causally_ready(q.front().vc, s, q.front().gap_ok)) {
+      while (!q.empty() && causally_ready(q.front().vc, s)) {
         const PendingUpdate& u = q.front();
-        // A batch applies atomically: every record lands under this one
-        // mutex hold, so no reader observes a mid-batch state (which the
+        // A frame applies atomically: every record lands under this one
+        // mutex hold, so no reader observes a mid-frame state (which the
         // coalesced per-write history could not serialize).
         for (const BatchRecord& r : u.recs) {
-          mem_.apply(r.var, r.value, r.flags, WriteId{s, r.seq},
-                     r.vc.empty() ? u.vc : r.vc, 0, /*force=*/false, r.weight,
-                     r.epoch);
+          mem_.apply(r.var, r.value, r.flags, WriteId{s, r.seq}, r.vc, 0,
+                     /*force=*/false, r.weight, r.epoch);
         }
         applied_.set(s, u.vc[s]);
         q.pop_front();
@@ -719,7 +684,9 @@ void Node::on_view_commit(const net::Message& m) {
     hello.src = self_;
     hello.dst = joiner;
     hello.kind = kViewHello;
-    hello.a = write_counter_;
+    // The clock component, not write_counter_: demand-lock writes count
+    // there but never tick the clock the joiner's FIFO check compares.
+    hello.a = dep_vc_[self_];
     hello.b = view_.epoch;
     hello.payload.assign(dep_vc_.components().begin(), dep_vc_.components().end());
     fabric_.send(std::move(hello));
@@ -762,10 +729,10 @@ void Node::on_view_commit(const net::Message& m) {
 }
 
 void Node::on_view_state(const net::Message& m) {
-  // c distinguishes the shipment flavours: 1 = the donor's full snapshot
-  // to the joiner, 2 = a survivor's self-backfill to the joiner (see
-  // on_view_commit; re-seeding to survivors travels as flagged kUpdate
-  // writes instead).
+  // c distinguishes the shipment flavours: 0 = a donor's re-seed of a
+  // departed process's writes to the survivors, 1 = the donor's full
+  // snapshot to the joiner, 2 = a survivor's self-backfill to the joiner
+  // (see on_view_commit).
   const bool full_snapshot = m.c == 1;
   const std::size_t stride = 6 + cfg_.num_procs;
   std::scoped_lock lk(mu_);
@@ -819,7 +786,7 @@ void Node::on_view_hello(const net::Message& m) {
   // same channel as the sender's later updates) makes the baseline exact.
   update_arrived_.set(sender, std::max(update_arrived_[sender], m.a));
   applied_.set(sender, std::max(applied_[sender], m.a));
-  // Directory mode: the hello's write counter is also the sender's
+  // Directory mode: the hello's clock component is also the sender's
   // resolved frontier — everything before it was broadcast to the old
   // membership only and is waived for this node.
   if (dir_mode_) resolved_.set(sender, std::max(resolved_[sender], m.a));
@@ -1120,17 +1087,13 @@ void Node::send_fill_response_locked(std::uint64_t token, const ServingFill& f) 
     r.value = e.value;
     r.seq = e.last.seq;
     r.writer = e.last.proc;
-    r.flags = kFlagWrite | kFlagHasWriter | kFlagHasBaseline;
-    if (e.delta_touched) r.flags |= kFlagCounterBase;
-    if (elastic_) {
-      r.flags |= kFlagHasEpoch;
-      r.epoch = e.epoch;
-    }
+    r.flags = e.delta_touched ? kFlagCounterBase : kFlagWrite;
+    r.epoch = e.epoch;
     r.baseline = e.applied_writes;
     r.vc = e.vc.empty() ? VectorClock(cfg_.num_procs) : e.vc;
     recs.push_back(std::move(r));
   }
-  net::Message resp = encode_batch(recs, cfg_.num_procs, /*omit_timestamps=*/false);
+  net::Message resp = encode_frame(recs, cfg_.num_procs, /*omit_timestamps=*/false);
   resp.kind = kFetchBulkResp;
   resp.src = self_;
   resp.dst = f.requester;
@@ -1140,7 +1103,7 @@ void Node::send_fill_response_locked(std::uint64_t token, const ServingFill& f) 
 
 void Node::on_fetch_bulk_resp(const net::Message& m) {
   std::vector<BatchRecord> recs =
-      decode_batch(m, cfg_.num_procs, /*omit_timestamps=*/false);
+      decode_frame(m, cfg_.num_procs, /*omit_timestamps=*/false);
   {
     std::scoped_lock lk(mu_);
     const auto it = fills_.find(m.b);
@@ -1166,9 +1129,10 @@ void Node::on_fetch_bulk_resp(const net::Message& m) {
               x, std::max(mem_.entry(x).applied_writes, r.baseline));
         }
       }
-      // Replay updates that raced the fill (on_batch held them): the
-      // snapshot clock decides, per writer, which of them the home had
-      // already folded into the snapshot and which are genuinely newer.
+      // Replay updates that raced the fill (apply_dir_frame_locked held
+      // them): the snapshot clock decides, per writer, which of them the
+      // home had already folded into the snapshot and which are genuinely
+      // newer.
       if (const auto held = fill_backlog_.find(x); held != fill_backlog_.end()) {
         for (const BatchRecord& q : held->second) {
           if (q.vc[q.writer] <= r.vc[q.writer]) continue;  // in the snapshot
@@ -1331,35 +1295,31 @@ void Node::absorb_all(const VectorClock& vc) {
   pram_floor_.merge(vc);
 }
 
-VectorClock Node::snapshot_dep_vc() {
-  std::scoped_lock lk(mu_);
-  return dep_vc_;
+std::uint64_t Node::update_dests_locked(VarId x) const {
+  std::uint64_t dests = 0;
+  if (dir_managed(x)) {
+    // Directory multicast: registered sharers plus the home, nobody else.
+    dests = sharer_mask_[x] | (std::uint64_t{1} << effective_home(x));
+  } else if (const auto subs = cfg_.update_subscribers.find(x);
+             subs != cfg_.update_subscribers.end()) {
+    for (const ProcId p : subs->second) dests |= std::uint64_t{1} << p;
+  } else {
+    dests = full_mask(cfg_.num_procs);
+  }
+  // Elastic: non-members get nothing — the departed are gone, and a
+  // not-yet-admitted joiner gets its baseline via kViewHello instead.
+  if (elastic_) dests &= view_.alive_mask;
+  return dests & ~(std::uint64_t{1} << self_);
 }
 
 void Node::broadcast_update(VarId x, Value value, std::uint64_t flags, SeqNo seq,
                             const VectorClock& stamp, std::uint64_t epoch) {
+  const std::uint64_t dests = update_dests_locked(x);
   if (cfg_.batching.has_value()) {
     // Batched propagation: stage per destination; thresholds or the
-    // flusher (or the next synchronization action) ship the batches.
-    const auto subs = cfg_.update_subscribers.find(x);
-    if (dir_managed(x)) {
-      // Directory multicast: registered sharers plus the home, nobody else.
-      std::uint64_t dests =
-          sharer_mask_[x] | (std::uint64_t{1} << effective_home(x));
-      dests &= ~(std::uint64_t{1} << self_);
-      if (elastic_) dests &= view_.alive_mask;
-      for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-        if ((dests >> p & 1) != 0) stage_update(p, x, value, flags, seq, stamp, epoch);
-      }
-    } else if (subs != cfg_.update_subscribers.end()) {
-      for (const ProcId p : subs->second) {
-        if (p != self_) stage_update(p, x, value, flags, seq, stamp, epoch);
-      }
-    } else {
-      for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-        if (p == self_ || (elastic_ && !view_.is_alive(p))) continue;
-        stage_update(p, x, value, flags, seq, stamp, epoch);
-      }
+    // flusher (or the next synchronization action) ship the frames.
+    for (ProcId p = 0; p < cfg_.num_procs; ++p) {
+      if ((dests >> p & 1) != 0) stage_update(p, x, value, flags, seq, stamp, epoch);
     }
     for (ProcId p = 0; p < cfg_.num_procs; ++p) {
       if (staged_[p].size() >= cfg_.batching->max_updates ||
@@ -1370,25 +1330,26 @@ void Node::broadcast_update(VarId x, Value value, std::uint64_t flags, SeqNo seq
     }
     return;
   }
-  net::Message m;
+  if (dests == 0) return;
+  // Unbatched: one one-record frame, encoded once.  The reused record
+  // keeps its clock storage, so only the payload and the per-destination
+  // copies allocate.
+  BatchRecord& r = unbatched_rec_;
+  r.var = x;
+  r.value = value;
+  r.flags = flags;
+  r.seq = seq;
+  r.epoch = epoch;
+  if (!cfg_.omit_timestamps) r.vc.assign(stamp.components());
+  net::Message m = encode_frame(std::span(&r, 1), cfg_.num_procs, cfg_.omit_timestamps);
   m.src = self_;
-  m.kind = kUpdate;
-  m.a = x;
-  m.b = value;
-  m.c = seq;
-  m.d = flags;
-  if (!cfg_.omit_timestamps) {
-    m.payload.assign(stamp.components().begin(), stamp.components().end());
-    // Elastic updates append the writer's view epoch (wire.h) so the
-    // receiver's LWW arbitration can prefer new-view writes (store.cpp).
-    if (elastic_) m.payload.push_back(epoch);
-  }
-  // Every destination but the last gets a copy of the encoded update; the
-  // last one gets the original.
-  const std::size_t update_bytes =
+  const std::size_t frame_bytes =
       net::Message::kHeaderBytes + m.payload.size() * sizeof(std::uint64_t);
-  const auto send_to = [&](ProcId p, bool last) {
-    if (last) {
+  // Every destination but the last gets a copy; the last gets the original.
+  const auto last = static_cast<ProcId>(63 - std::countl_zero(dests));
+  for (ProcId p = 0; p <= last; ++p) {
+    if ((dests >> p & 1) == 0) continue;
+    if (p == last) {
       m.dst = p;
       fabric_.send(std::move(m));
     } else {
@@ -1397,27 +1358,7 @@ void Node::broadcast_update(VarId x, Value value, std::uint64_t flags, SeqNo seq
       fabric_.send(std::move(copy));
     }
     sent_to_.set(p, sent_to_[p] + 1);
-    if (profiler_ != nullptr) profiler_->record_update_bytes(x, update_bytes);
-  };
-  const auto subs = cfg_.update_subscribers.find(x);
-  if (subs != cfg_.update_subscribers.end()) {
-    const std::vector<ProcId>& dests = subs->second;
-    std::size_t last = dests.size();
-    while (last > 0 && dests[last - 1] == self_) --last;
-    for (std::size_t i = 0; i < last; ++i) {
-      if (dests[i] != self_) send_to(dests[i], i + 1 == last);
-    }
-    return;
-  }
-  // Elastic: non-members get nothing — the departed are gone, and a
-  // not-yet-admitted joiner gets its baseline via kViewHello instead.
-  const auto member = [&](ProcId p) {
-    return p != self_ && (!elastic_ || view_.is_alive(p));
-  };
-  ProcId last = cfg_.num_procs;
-  while (last > 0 && !member(last - 1)) --last;
-  for (ProcId p = 0; p < last; ++p) {
-    if (member(p)) send_to(p, p + 1 == last);
+    if (profiler_ != nullptr) profiler_->record_update_bytes(x, frame_bytes);
   }
 }
 
@@ -1426,7 +1367,7 @@ void Node::broadcast_update(VarId x, Value value, std::uint64_t flags, SeqNo seq
 // ----------------------------------------------------------------------
 
 std::size_t Node::approx_batch_bytes(std::size_t records) const {
-  // Estimate of encode_batch's output: header + base clock + ~5 words per
+  // Estimate of encode_frame's output: header + base clock + ~5 words per
   // record in VC mode (var/flags/weight, value, seq, delta mask, ~1 clock
   // delta), 3 words in count mode.  The max_bytes threshold is a staging
   // heuristic, not an exact wire budget.
@@ -1447,39 +1388,32 @@ void Node::stage_update(ProcId dest, VarId x, Value value, std::uint64_t flags, 
     profiler_->record_update_bytes(
         x, (cfg_.omit_timestamps ? 3 : 5) * sizeof(std::uint64_t));
   }
-  // Elastic batches carry the write's view epoch on the wire (the LWW
-  // tiebreak in store.cpp is epoch-first); re-homing offers additionally
-  // carry the original writer's id.
-  if (elastic_ && epoch != 0 && !cfg_.omit_timestamps) flags |= kFlagHasEpoch;
-  if (writer != kNoProc) flags |= kFlagHasWriter;
   auto& buf = staged_[dest];
-  if (cfg_.batching->coalesce) {
-    // Coalesce with the *latest* staged record for this variable only —
-    // merging past an intervening record of the other kind would reorder
-    // this process's per-variable update sequence.  Option bits must match
-    // too: records differing in epoch or writer never merge.
-    for (auto it = buf.rbegin(); it != buf.rend(); ++it) {
-      if (it->var != x) continue;
-      if (it->flags != flags || it->epoch != epoch || it->writer != writer) break;
-      switch (flags & kFlagOpMask) {
-        case kFlagWrite:
-          it->value = value;  // last writer wins
-          break;
-        case kFlagIntDelta:
-          it->value = value_of(int_of(it->value) + int_of(value));
-          break;
-        case kFlagDoubleDelta:
-          it->value = value_of(double_of(it->value) + double_of(value));
-          break;
-        default:
-          MC_CHECK_MSG(false, "unknown update flags");
-      }
-      it->seq = seq;
-      if (!cfg_.omit_timestamps) it->vc = stamp;
-      ++it->weight;
-      stats_.batch_coalesced.add();
-      return;
+  // Coalesce with the *latest* staged record for this variable only —
+  // merging past an intervening record of the other kind would reorder
+  // this process's per-variable update sequence.  Records differing in
+  // epoch or writer never merge.
+  for (auto it = buf.rbegin(); it != buf.rend(); ++it) {
+    if (it->var != x) continue;
+    if (it->flags != flags || it->epoch != epoch || it->writer != writer) break;
+    switch (flags & kFlagOpMask) {
+      case kFlagWrite:
+        it->value = value;  // last writer wins
+        break;
+      case kFlagIntDelta:
+        it->value = value_of(int_of(it->value) + int_of(value));
+        break;
+      case kFlagDoubleDelta:
+        it->value = value_of(double_of(it->value) + double_of(value));
+        break;
+      default:
+        MC_CHECK_MSG(false, "unknown update flags");
     }
+    it->seq = seq;
+    if (!cfg_.omit_timestamps) it->vc = stamp;
+    ++it->weight;
+    stats_.batch_coalesced.add();
+    return;
   }
   BatchRecord r;
   r.var = x;
@@ -1501,11 +1435,12 @@ void Node::flush_staged_locked() {
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
     auto& buf = staged_[p];
     if (buf.empty()) continue;
-    net::Message m = encode_batch(buf, cfg_.num_procs, cfg_.omit_timestamps);
+    net::Message m = encode_frame(buf, cfg_.num_procs, cfg_.omit_timestamps);
     m.src = self_;
     m.dst = p;
-    // Directory mode: stamp the resolved frontier (wire.h kBatch).
-    if (dir_mode_) m.b = write_counter_;
+    // Directory mode: stamp the resolved frontier (wire.h kUpdate) — the
+    // clock component, which demand-lock writes never tick.
+    if (dir_mode_) m.b = dep_vc_[self_];
     stats_.batch_msgs.add();
     stats_.batch_updates.add(buf.size());
     stats_.batch_updates_per_msg.record_ns(buf.size());

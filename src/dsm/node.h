@@ -68,12 +68,12 @@ struct NodeStats {
   LatencyHistogram read_pram_ns, read_causal_ns, await_spin_ns, lock_acquire_ns,
       barrier_wait_ns;
   /// Batched propagation (Config::batching; docs/METRICS.md `net.batch.*`):
-  /// kBatch messages sent, update records they carried, and original
-  /// updates absorbed into an already-staged record (LWW writes / summed
-  /// deltas) instead of becoming records of their own.
+  /// frames flushed from the staging buffers, update records they carried,
+  /// and original updates absorbed into an already-staged record (LWW
+  /// writes / summed deltas) instead of becoming records of their own.
   Counter batch_msgs, batch_updates, batch_coalesced;
-  /// Records per flushed kBatch message — samples are counts, not
-  /// nanoseconds (surfaced as the `net.batch.updates_per_msg` summary).
+  /// Records per flushed frame — samples are counts, not nanoseconds
+  /// (surfaced as the `net.batch.updates_per_msg` summary).
   LatencyHistogram batch_updates_per_msg;
   /// Read-staleness monitor (Config::track_staleness; dsm/staleness.h):
   /// per-read version lag and vector-clock distance behind the freshest
@@ -207,16 +207,14 @@ class Node {
   void stop();
 
  private:
-  /// A unit of causal-buffer admission: one kUpdate (single record) or one
-  /// kBatch (all of its records, applied atomically — partially applying a
-  /// coalesced batch could expose a mid-batch state no per-write history
-  /// serializes).  `vc` is the component-wise max of the record clocks and
-  /// is what readiness and `applied_` advance on.
+  /// A unit of causal-buffer admission: one kUpdate frame, all of its
+  /// records applied atomically (partially applying a coalesced frame
+  /// could expose a mid-frame state no per-write history serializes).
+  /// `vc` is the component-wise max of the record clocks and is what
+  /// readiness and `applied_` advance on.
   struct PendingUpdate {
     std::vector<BatchRecord> recs;
     VectorClock vc;
-    /// kBatch: coalescing legitimately skips sender sequence numbers.
-    bool gap_ok = false;
   };
 
   struct HeldLock {
@@ -278,12 +276,15 @@ class Node {
   void run_delivery();
   /// Handle one non-kUpdate message.
   void deliver(const net::Message& m);
-  /// Apply a run of consecutive kUpdates under one mu_ hold and one causal
-  /// drain.
-  void on_updates(std::span<const net::Message> run);
-  void on_batch(const net::Message& m);
-  /// An update from `sender` stamped `vc` may apply now (expects mu_).
-  [[nodiscard]] bool causally_ready(const VectorClock& vc, ProcId sender, bool gap_ok) const;
+  /// The one update handler: applies a run of consecutive kUpdate frames
+  /// under one mu_ hold and one causal drain, each frame under the mode's
+  /// policy — count vectors, directory, or causal (DESIGN.md decision 6).
+  void on_update_frames(std::span<const net::Message> run);
+  /// Directory policy for one decoded frame (expects mu_).
+  void apply_dir_frame_locked(ProcId sender, std::span<const BatchRecord> recs);
+  /// The next frame from `sender`, whose record clocks merge to `vc`, may
+  /// apply now (expects mu_; arrival already checked per-sender FIFO).
+  [[nodiscard]] bool causally_ready(const VectorClock& vc, ProcId sender) const;
   void drain_causal_buffers();
   void on_fetch_request(const net::Message& m);
 
@@ -379,9 +380,13 @@ class Node {
   /// for the ordering contract).
   void emit_op(history::Operation& op);
 
-  [[nodiscard]] VectorClock snapshot_dep_vc();
+  /// Propagate one local update: staged per destination under batching,
+  /// else one one-record frame copied to each destination.  Requires mu_.
   void broadcast_update(VarId x, Value value, std::uint64_t flags, SeqNo seq,
                         const VectorClock& stamp, std::uint64_t epoch = 0);
+  /// Destinations of an update to x in both propagation modes: directory
+  /// sharers plus home, static subscribers, or every live peer.  Requires mu_.
+  [[nodiscard]] std::uint64_t update_dests_locked(VarId x) const;
   [[nodiscard]] bool demand_local_write(VarId x, HeldLock** held_out);
 
   // ----- batched propagation (Config::batching; DESIGN.md §6.3) -----
@@ -396,7 +401,7 @@ class Node {
   void stage_update(ProcId dest, VarId x, Value value, std::uint64_t flags, SeqNo seq,
                     const VectorClock& stamp, std::uint64_t epoch = 0,
                     ProcId writer = kNoProc);
-  /// Ship every non-empty staging buffer as one kBatch per destination.
+  /// Ship every non-empty staging buffer as one frame per destination.
   /// All destinations flush together: uniform flush boundaries keep batch
   /// dependency edges pointing at earlier-flushed batches only, which is
   /// the acyclicity argument for deadlock-freedom (DESIGN.md §6.3).
@@ -435,11 +440,15 @@ class Node {
   VectorClock dep_vc_;
   /// Per-sender clock component of the last update *applied* to mem_.
   VectorClock applied_;
-  /// Per-sender clock component of the last update *received* (applied or
-  /// still buffered) — guards the per-channel FIFO invariant.
+  /// Per-sender position of the last update *received* (applied or still
+  /// buffered) — guards the per-channel FIFO invariant.  The position is
+  /// the writer's clock component, or its write seq in count-vector mode.
   VectorClock update_arrived_;
   VectorClock pram_floor_;
   VectorClock causal_floor_;
+  /// Write ids issued, demand-lock writes included.  Those never tick the
+  /// clock, so every stamp a peer compares with clock components (view
+  /// hello, directory frontier) carries dep_vc_[self_] instead.
   SeqNo write_counter_ = 0;
   std::vector<std::deque<PendingUpdate>> causal_buffer_;
 
@@ -480,7 +489,7 @@ class Node {
   /// Resolved frontier: resolved_[s] >= k promises that every one of s's
   /// first k writes has either been applied here or was never addressed to
   /// a variable this node caches (in which case the fill ack fence covers
-  /// it).  Advanced by kBatch flush stamps, kFrontierResp, and kViewHello —
+  /// it).  Advanced by frame flush stamps, kFrontierResp, and kViewHello —
   /// never by fill installs, whose sender's direct channel may still carry
   /// in-flight writes.  Directory-mode reads gate their vector-clock floors
   /// on this instead of applied_.
@@ -533,6 +542,13 @@ class Node {
   std::chrono::steady_clock::time_point oldest_staged_{};
   bool flusher_stop_ = false;
   std::condition_variable flush_cv_;
+
+  // Reused frame buffers (guarded by mu_), so the unbatched path allocates
+  // nothing per message beyond the payloads: decoded records and their
+  // merged clock on receive, the one record of an outgoing frame on send.
+  std::vector<BatchRecord> frame_;
+  VectorClock frame_vc_;
+  BatchRecord unbatched_rec_;
 
   std::thread delivery_;
   std::thread flusher_;

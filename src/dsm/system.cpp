@@ -14,8 +14,9 @@ MixedSystem::MixedSystem(Config cfg)
   MC_CHECK(cfg_.num_procs >= 1);
   if (cfg_.directory.has_value()) {
     MC_CHECK_MSG(cfg_.batching.has_value(),
-                 "the directory protocol rides the batch codec "
-                 "(staging buffers, fill frames): Config::batching required");
+                 "the directory protocol rides the staging buffers "
+                 "(sharer-only multicast, frontier stamps): Config::batching "
+                 "required");
     MC_CHECK_MSG(!cfg_.omit_timestamps,
                  "directory mode needs vector timestamps: fills install "
                  "LWW winners and deltas merge clocks");

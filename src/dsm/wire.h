@@ -15,11 +15,9 @@
 namespace mc::dsm {
 
 enum MsgKind : std::uint16_t {
-  /// Memory update broadcast.  a=var, b=value bits, c=write seq (WriteId),
-  /// d=flags (kFlagWrite / kFlagIntDelta / kFlagDoubleDelta).
-  /// payload = writer's vector clock (num_procs words); elastic runs
-  /// append one more word, the writer's view epoch, which joins the
-  /// concurrent-write LWW tiebreak (store.cpp).
+  /// Memory update frame: N >= 1 records in the dsm/batch.h codec (a, c,
+  /// d and the payload).  b = the directory frontier stamp: the sender's own
+  /// clock component at flush time (node.h resolved_).
   kUpdate = 1,
 
   /// Eager-release flush probe.  a=token.  Receiver replies kSyncAck after
@@ -56,16 +54,6 @@ enum MsgKind : std::uint16_t {
   /// the merged clock).
   kBarrierRelease = 10,
 
-  /// Framed batch of coalesced memory updates (Config::batching).
-  /// a = record count N; payload = shared base clock + N (var, value,
-  /// flags, seq, weight, vc-delta) records with vector clocks delta-encoded
-  /// against the base clock — exact layout in dsm/batch.h.  A receiver
-  /// applies the whole batch atomically and tolerates per-sender sequence
-  /// gaps (coalescing collapses superseded writes), unlike kUpdate's
-  /// strict +1 FIFO check.  Directory mode stamps b = the sender's write
-  /// counter at flush time — the receiver's resolved frontier (node.h).
-  kBatch = 11,
-
   // --- elastic membership (dsm/view.h, docs/FAULTS.md) -------------------
   // The view manager is colocated with the lock manager endpoint; all view
   // traffic flows through it.
@@ -100,10 +88,11 @@ enum MsgKind : std::uint16_t {
   /// N (barrier, next local epoch) pairs so the joiner's local barrier
   /// counters line up with the instances already in flight.
   kViewBarrierSync = 19,
-  /// Survivor -> joiner FIFO baseline.  a=sender's write counter, b=epoch;
-  /// payload = sender's dependency clock.  Sent atomically with adding the
-  /// joiner to the sender's broadcast set, so the joiner can initialise its
-  /// per-sender FIFO expectation and applied floor for that component.
+  /// Survivor -> joiner FIFO baseline.  a=sender's own clock component,
+  /// b=epoch; payload = sender's dependency clock.  Sent atomically with
+  /// adding the joiner to the sender's broadcast set, so the joiner can
+  /// initialise its per-sender FIFO expectation and applied floor for that
+  /// component.
   kViewHello = 20,
 
   // --- directory-based partial replication (docs/DIRECTORY.md) -----------
@@ -116,10 +105,10 @@ enum MsgKind : std::uint16_t {
   /// prefetch candidates).  A home behind the stamped epoch defers the
   /// request until its own commit catches up.
   kFetchBulkReq = 21,
-  /// Bulk fill reply: home -> requester.  a=record count N, b=fill token;
-  /// payload = batch-codec frame (dsm/batch.h) of N records carrying
-  /// value, writer, seq, delta-encoded vector clock, write epoch, counter
-  /// baseline flag, and staleness baseline per variable.
+  /// Bulk fill reply: home -> requester.  b=fill token; a, c, d and the
+  /// payload are an update frame (dsm/batch.h) of one record per requested
+  /// variable carrying value, writer, seq, delta-encoded vector clock,
+  /// write epoch, counter baseline flag, and staleness baseline.
   kFetchBulkResp = 22,
   /// Sharer registration, home-serialized.  a=var count N, b=fill token,
   /// c=requesting process, d=home's view epoch; payload = N variable ids.
@@ -140,9 +129,10 @@ enum MsgKind : std::uint16_t {
   /// c=evicting process; payload = N variable ids.
   kDirSharerDel = 26,
   /// Write-frontier probe for a blocked read.  No fields: the receiver
-  /// flushes its staged updates and replies with its write counter.
+  /// flushes its staged updates and replies with its own clock component.
   kFrontierReq = 27,
-  /// a=responder's write counter, FIFO-ordered behind its flushed updates.
+  /// a=responder's own clock component, FIFO-ordered behind its flushed
+  /// updates.
   kFrontierResp = 28,
   /// Joiner directory sync: each home -> joiner at view commit.  a=pair
   /// count N, b=view epoch; payload = N (var, sharer mask) pairs for the
@@ -158,19 +148,12 @@ enum UpdateFlags : std::uint64_t {
   kFlagIntDelta = 1,
   kFlagDoubleDelta = 2,
 
-  /// Mask selecting the operation out of a flags word; the bits above it
-  /// are batch-codec record options (dsm/batch.h) that travel with fill
-  /// frames and elastic batches.
+  /// Mask selecting the operation out of a flags word.  Bits from 0x10 up
+  /// belong to the update-frame codec (dsm/batch.h), which derives them.
   kFlagOpMask = 0x7,
   /// Install the record verbatim as a counter baseline (delta-touched
   /// entry shipped whole), bypassing the LWW guard.
   kFlagCounterBase = 0x08,
-  /// Record carries an explicit writer word (defaults to the frame sender).
-  kFlagHasWriter = 0x10,
-  /// Record carries the write's view epoch (elastic LWW tiebreak).
-  kFlagHasEpoch = 0x20,
-  /// Record carries a staleness baseline (issued-write count at the home).
-  kFlagHasBaseline = 0x40,
 };
 
 /// Register human-readable kind names on a fabric (metrics keys).
@@ -185,7 +168,6 @@ inline void register_kind_names(net::Fabric& fabric) {
   fabric.name_kind(kUnlock, "unlock");
   fabric.name_kind(kBarrierArrive, "barrier_arrive");
   fabric.name_kind(kBarrierRelease, "barrier_release");
-  fabric.name_kind(kBatch, "batch");
   fabric.name_kind(kViewFault, "view_fault");
   fabric.name_kind(kViewJoin, "view_join");
   fabric.name_kind(kViewLeave, "view_leave");

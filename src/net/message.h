@@ -73,10 +73,10 @@ struct Message {
   /// Modeled size on the wire: fixed header plus payload words, plus the
   /// reliability header (seq + ack) when the message travels reliably.
   /// `payload` must hold the *encoded* words a real wire format would ship
-  /// — encoders that compress (kBatch delta-encodes vector clocks against
-  /// a base clock, dsm/batch.h) pack the compressed form here, so byte
-  /// metrics charge the delta-encoded size, never the logical full-clock
-  /// size.
+  /// — encoders that compress (update frames delta-encode vector clocks
+  /// against a base clock, dsm/batch.h) pack the compressed form here, so
+  /// byte metrics charge the delta-encoded size, never the logical
+  /// full-clock size.
   [[nodiscard]] std::size_t wire_bytes() const {
     return kHeaderBytes + payload.size() * sizeof(std::uint64_t) +
            (rel_seq != 0 || rel_ack != 0 ? kRelHeaderBytes : 0);

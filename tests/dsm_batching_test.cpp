@@ -1,8 +1,9 @@
 // Batched update propagation (Config::batching; DESIGN.md §6.3).
 //
 // Three layers of coverage:
-//   - the kBatch codec: round trips, and the wire_bytes honesty the
-//     delta-encoded clocks exist for;
+//   - the update-frame codec: round trips, one-record frames at the cost
+//     of a bare update, and the wire_bytes honesty the delta-encoded
+//     clocks exist for;
 //   - coalescing semantics: last-writer-wins for plain writes, summation
 //     for deltas, no cross-kind merging, truthful weights in count mode;
 //   - flush-on-sync litmus programs: staging windows so large that ONLY the
@@ -57,6 +58,16 @@ net::FaultPlan chaos_plan(std::uint64_t seed) {
 // Codec
 // ----------------------------------------------------------------------
 
+BatchRecord clocked_record(std::size_t procs, VarId var, SeqNo seq) {
+  BatchRecord r;
+  r.var = var;
+  r.value = value_of(static_cast<std::int64_t>(var) * 3);
+  r.seq = seq;
+  r.vc = VectorClock(procs);
+  r.vc.set(0, seq);
+  return r;
+}
+
 TEST(BatchCodec, RoundTripsRecordsWithClocks) {
   constexpr std::size_t kProcs = 5;
   std::vector<BatchRecord> recs;
@@ -72,10 +83,10 @@ TEST(BatchCodec, RoundTripsRecordsWithClocks) {
     r.vc.set(3, 2);
     recs.push_back(r);
   }
-  const net::Message m = encode_batch(recs, kProcs, false);
-  EXPECT_EQ(m.kind, kBatch);
-  EXPECT_EQ(m.a, recs.size());
-  EXPECT_EQ(decode_batch(m, kProcs, false), recs);
+  const net::Message m = encode_frame(recs, kProcs, false);
+  EXPECT_EQ(m.kind, kUpdate);
+  EXPECT_EQ(m.d, recs[0].seq);  // record 0 rides in the header
+  EXPECT_EQ(decode_frame(m, kProcs, false), recs);
 }
 
 TEST(BatchCodec, RoundTripsCountModeRecords) {
@@ -89,12 +100,65 @@ TEST(BatchCodec, RoundTripsCountModeRecords) {
     r.weight = 2;
     recs.push_back(r);
   }
-  const net::Message m = encode_batch(recs, 8, true);
-  EXPECT_EQ(decode_batch(m, 8, true), recs);
+  const net::Message m = encode_frame(recs, 8, true);
+  // Three words per record after the first, which the header carries.
+  EXPECT_EQ(m.payload.size(), 2u * 3u);
+  EXPECT_EQ(decode_frame(m, 8, true), recs);
+}
+
+TEST(BatchCodec, OneRecordFrameCostsABareUpdate) {
+  // An unbatched write is a one-record frame: the header plus the P words
+  // of its clock (the base), one more word for an elastic view epoch, and
+  // the header alone in count-vector mode — no mask word, no record count.
+  constexpr std::size_t kProcs = 6;
+  BatchRecord r = clocked_record(kProcs, 3, 9);
+  r.vc.set(4, 2);
+  const net::Message plain = encode_frame(std::span(&r, 1), kProcs, false);
+  EXPECT_EQ(plain.wire_bytes(), net::Message::kHeaderBytes + 8 * kProcs);
+  EXPECT_EQ(decode_frame(plain, kProcs, false), std::vector<BatchRecord>{r});
+
+  BatchRecord elastic = r;
+  elastic.epoch = 3;
+  const net::Message with_epoch = encode_frame(std::span(&elastic, 1), kProcs, false);
+  EXPECT_EQ(with_epoch.wire_bytes(), net::Message::kHeaderBytes + 8 * kProcs + 8);
+  EXPECT_EQ(decode_frame(with_epoch, kProcs, false), std::vector<BatchRecord>{elastic});
+
+  BatchRecord counted = r;
+  counted.vc = VectorClock();
+  const net::Message count_mode = encode_frame(std::span(&counted, 1), kProcs, true);
+  EXPECT_EQ(count_mode.wire_bytes(), net::Message::kHeaderBytes);
+  EXPECT_EQ(decode_frame(count_mode, kProcs, true), std::vector<BatchRecord>{counted});
+}
+
+TEST(BatchCodec, RoundTripMixesBaseClockAndDeltaRecords) {
+  // Records whose clock equals the base ship no mask word; the others ship
+  // a mask and one word per differing component.  Option words ride along.
+  constexpr std::size_t kProcs = 4;
+  std::vector<BatchRecord> recs;
+  BatchRecord at_base = clocked_record(kProcs, 1, 5);  // clock [5,0,0,0]: the base
+  recs.push_back(at_base);
+  BatchRecord delta = clocked_record(kProcs, 2, 7);  // differs in 2 components
+  delta.vc.set(2, 4);
+  delta.flags = kFlagIntDelta;
+  delta.epoch = 2;
+  delta.weight = 3;
+  recs.push_back(delta);
+  BatchRecord offer = at_base;  // equals the base again, mid-frame
+  offer.var = 3;
+  offer.flags = kFlagCounterBase;
+  offer.writer = 2;
+  offer.baseline = 11;
+  recs.push_back(offer);
+
+  const net::Message m = encode_frame(recs, kProcs, false);
+  // base (4) + record 1: 3 + epoch + mask + 2 deltas + record 2: 3 + writer
+  // + baseline.  Record 0 is all header.
+  EXPECT_EQ(m.payload.size(), kProcs + (3 + 1 + 1 + 2) + (3 + 2));
+  EXPECT_EQ(decode_frame(m, kProcs, false), recs);
 }
 
 TEST(BatchCodec, WireBytesChargeDeltaEncodedClocks) {
-  // N consecutive writes by one process: clocks differ from the batch base
+  // N consecutive writes by one process: clocks differ from the frame base
   // only in the writer's component, so each record ships ONE clock-delta
   // word instead of P — and wire_bytes must charge the encoded payload,
   // not the logical full clocks (the C3/C11/C12 honesty fix).
@@ -103,21 +167,14 @@ TEST(BatchCodec, WireBytesChargeDeltaEncodedClocks) {
   std::vector<BatchRecord> recs;
   std::size_t unbatched_bytes = 0;
   for (std::size_t i = 0; i < kRecords; ++i) {
-    BatchRecord r;
-    r.var = 7;
-    r.value = i;
-    r.seq = i + 1;
-    r.vc = VectorClock(kProcs);
-    r.vc.set(0, i + 1);
-    recs.push_back(r);
-    net::Message u;
-    u.kind = kUpdate;
-    u.payload.assign(r.vc.components().begin(), r.vc.components().end());
-    unbatched_bytes += u.wire_bytes();
+    recs.push_back(clocked_record(kProcs, 7, i + 1));
+    unbatched_bytes += encode_frame(std::span(&recs.back(), 1), kProcs, false).wire_bytes();
   }
-  const net::Message m = encode_batch(recs, kProcs, false);
-  // Payload: base clock (P) + per record (header, value, seq, mask, <=1 delta).
-  EXPECT_LE(m.payload.size(), kProcs + kRecords * 5);
+  EXPECT_EQ(unbatched_bytes, kRecords * (net::Message::kHeaderBytes + 8 * kProcs));
+  const net::Message m = encode_frame(recs, kProcs, false);
+  // Payload: base clock (P), record 0 at the base, then per record w0,
+  // value, seq, mask and one delta word.
+  EXPECT_EQ(m.payload.size(), kProcs + (kRecords - 1) * 5);
   EXPECT_EQ(m.wire_bytes(), net::Message::kHeaderBytes + m.payload.size() * 8);
   EXPECT_LT(m.wire_bytes(), unbatched_bytes / 3);
 }
@@ -150,9 +207,8 @@ TEST(Batching, PlainWritesCollapseLastWriterWins) {
   EXPECT_EQ(metrics.get("net.batch.coalesced"), 4u);
   EXPECT_EQ(metrics.get("net.batch.updates"), 1u);
   EXPECT_EQ(metrics.get("net.batch.msgs"), 1u);
-  // Nothing travelled as a naked kUpdate.
-  EXPECT_EQ(metrics.get("net.msg.update"), 0u);
-  EXPECT_GE(metrics.get("net.msg.batch"), 1u);
+  // The one flushed frame is the only update message.
+  EXPECT_EQ(metrics.get("net.msg.update"), 1u);
 }
 
 TEST(Batching, DeltasMergeBySummation) {
@@ -219,8 +275,7 @@ TEST(Batching, ThresholdFlushShipsWithoutSynchronization) {
   // max_updates = 4: the fifth write forces a flush with no sync action in
   // sight; the reader eventually observes it through plain PRAM reads.
   BatchingConfig b = sync_only_batching();
-  b.max_updates = 4;
-  b.coalesce = false;  // keep every record so the threshold actually fills
+  b.max_updates = 4;  // distinct variables: nothing coalesces
   MixedSystem sys(two_proc_cfg(b));
   const auto out = sys.run(
       [&](Node& n, ProcId p) {

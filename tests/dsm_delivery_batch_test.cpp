@@ -8,8 +8,13 @@
 
 #include <chrono>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "gtest_compat.h"
+
+#include "dsm/batch.h"
 #include "dsm/node.h"
 
 namespace mc::dsm {
@@ -28,15 +33,27 @@ net::Message from_tester(std::uint16_t kind) {
   return m;
 }
 
-net::Message update(VarId x, Value v, std::uint64_t tick, bool elastic) {
-  net::Message m = from_tester(kUpdate);
-  m.a = x;
-  m.b = v;
-  m.c = tick;
-  m.d = kFlagWrite;
-  m.payload = {tick, 0};
-  if (elastic) m.payload.push_back(0);  // writer's view epoch
+/// A frame from the tester, encoded by the update-frame codec.
+net::Message frame(std::vector<BatchRecord> recs, std::size_t procs, bool count_mode = false) {
+  net::Message m = encode_frame(recs, procs, count_mode);
+  m.src = kTester;
+  m.dst = kNode;
   return m;
+}
+
+BatchRecord record(VarId x, Value v, SeqNo seq, VectorClock vc, std::uint64_t weight = 1) {
+  BatchRecord r;
+  r.var = x;
+  r.value = v;
+  r.seq = seq;
+  r.weight = weight;
+  r.vc = std::move(vc);
+  return r;
+}
+
+/// The tester's tick-th write, unbatched: a one-record frame.
+net::Message update(VarId x, Value v, std::uint64_t tick) {
+  return frame({record(x, v, tick, VectorClock{tick, 0})}, 2);
 }
 
 void push_as_one_batch(net::Fabric& f, std::vector<net::Message> msgs) {
@@ -63,11 +80,11 @@ TEST(DeliveryBatch, UpdatesAndRequestsAreHandledInArrivalOrder) {
     fetch2.a = 0;
     fetch2.b = 2;
     std::vector<net::Message> batch;
-    batch.push_back(update(0, 10, 1, false));
+    batch.push_back(update(0, 10, 1));
     batch.push_back(std::move(fetch1));
-    batch.push_back(update(0, 20, 2, false));
+    batch.push_back(update(0, 20, 2));
     batch.push_back(std::move(sync));
-    batch.push_back(update(0, 30, 3, false));
+    batch.push_back(update(0, 30, 3));
     batch.push_back(std::move(fetch2));
     push_as_one_batch(f, std::move(batch));
 
@@ -108,8 +125,8 @@ TEST(DeliveryBatch, ViewHelloBaselineLandsBeforeTheUpdatesBehindIt) {
     hello.payload = {5, 0};
     std::vector<net::Message> batch;
     batch.push_back(std::move(hello));
-    batch.push_back(update(1, 41, 6, true));
-    batch.push_back(update(1, 42, 7, true));
+    batch.push_back(update(1, 41, 6));
+    batch.push_back(update(1, 42, 7));
     push_as_one_batch(f, std::move(batch));
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
     while (node.read(1, ReadMode::kPram) != 42u &&
@@ -133,8 +150,7 @@ TEST(DeliveryBatch, ViewHelloReleasesUpdatesBufferedOnTheWaivedWrites) {
   cfg.elastic = true;
   {
     Node node(cfg, kNode, f, /*lock_mgr=*/3, /*barrier_mgr=*/4);
-    net::Message dependent = update(2, 41, 1, true);
-    dependent.payload = {1, 0, 5, 0};  // clock [1, 0, 5], epoch 0
+    net::Message dependent = frame({record(2, 41, 1, VectorClock{1, 0, 5})}, 3);
     net::Message hello;
     hello.src = 2;
     hello.dst = kNode;
@@ -150,6 +166,70 @@ TEST(DeliveryBatch, ViewHelloReleasesUpdatesBufferedOnTheWaivedWrites) {
     }
     EXPECT_EQ(node.read(2, ReadMode::kPram), 41u);
     f.shutdown();
+  }
+}
+
+// Per-sender FIFO on a full-replication channel: a frame must advance the
+// sender by exactly its total record weight (coalesced records stand for
+// several writes).  The sender's position is its clock component, or its
+// write seq in count-vector mode.
+
+/// One frame from the tester of (seq, weight) records; the last record
+/// writes 7 * seq to variable 1.
+net::Message weighted_frame(bool count_mode,
+                            const std::vector<std::pair<SeqNo, std::uint64_t>>& recs) {
+  std::vector<BatchRecord> out;
+  for (const auto& [seq, weight] : recs) {
+    out.push_back(record(0, seq, seq, count_mode ? VectorClock() : VectorClock{seq, 0}, weight));
+  }
+  out.back().var = 1;
+  out.back().value = 7 * out.back().seq;
+  return frame(std::move(out), 2, count_mode);
+}
+
+/// Deliver `frames` to a fresh node; true once variable 1 reads `want`.
+bool delivers(bool count_mode, std::vector<net::Message> frames, Value want) {
+  net::Fabric f(4);
+  Config cfg;
+  cfg.num_procs = 2;
+  cfg.num_vars = 4;
+  cfg.omit_timestamps = count_mode;
+  Node node(cfg, kNode, f, kLockMgr, kBarrierMgr);
+  for (net::Message& m : frames) {
+    if (!f.mailbox(kNode).push(std::move(m))) return false;
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (node.read(1, ReadMode::kPram) != want &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const bool ok = node.read(1, ReadMode::kPram) == want;
+  f.shutdown();
+  return ok;
+}
+
+TEST(DeliveryBatch, FrameAdvancesTheSenderByItsTotalRecordWeight) {
+  for (const bool count_mode : {false, true}) {
+    // Writes 1-2 coalesced into one record, write 3, then write 4 alone.
+    EXPECT_TRUE(delivers(count_mode,
+                         {weighted_frame(count_mode, {{2, 2}, {3, 1}}),
+                          weighted_frame(count_mode, {{4, 1}})},
+                         7 * 4))
+        << (count_mode ? "count mode" : "vector-clock mode");
+  }
+}
+
+TEST(DeliveryBatchDeathTest, FrameGapOfOneAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  for (const bool count_mode : {false, true}) {
+    // Weight 2 but position 3: the sender's first write never arrived.
+    EXPECT_DEATH(
+        std::ignore = delivers(count_mode, {weighted_frame(count_mode, {{3, 2}})}, 7 * 3),
+        "per-sender FIFO violated");
+    // A one-record frame skipping one write, as an unbatched stream would.
+    EXPECT_DEATH(
+        std::ignore = delivers(count_mode, {weighted_frame(count_mode, {{2, 1}})}, 7 * 2),
+        "per-sender FIFO violated");
   }
 }
 

@@ -15,10 +15,13 @@
 
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "dsm/batch.h"
 #include "dsm/system.h"
 #include "history/checkers.h"
 #include "obs/monitor.h"
@@ -382,6 +385,128 @@ TEST(Directory, CausalChainAcrossThreeNodes) {
       n.barrier();
     }
   });
+}
+
+// ----------------------------------------------------------------------
+// Frontier stamps beside demand locks
+// ----------------------------------------------------------------------
+//
+// A demand-lock write takes a write id but never ticks its writer's clock,
+// while readers compare the directory frontier stamps (flushed frames,
+// kFrontierResp) against clock components.  These tests drive real nodes
+// one at a time: process 0 on one fabric, whose frames the test captures,
+// and process 1 on a second fabric, where the test relays them.  Every
+// other endpoint is played by the test.
+
+constexpr VarId kDemandVar = 0;                // homed at p0, lock-migratory
+constexpr VarId kX = 3, kY = 4, kZ = 5;        // homed at p1
+constexpr LockId kDemandLock = 1;
+
+Config demand_dir_config() {
+  Config cfg = dir_config(3, 9);
+  cfg.demand_association[kDemandVar] = kDemandLock;
+  cfg.lock_policy_override[kDemandLock] = LockPolicy::kDemand;
+  return cfg;
+}
+
+constexpr net::Endpoint kLockEp = 3, kBarrierEp = 4;
+
+/// Process 0 writes x, then three demand-lock writes, then y (staged, not
+/// flushed).  Returns the frame the unlock flushed to process 1.
+net::Message writes_behind_demand_lock(net::Fabric& f, Node& p0) {
+  p0.write_int(kX, 1);  // clock component 1
+  net::Message grant;
+  grant.src = kLockEp;
+  grant.dst = 0;
+  grant.kind = kLockGrant;
+  grant.a = kDemandLock;
+  grant.b = 1;
+  grant.c = net::kNoEndpoint;
+  grant.payload.assign(2 * 3, 0);  // directory mode: counts, then clock
+  EXPECT_TRUE(f.mailbox(0).push(std::move(grant)));
+  p0.wlock(kDemandLock);
+  for (int i = 0; i < 3; ++i) p0.write_int(kDemandVar, 10 + i);  // no ticks
+  p0.wunlock(kDemandLock);  // flushes x to its home, p1
+  p0.write_int(kY, 7);      // clock component 2, staged
+  auto flushed = f.mailbox(1).recv();
+  EXPECT_TRUE(flushed.has_value());
+  return flushed.value_or(net::Message{});
+}
+
+/// Ask process 0 for its frontier; returns what it sent process 1 since.
+std::vector<net::Message> probe_frontier(net::Fabric& f) {
+  net::Message probe;
+  probe.src = 1;
+  probe.dst = 0;
+  probe.kind = kFrontierReq;
+  EXPECT_TRUE(f.mailbox(0).push(std::move(probe)));
+  std::vector<net::Message> out;
+  while (out.empty() || out.back().kind != kFrontierResp) {
+    auto m = f.mailbox(1).recv();
+    if (!m.has_value()) break;
+    out.push_back(std::move(*m));
+  }
+  return out;
+}
+
+TEST(DirectoryDemandLocks, FrontierStampsCountOnlyClockedWrites) {
+  const Config cfg = demand_dir_config();
+  net::Fabric f(5);
+  Node p0(cfg, 0, f, kLockEp, kBarrierEp);
+  const net::Message first = writes_behind_demand_lock(f, p0);
+  EXPECT_EQ(first.kind, kUpdate);
+  EXPECT_EQ(first.b, 1u);  // one clocked write, not four write ids
+  const std::vector<net::Message> rest = probe_frontier(f);
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[0].kind, kUpdate);  // y, flushed ahead of the reply
+  EXPECT_EQ(rest[0].b, 2u);
+  EXPECT_EQ(rest[1].a, 2u);
+  f.shutdown();
+}
+
+TEST(DirectoryDemandLocks, CausalReadWaitsForWriteBehindDemandLockWrites) {
+  // p2 has seen p0's y=7 and then written z; p1 learns z (clock {2,0,1})
+  // before p0's frame carrying y arrives.  p1's causal read of y must wait
+  // for it: an inflated frontier from p0 would let the read return 0.
+  const Config cfg = demand_dir_config();
+  net::Fabric f0(5);
+  Node p0(cfg, 0, f0, kLockEp, kBarrierEp);
+  net::Message first = writes_behind_demand_lock(f0, p0);
+
+  net::Fabric f1(5);
+  Node p1(cfg, 1, f1, kLockEp, kBarrierEp);
+  ASSERT_TRUE(f1.mailbox(1).push(std::move(first)));
+  BatchRecord z;
+  z.var = kZ;
+  z.value = value_of(std::int64_t{1});
+  z.seq = 1;
+  z.vc = VectorClock{2, 0, 1};
+  net::Message from_p2 = encode_frame(std::span(&z, 1), 3, false);
+  from_p2.src = 2;
+  from_p2.dst = 1;
+  from_p2.b = 1;  // p2's own frontier
+  ASSERT_TRUE(f1.mailbox(1).push(std::move(from_p2)));
+
+  auto reader = std::async(std::launch::async, [&] {
+    p1.await_int(kZ, 1);
+    return p1.read_int(kY, ReadMode::kCausal);
+  });
+  // p1 should probe p0's frontier; answer with p0's real reply, relayed
+  // behind the frame it flushes first.
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  bool probed = false;
+  while (!probed && reader.wait_for(1ms) != std::future_status::ready &&
+         std::chrono::steady_clock::now() < deadline) {
+    while (auto m = f1.mailbox(0).try_recv()) probed |= m->kind == kFrontierReq;
+  }
+  if (probed) {
+    for (net::Message& m : probe_frontier(f0)) ASSERT_TRUE(f1.mailbox(1).push(std::move(m)));
+  }
+  ASSERT_EQ(reader.wait_for(10s), std::future_status::ready);
+  EXPECT_EQ(reader.get(), 7);
+  EXPECT_TRUE(probed);
+  f0.shutdown();
+  f1.shutdown();
 }
 
 // ----------------------------------------------------------------------

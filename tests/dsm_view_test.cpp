@@ -242,6 +242,40 @@ TEST(ElasticView, LiveJoinTransfersStateAndJoinsBarriers) {
   EXPECT_FALSE(mon.status().structural_failed);
 }
 
+// A demand-lock write takes a write id but never ticks the writer's clock.
+// The joiner's FIFO baseline must be the survivor's clock component, or
+// the survivor's next broadcast looks like a replay to the joiner.
+TEST(ElasticView, JoinAfterDemandLockWriteKeepsSurvivorFifoBaseline) {
+  Config cfg = elastic_cfg(3);
+  cfg.initial_members = std::vector<ProcId>{0, 1};
+  constexpr VarId kGuarded = 4, kAfter = 0, kJoined = 1;
+  constexpr LockId kLock = 1;
+  cfg.demand_association[kGuarded] = kLock;
+  cfg.lock_policy_override[kLock] = LockPolicy::kDemand;
+  MixedSystem sys(cfg);
+
+  // Before the run: p0's write under the demand lock stays local.
+  sys.node(0).wlock(kLock);
+  sys.node(0).write_int(kGuarded, 44);
+  sys.node(0).wunlock(kLock);
+
+  const auto outcome = sys.run(
+      [&](Node& n, ProcId p) {
+        if (p == 2) {
+          n.join();
+          n.write_int(kJoined, 1);
+        } else if (p == 0) {
+          n.await_int(kJoined, 1);  // p2 is in the view: broadcast to it
+          n.write_int(kAfter, 7);
+        }
+        if (p != 0) n.await_int(kAfter, 7);
+        n.barrier();
+      },
+      kDeadline);
+  EXPECT_FALSE(outcome.stalled) << outcome.diagnostics.reason;
+  EXPECT_EQ(sys.view().live_count(), 3u);
+}
+
 // Config validation: elastic demands vector-clock mode and a sane initial
 // membership.
 TEST(ElasticView, RunsWithSingleInitialMemberAndGrows) {
