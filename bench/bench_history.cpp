@@ -175,6 +175,9 @@ StreamVerdict stream_check(std::size_t procs, std::size_t target_ops, bool injec
   };
 
   while (chk.num_ops() < target_ops) {
+    // One trace span per barrier epoch fed (--trace).  The stream is never
+    // pruned, so feed and finalize are the only phases.
+    obs::TraceSpan epoch_span("bench.feed", "bench", {"epoch", epoch});
     for (std::size_t round = 0; round < kRoundsPerEpoch; ++round) {
       for (ProcId p = 0; p < procs; ++p) {
         const auto x = static_cast<VarId>(rng.below(kVars));
@@ -232,7 +235,10 @@ StreamVerdict stream_check(std::size_t procs, std::size_t target_ops, bool injec
 
   StreamVerdict out;
   out.ops = chk.num_ops();
-  out.verdict = chk.finalize();
+  {
+    obs::TraceSpan span("bench.finalize", "bench", {"ops", out.ops});
+    out.verdict = chk.finalize();
+  }
   out.wall_ms = sw.elapsed_ms();
   out.metrics = chk.metrics();
   return out;

@@ -4,7 +4,8 @@
 // directory fills (kFetchBulkResp) reuse the codec.
 //
 // Record 0 rides in the header (a = its w0, c = value, d = seq); b is left
-// to the carrying kind.  Payload (P = num_procs <= 64):
+// to the carrying kind (the sender's flush stamp on kUpdate in directory
+// mode and on kFetchBulkResp).  Payload (P = num_procs <= 64):
 //
 //   base clock           P words: component-wise MINIMUM of the record
 //                        clocks (coalescing can make record clocks

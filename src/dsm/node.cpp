@@ -47,6 +47,7 @@ Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint lo
   }
   if (dir_mode_) {
     sharer_mask_.assign(cfg_.num_vars, 0);
+    writer_mask_.assign(cfg_.num_vars, elastic_ ? full_mask(cfg_.num_procs) : 0);
     cached_.assign(cfg_.num_vars, false);
     last_use_.assign(cfg_.num_vars, 0);
     fill_inflight_.assign(cfg_.num_vars, false);
@@ -56,6 +57,7 @@ Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint lo
     // Demand-association variables keep full replication.
     for (VarId x = 0; x < cfg_.num_vars; ++x) {
       if (!dir_managed(x) || effective_home(x) == self_) cached_[x] = true;
+      writer_mask_[x] |= std::uint64_t{1} << static_home(x);
     }
   }
   if (cfg_.batching.has_value()) {
@@ -977,6 +979,23 @@ void Node::request_fill(std::unique_lock<std::mutex>& lk, VarId x) {
   stats_.dir_fill_wait_ns.record(sw.elapsed());
 }
 
+void Node::register_writer(std::unique_lock<std::mutex>& lk, VarId x) {
+  const std::uint64_t self = std::uint64_t{1} << self_;
+  if (!dir_managed(x) || (writer_mask_[x] & self) != 0) return;
+  // Threads of one process racing to a first write may each register; the
+  // home's answer is idempotent, and FIFO keeps each reply's row current.
+  net::Message req;
+  req.src = self_;
+  req.dst = effective_home(x);
+  req.kind = kFetchBulkReq;
+  req.a = 1;
+  req.d = 1;  // write fault
+  req.payload.push_back(x);
+  fabric_.send(std::move(req));
+  wait_or_die(lk, "directory writer registration blocked past the liveness deadline",
+              [&] { return (writer_mask_[x] & self) != 0; });
+}
+
 void Node::on_fetch_bulk_req(const net::Message& m) {
   const auto requester = static_cast<ProcId>(m.src);
   std::scoped_lock lk(mu_);
@@ -992,6 +1011,26 @@ void Node::on_fetch_bulk_req(const net::Message& m) {
   // No longer this variable's home (same-epoch assignment is deterministic,
   // so the requester was behind): it re-issues at its own commit.
   if (effective_home(vars[0]) != self_) return;
+  if (m.d != 0) {
+    // Write fault: register the writer and answer with the current rows.
+    // From here on this node's row changes reach the writer behind the
+    // reply (FIFO), and every fill of these variables fences it.
+    net::Message sync;
+    sync.src = self_;
+    sync.dst = requester;
+    sync.kind = kDirSharerSync;
+    sync.a = vars.size();
+    for (const VarId x : vars) {
+      if ((writer_mask_[x] >> requester & 1) == 0) {
+        writer_mask_[x] |= std::uint64_t{1} << requester;
+        stats_.dir_writer_registrations.add();
+      }
+      sync.payload.push_back(x);
+      sync.payload.push_back(sharer_mask_[x]);
+    }
+    fabric_.send(std::move(sync));
+    return;
+  }
   ServingFill f;
   f.requester = requester;
   f.vars = std::move(vars);
@@ -1002,13 +1041,18 @@ void Node::on_fetch_bulk_req(const net::Message& m) {
       if (profiler_ != nullptr) profiler_->record_sharer_add(x);
     }
   }
-  // Ack fence: every third party flushes its staging buffers before the
-  // snapshot ships.  A write causally preceding the requester's floor was
-  // issued before this fill was requested, so at its writer it is either
-  // already sent (FIFO ahead of the ack on the writer->home channel) or
-  // still staged (the flush ships it ahead of the ack) — either way the
-  // snapshot covers it.
-  std::uint64_t fence = elastic_ ? view_.alive_mask : full_mask(cfg_.num_procs);
+  // Ack fence: every other registered writer of the fill's variables
+  // flushes its staging buffers before the snapshot ships.  A write
+  // causally preceding the requester's floor was issued before this fill
+  // was requested, so at its writer it is either already sent (FIFO ahead
+  // of the ack on the writer->home channel) or still staged (the flush
+  // ships it ahead of the ack) — either way the snapshot covers it.  No
+  // one else can hold such a write: a writer registers here before its
+  // first write, and one registered after this point finds the
+  // requester's bit in its registration reply.
+  std::uint64_t fence = 0;
+  for (const VarId x : f.vars) fence |= writer_mask_[x];
+  if (elastic_) fence &= view_.alive_mask;
   fence &= ~(std::uint64_t{1} << requester);
   fence &= ~(std::uint64_t{1} << self_);
   if (fence == 0) {
@@ -1076,7 +1120,8 @@ void Node::on_dir_ack(const net::Message& m) {
 
 void Node::send_fill_response_locked(std::uint64_t token, const ServingFill& f) {
   // Our own staged writes are not fenced by the acks; flush them into the
-  // snapshot too.
+  // snapshot too.  The flush also puts every earlier write of ours to the
+  // requester ahead of the reply, so it carries our frontier stamp.
   if (cfg_.batching.has_value()) flush_staged_locked();
   std::vector<BatchRecord> recs;
   recs.reserve(f.vars.size());
@@ -1097,16 +1142,24 @@ void Node::send_fill_response_locked(std::uint64_t token, const ServingFill& f) 
   resp.kind = kFetchBulkResp;
   resp.src = self_;
   resp.dst = f.requester;
-  resp.b = token;
+  resp.b = dep_vc_[self_];  // flush stamp, as on update frames
+  resp.payload.push_back(token);
   fabric_.send(std::move(resp));
 }
 
 void Node::on_fetch_bulk_resp(const net::Message& m) {
+  MC_CHECK(!m.payload.empty());
+  // The fill token trails the frame; strip it before decoding.
+  const std::uint64_t token = m.payload.back();
+  net::Message frame = m;
+  frame.payload.pop_back();
   std::vector<BatchRecord> recs =
-      decode_frame(m, cfg_.num_procs, /*omit_timestamps=*/false);
+      decode_frame(frame, cfg_.num_procs, /*omit_timestamps=*/false);
   {
     std::scoped_lock lk(mu_);
-    const auto it = fills_.find(m.b);
+    const auto home = static_cast<ProcId>(m.src);
+    resolved_.set(home, std::max(resolved_[home], m.b));
+    const auto it = fills_.find(token);
     if (it == fills_.end() || it->second.done) return;  // duplicate after a re-issue
     for (const BatchRecord& r : recs) {
       const VarId x = r.var;
@@ -1218,6 +1271,11 @@ void Node::on_dir_unregister(const net::Message& m) {
     }
   }
   if (vars.empty()) return;
+  // Only the variables' writers mirror their rows.
+  std::uint64_t dests = 0;
+  for (const VarId x : vars) dests |= writer_mask_[x];
+  if (elastic_) dests &= view_.alive_mask;
+  dests &= ~(std::uint64_t{1} << self_) & ~(std::uint64_t{1} << evictor);
   net::Message del;
   del.src = self_;
   del.kind = kDirSharerDel;
@@ -1225,8 +1283,7 @@ void Node::on_dir_unregister(const net::Message& m) {
   del.c = evictor;
   del.payload.assign(vars.begin(), vars.end());
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    if (p == self_ || p == evictor) continue;
-    if (elastic_ && !view_.is_alive(p)) continue;
+    if ((dests >> p & 1) == 0) continue;
     net::Message copy = del;
     copy.dst = p;
     fabric_.send(std::move(copy));
@@ -1245,11 +1302,15 @@ void Node::on_dir_sharer_del(const net::Message& m) {
 void Node::on_dir_sharer_sync(const net::Message& m) {
   std::scoped_lock lk(mu_);
   MC_CHECK(m.payload.size() >= 2 * m.a);
-  // Authoritative rows for the sender's homed variables.  Row changes flow
-  // only from a variable's home, on the same FIFO channel as this sync, so
-  // later kDirSharerAdd/Del multicasts cannot be clobbered by it.
+  // Authoritative rows for the sender's homed variables (a joiner's sync or
+  // a writer registration reply; either way this node now mirrors them as
+  // a registered writer).  Row changes flow only from a variable's home, on
+  // the same FIFO channel as this sync, so later kDirSharerAdd/Del
+  // multicasts cannot be clobbered by it.
   for (std::uint64_t k = 0; k < m.a; ++k) {
-    sharer_mask_[static_cast<VarId>(m.payload[2 * k])] = m.payload[2 * k + 1];
+    const auto x = static_cast<VarId>(m.payload[2 * k]);
+    sharer_mask_[x] = m.payload[2 * k + 1];
+    writer_mask_[x] |= std::uint64_t{1} << self_;
   }
   dir_sync_from_ |= std::uint64_t{1} << static_cast<ProcId>(m.src);
 }
@@ -1574,7 +1635,8 @@ void Node::write(VarId x, Value v) {
   stats_.writes.add();
   if (profiler_ != nullptr) profiler_->record_write(x);
   {
-    std::scoped_lock lk(mu_);
+    std::unique_lock lk(mu_);
+    register_writer(lk, x);
     const SeqNo seq = ++write_counter_;
     const WriteId id{self_, seq};
 
@@ -1633,6 +1695,7 @@ void Node::do_delta(VarId x, Value amount, std::uint64_t flags) {
     // is delta_touched afterwards (counter pin), so it is never evicted and
     // the race cannot recur.
     if (dir_managed(x)) {
+      register_writer(lk, x);
       while (!cached_[x]) request_fill(lk, x);
       last_use_[x] = ++use_tick_;
     }

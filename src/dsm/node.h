@@ -89,9 +89,10 @@ struct NodeStats {
   /// docs/METRICS.md `directory.*`): bulk fills requested, records they
   /// installed, replicas evicted under the budget, frontier probes sent
   /// from blocked reads, sharer registrations/deregistrations seen at this
-  /// node's home role, and departed-sharer bits purged at view commits.
+  /// node's home role, writers registered there, and departed-sharer bits
+  /// purged at view commits.
   Counter dir_fills, dir_fill_records, dir_evictions, dir_frontier_pings,
-      dir_sharer_adds, dir_sharer_dels, dir_sharers_purged;
+      dir_sharer_adds, dir_sharer_dels, dir_writer_registrations, dir_sharers_purged;
   /// Time a read/delta spent blocked on a demand-page fill.
   LatencyHistogram dir_fill_wait_ns;
 
@@ -262,9 +263,10 @@ class Node {
   };
 
   /// Home side of a directory fill: the snapshot is deferred until every
-  /// third party has flushed its staging buffers and acknowledged the
-  /// sharer registration (the ack fence that makes a freshly paged-in
-  /// replica satisfy the requester's causal floor).
+  /// other registered writer of the fill's variables has flushed its
+  /// staging buffers and acknowledged the sharer registration (the ack
+  /// fence that makes a freshly paged-in replica satisfy the requester's
+  /// causal floor).
   struct ServingFill {
     ProcId requester = kNoProc;
     std::vector<VarId> vars;
@@ -316,6 +318,12 @@ class Node {
   /// block until the bulk fill installs.  Expects lk held; releases it
   /// while blocked.
   void request_fill(std::unique_lock<std::mutex>& lk, VarId x);
+  /// Before the first write or delta to a directory variable homed
+  /// elsewhere: register with its home as a writer (a write-fault
+  /// kFetchBulkReq) and block until the home's row arrives, so every later
+  /// fill of x fences this node.  No-op once registered.  Expects lk held;
+  /// releases it while blocked.
+  void register_writer(std::unique_lock<std::mutex>& lk, VarId x);
   /// Home side: snapshot the fill's variables into one kFetchBulkResp.
   /// Expects mu_.
   void send_fill_response_locked(std::uint64_t token, const ServingFill& f);
@@ -475,12 +483,21 @@ class Node {
 
   // Directory state (Config::directory; guarded by mu_).
   const bool dir_mode_;
-  /// Full directory mirror: bit p of sharer_mask_[x] set means process p
-  /// holds a demand-paged replica of x.  Every change to x's row flows
-  /// through x's home (kDirSharerAdd / kDirSharerDel multicasts on the
-  /// home's FIFO channels), so all mirrors see one order; the home's own
-  /// rows for its homed variables are the authority.
+  /// Directory rows: bit p of sharer_mask_[x] set means process p holds a
+  /// demand-paged replica of x.  The row is kept at x's home (the
+  /// authority) and mirrored at x's registered writers — the only nodes
+  /// that address updates to x.  Every change flows from the home on its
+  /// FIFO channels (a writer's registration reply, then kDirSharerAdd /
+  /// kDirSharerDel), so each mirror sees one order.  Elsewhere a row is
+  /// unused and may be stale.
   std::vector<std::uint64_t> sharer_mask_;
+  /// Registered writers: at x's home, bit p set means p may write x and is
+  /// fenced by every fill of x (the home's own bit is always set); at any
+  /// other node only this node's own bit is meaningful, set once its
+  /// registration reply has landed.  Elastic runs register every process
+  /// for every variable from the start, so re-homing finds full rows at
+  /// the survivors.
+  std::vector<std::uint64_t> writer_mask_;
   /// Replica presence: homed variables are pinned from the start, others
   /// demand-page in via request_fill and may be evicted back out.
   std::vector<bool> cached_;
@@ -489,10 +506,12 @@ class Node {
   /// Resolved frontier: resolved_[s] >= k promises that every one of s's
   /// first k writes has either been applied here or was never addressed to
   /// a variable this node caches (in which case the fill ack fence covers
-  /// it).  Advanced by frame flush stamps, kFrontierResp, and kViewHello —
-  /// never by fill installs, whose sender's direct channel may still carry
-  /// in-flight writes.  Directory-mode reads gate their vector-clock floors
-  /// on this instead of applied_.
+  /// it).  Advanced by the flush stamps of s's update frames and fill
+  /// replies and by kFrontierResp — each sent by s after flushing, so FIFO
+  /// makes the promise — and by kViewHello.  Fill installs never advance it
+  /// from the snapshot's third-party clocks: a third party's direct channel
+  /// may still carry in-flight writes.  Directory-mode reads gate their
+  /// vector-clock floors on this instead of applied_.
   VectorClock resolved_;
   std::uint64_t fill_token_counter_ = 0;
   std::map<std::uint64_t, PendingFill> fills_;  // requester side, by token

@@ -320,7 +320,7 @@ MetricsSnapshot MixedSystem::metrics() const {
   }
   if (cfg_.directory.has_value()) {
     std::uint64_t fills = 0, fill_records = 0, evictions = 0, pings = 0;
-    std::uint64_t adds = 0, dels = 0, purged = 0;
+    std::uint64_t adds = 0, dels = 0, writers = 0, purged = 0;
     LatencyHistogram fill_wait_ns;
     for (const auto& n : nodes_) {
       const NodeStats& s = n->stats();
@@ -330,6 +330,7 @@ MetricsSnapshot MixedSystem::metrics() const {
       pings += s.dir_frontier_pings.get();
       adds += s.dir_sharer_adds.get();
       dels += s.dir_sharer_dels.get();
+      writers += s.dir_writer_registrations.get();
       purged += s.dir_sharers_purged.get();
       fill_wait_ns.merge(s.dir_fill_wait_ns);
     }
@@ -339,6 +340,7 @@ MetricsSnapshot MixedSystem::metrics() const {
     snap.values["directory.frontier_pings"] = pings;
     snap.values["directory.sharer_adds"] = adds;
     snap.values["directory.sharer_dels"] = dels;
+    snap.values["directory.writer_registrations"] = writers;
     snap.values["directory.sharers_purged"] = purged;
     snap.add_histogram("directory.fill_wait_ns", fill_wait_ns);
   }

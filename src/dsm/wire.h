@@ -97,25 +97,33 @@ enum MsgKind : std::uint16_t {
 
   // --- directory-based partial replication (docs/DIRECTORY.md) -----------
   // Every variable has a *home* node; updates multicast only to registered
-  // sharers plus the home, and replicas demand-page in on first read.
+  // sharers plus the home, and replicas demand-page in on first read.  A
+  // variable's row lives at its home and at its registered writers.
 
   /// Bulk fill request: requester -> home.  a=var count N, b=fill token
-  /// (requester-local), c=requester's view epoch (0 outside elastic mode);
-  /// payload = N variable ids (the missing variable plus same-home
-  /// prefetch candidates).  A home behind the stamped epoch defers the
-  /// request until its own commit catches up.
+  /// (requester-local), c=requester's view epoch (0 outside elastic mode),
+  /// d=1 flags a write fault (0 for a fill); payload = N variable ids (the
+  /// missing variable plus same-home prefetch candidates).  A write fault
+  /// registers the requester as a writer of the N variables and is
+  /// answered with their rows in one kDirSharerSync instead of a fill (b
+  /// unused).  A home behind the stamped epoch defers the request until
+  /// its own commit catches up.
   kFetchBulkReq = 21,
-  /// Bulk fill reply: home -> requester.  b=fill token; a, c, d and the
+  /// Bulk fill reply: home -> requester.  b=the home's flush stamp, as on
+  /// kUpdate (the home flushed before shipping, so it advances the
+  /// requester's resolved frontier like kFrontierResp); a, c, d and the
   /// payload are an update frame (dsm/batch.h) of one record per requested
   /// variable carrying value, writer, seq, delta-encoded vector clock,
-  /// write epoch, counter baseline flag, and staleness baseline.
+  /// write epoch, counter baseline flag, and staleness baseline, followed
+  /// by one trailing payload word: the fill token.
   kFetchBulkResp = 22,
   /// Sharer registration, home-serialized.  a=var count N, b=fill token,
   /// c=requesting process, d=home's view epoch; payload = N variable ids.
-  /// Multicast home -> every other live node; each receiver updates its
-  /// directory mirror, flushes staged updates, and acks (deferring until
-  /// its own view epoch catches up to d, so re-homing offers staged at
-  /// that commit flush under the fence).
+  /// Multicast home -> the other registered writers of the N variables
+  /// (every other live node under elastic membership); each receiver
+  /// updates its row mirror, flushes staged updates, and acks (deferring
+  /// until its own view epoch catches up to d, so re-homing offers staged
+  /// at that commit flush under the fence).
   kDirSharerAdd = 23,
   /// Registration ack: node -> home.  a=fill token, b=requesting process
   /// (tokens are requester-local).  FIFO-ordered behind the acker's
@@ -125,8 +133,8 @@ enum MsgKind : std::uint16_t {
   /// Eviction deregistration: evictor -> home.  a=var count N; payload =
   /// N variable ids.
   kDirUnregister = 25,
-  /// Sharer removal fan-out: home -> other live nodes.  a=var count N,
-  /// c=evicting process; payload = N variable ids.
+  /// Sharer removal fan-out: home -> the variables' other registered
+  /// writers.  a=var count N, c=evicting process; payload = N variable ids.
   kDirSharerDel = 26,
   /// Write-frontier probe for a blocked read.  No fields: the receiver
   /// flushes its staged updates and replies with its own clock component.
@@ -134,9 +142,11 @@ enum MsgKind : std::uint16_t {
   /// a=responder's own clock component, FIFO-ordered behind its flushed
   /// updates.
   kFrontierResp = 28,
-  /// Joiner directory sync: each home -> joiner at view commit.  a=pair
-  /// count N, b=view epoch; payload = N (var, sharer mask) pairs for the
-  /// sender's own homed variables (authoritative).
+  /// Authoritative rows: home -> a writer, answering its write-fault
+  /// kFetchBulkReq, and each home -> joiner at view commit.  a=pair count
+  /// N, b=view epoch (0 on a registration reply); payload = N (var, sharer
+  /// mask) pairs for variables the sender homes.  The receiver installs
+  /// the rows and is a registered writer of those variables from then on.
   kDirSharerSync = 29,
 };
 

@@ -3,8 +3,9 @@
 // Protocol-level coverage: demand-paging on first read, sharer-multicast
 // instead of broadcast, LRU eviction under the replica budget with
 // deregistration and re-fetch freshness, the owner pin (eviction never
-// drops the last copy), delta write-allocation, read-floor soundness on
-// freshly paged-in replicas across barriers and locks, and the directory.*
+// drops the last copy), delta write-allocation, writer registration and
+// the writer-scoped fill fence, read-floor soundness on freshly paged-in
+// replicas across barriers and locks, and the directory.*
 // / net.bytes.* metrics surface.  App-level bitwise equivalence lives in
 // apps_directory_test.cpp; chaos and elastic interplay in chaos_test.cpp
 // and the elastic sections below.
@@ -13,6 +14,7 @@
 
 #include "gtest_compat.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -388,6 +390,196 @@ TEST(Directory, CausalChainAcrossThreeNodes) {
 }
 
 // ----------------------------------------------------------------------
+// Writer-scoped rows: fills fence only a variable's registered writers
+// ----------------------------------------------------------------------
+
+TEST(Directory, StripShapeSendsNoDirectoryControlTraffic) {
+  // Each process writes only its homed stripe and reads a window of a
+  // rotating neighbour's: every variable's only writer is its home, so
+  // fills fence nobody, evictions refresh no mirror, and the fill reply's
+  // flush stamp resolves the home's frontier without a ping.
+  constexpr std::size_t kProcs = 4, kStripe = 8, kWindow = 4, kRounds = 6;
+  MixedSystem sys(dir_config(kProcs, kProcs * kStripe, /*budget=*/kWindow + 2,
+                             /*fetch_frame=*/kWindow));
+  sys.run([&](Node& n, ProcId p) {
+    const auto base = static_cast<VarId>(p * kStripe);
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      for (std::size_t i = 0; i < kStripe; ++i) {
+        n.write_int(base + static_cast<VarId>(i), static_cast<std::int64_t>(100 * r + i));
+      }
+      n.barrier();
+      const auto nb = static_cast<VarId>(((p + 1 + r % (kProcs - 1)) % kProcs) * kStripe);
+      for (std::size_t i = 0; i < kWindow; ++i) {
+        EXPECT_EQ(n.read_int(nb + static_cast<VarId>(i), ReadMode::kPram),
+                  static_cast<std::int64_t>(100 * r + i));
+      }
+      n.barrier();
+    }
+  });
+  const MetricsSnapshot snap = sys.metrics();
+  EXPECT_GT(snap.get("directory.fills"), 0u);
+  EXPECT_GT(snap.get("directory.evictions"), 0u);
+  EXPECT_GT(snap.get("net.msg.dir_unregister"), 0u);
+  for (const char* key : {"net.msg.dir_sharer_add", "net.msg.dir_ack",
+                          "net.msg.dir_sharer_del", "net.msg.frontier_req"}) {
+    EXPECT_EQ(snap.get(key), 0u) << key;
+  }
+  EXPECT_EQ(snap.get("directory.writer_registrations"), 0u);
+}
+
+TEST(Directory, NonHomeWriterRegistersOnceAndReachesLaterSharers) {
+  // p0 writes var 3 (homed at p1): one registration, however many writes.
+  // p2 then fills var 3, which fences p0 and so hands it p2's bit; p0's
+  // next write must reach p2 directly, with no barrier in between.
+  Config cfg = dir_config(3, 9);  // vars 0..2 p0, 3..5 p1, 6..8 p2
+  cfg.batching = BatchingConfig{};  // the flusher ships staged writes
+  MixedSystem sys(cfg);
+  sys.run([](Node& n, ProcId p) {
+    if (p == 0) {
+      n.write_int(3, 1);
+      n.write_int(3, 2);
+      n.barrier();
+      n.await_int(6, 1);  // p2 has filled var 3
+      n.write_int(3, 42);
+      n.barrier();
+    } else if (p == 1) {
+      n.barrier();
+      n.barrier();
+    } else {
+      n.barrier();
+      EXPECT_EQ(n.read_int(3, ReadMode::kPram), 2);
+      n.write_int(6, 1);
+      const auto deadline = std::chrono::steady_clock::now() + 5s;
+      while (n.read_int(3, ReadMode::kPram) != 42 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(200us);
+      }
+      EXPECT_EQ(n.read_int(3, ReadMode::kPram), 42);
+      n.barrier();
+    }
+  });
+  EXPECT_EQ(sys.metrics().get("directory.writer_registrations"), 1u);
+}
+
+/// Process 0 registers as a writer of var 3 (homed at p1).  Then, for each
+/// reader in turn, it stages a write that no synchronization action
+/// flushes, and the reader fills var 3 for the first time: the fill must
+/// fence p0, whose flush puts the staged write in the snapshot.
+void expect_fills_fence_staged_writes(const std::vector<ProcId>& readers) {
+  MixedSystem sys(dir_config(4, 12));  // vars 3..5 homed at p1
+  std::atomic<std::size_t> step{0};    // 2k+1: write k staged, 2k+2: read k done
+  const auto wait_for_step = [&](std::size_t s) {
+    while (step.load() < s) std::this_thread::sleep_for(200us);
+  };
+  sys.run([&](Node& n, ProcId p) {
+    if (p == 0) n.write_int(3, 1);  // registers; the barrier flushes it
+    n.barrier();
+    for (std::size_t k = 0; k < readers.size(); ++k) {
+      const auto v = static_cast<std::int64_t>(100 + k);
+      if (p == 0) {
+        n.write_int(3, v);
+        step = 2 * k + 1;
+      } else if (p == readers[k]) {
+        wait_for_step(2 * k + 1);
+        EXPECT_EQ(n.read_int(3, ReadMode::kPram), v) << "reader " << p;
+        step = 2 * k + 2;
+      }
+      wait_for_step(2 * k + 2);
+    }
+    n.barrier();
+  });
+  EXPECT_EQ(sys.metrics().get("directory.fills"), readers.size());
+}
+
+TEST(Directory, FillFencesRegisteredWriterWithStagedWrite) {
+  expect_fills_fence_staged_writes({2});
+}
+
+TEST(Directory, SecondFillByAnotherReaderStillFencesWriters) {
+  // p0 already knows p2's bit when it stages the second write; p3's fill
+  // must fence p0 again all the same.
+  expect_fills_fence_staged_writes({2, 3});
+}
+
+/// Poll `ep`'s mailbox until a message arrives or `limit` passes.
+std::optional<net::Message> recv_within(net::Fabric& f, net::Endpoint ep,
+                                        std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  for (;;) {
+    if (auto m = f.mailbox(ep).try_recv()) return m;
+    if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
+    std::this_thread::sleep_for(200us);
+  }
+}
+
+TEST(Directory, WriterRegisteringMidFillGetsRequesterBit) {
+  // The home of var 2, p1, is a real node; the test plays p0 (a registered
+  // writer), p2 (a reader filling var 2) and p3 (a writer registering while
+  // that fill waits for p0's fence ack).
+  constexpr VarId kVar = 2;
+  constexpr std::uint64_t kToken = 9;
+  const Config cfg = dir_config(4, 8);  // vars 2, 3 homed at p1
+  net::Fabric f(6);
+  Node home(cfg, 1, f, /*lock_mgr=*/4, /*barrier_mgr=*/5);
+  // Shut the fabric down before the node joins its threads, on every exit.
+  struct ShutdownOnExit {
+    net::Fabric& f;
+    ~ShutdownOnExit() { f.shutdown(); }
+  } shutdown_on_exit{f};
+  home.write_int(kVar, 5);  // own variable, no sharers yet: stays local
+  const auto request = [&](ProcId from, bool write_fault) {
+    net::Message req;
+    req.src = from;
+    req.dst = 1;
+    req.kind = kFetchBulkReq;
+    req.a = 1;
+    req.b = write_fault ? 0 : kToken;
+    req.d = write_fault ? 1 : 0;
+    req.payload = {kVar};
+    EXPECT_TRUE(f.mailbox(1).push(std::move(req)));
+  };
+
+  request(0, /*write_fault=*/true);
+  auto reply = recv_within(f, 0, 5s);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->kind, kDirSharerSync);
+  EXPECT_EQ(reply->payload, (std::vector<std::uint64_t>{kVar, 0}));
+
+  request(2, /*write_fault=*/false);
+  auto add = recv_within(f, 0, 5s);
+  ASSERT_TRUE(add.has_value()) << "the fill must fence the registered writer";
+  EXPECT_EQ(add->kind, kDirSharerAdd);
+  EXPECT_EQ(add->c, 2u);
+
+  request(3, /*write_fault=*/true);
+  reply = recv_within(f, 3, 5s);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->kind, kDirSharerSync);
+  EXPECT_EQ(reply->payload, (std::vector<std::uint64_t>{kVar, std::uint64_t{1} << 2}));
+  EXPECT_FALSE(f.mailbox(2).try_recv().has_value()) << "fill answered before the fence";
+
+  net::Message ack;
+  ack.src = 0;
+  ack.dst = 1;
+  ack.kind = kDirAck;
+  ack.a = kToken;
+  ack.b = 2;
+  ASSERT_TRUE(f.mailbox(1).push(std::move(ack)));
+  auto resp = recv_within(f, 2, 5s);
+  ASSERT_TRUE(resp.has_value());
+  ASSERT_EQ(resp->kind, kFetchBulkResp);
+  EXPECT_EQ(resp->b, 1u);  // the home's flush stamp: its one clocked write
+  ASSERT_FALSE(resp->payload.empty());
+  EXPECT_EQ(resp->payload.back(), kToken);
+  resp->payload.pop_back();
+  const std::vector<BatchRecord> recs = decode_frame(*resp, 4, false);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].var, kVar);
+  EXPECT_EQ(int_of(recs[0].value), 5);
+  EXPECT_EQ(home.stats().dir_writer_registrations.get(), 2u);
+}
+
+// ----------------------------------------------------------------------
 // Frontier stamps beside demand locks
 // ----------------------------------------------------------------------
 //
@@ -411,10 +603,30 @@ Config demand_dir_config() {
 
 constexpr net::Endpoint kLockEp = 3, kBarrierEp = 4;
 
+/// Process 0's first write to a variable homed at process 1 registers it as
+/// a writer there; the test, playing process 1, answers with an empty row.
+void write_registered(net::Fabric& f, Node& p0, VarId x, std::int64_t v) {
+  auto writer = std::async(std::launch::async, [&] { p0.write_int(x, v); });
+  auto req = f.mailbox(1).recv();
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->kind, kFetchBulkReq);
+  EXPECT_EQ(req->d, 1u);  // write fault
+  ASSERT_EQ(req->payload.size(), 1u);
+  EXPECT_EQ(req->payload[0], x);
+  net::Message rows;
+  rows.src = 1;
+  rows.dst = 0;
+  rows.kind = kDirSharerSync;
+  rows.a = 1;
+  rows.payload = {x, 0};
+  ASSERT_TRUE(f.mailbox(0).push(std::move(rows)));
+  ASSERT_EQ(writer.wait_for(10s), std::future_status::ready);
+}
+
 /// Process 0 writes x, then three demand-lock writes, then y (staged, not
 /// flushed).  Returns the frame the unlock flushed to process 1.
 net::Message writes_behind_demand_lock(net::Fabric& f, Node& p0) {
-  p0.write_int(kX, 1);  // clock component 1
+  write_registered(f, p0, kX, 1);  // clock component 1
   net::Message grant;
   grant.src = kLockEp;
   grant.dst = 0;
@@ -427,9 +639,9 @@ net::Message writes_behind_demand_lock(net::Fabric& f, Node& p0) {
   p0.wlock(kDemandLock);
   for (int i = 0; i < 3; ++i) p0.write_int(kDemandVar, 10 + i);  // no ticks
   p0.wunlock(kDemandLock);  // flushes x to its home, p1
-  p0.write_int(kY, 7);      // clock component 2, staged
   auto flushed = f.mailbox(1).recv();
   EXPECT_TRUE(flushed.has_value());
+  write_registered(f, p0, kY, 7);  // clock component 2, staged
   return flushed.value_or(net::Message{});
 }
 

@@ -48,6 +48,7 @@ DIRECTORY_KEYS = {
     "directory.frontier_pings",
     "directory.sharer_adds",
     "directory.sharer_dels",
+    "directory.writer_registrations",
     "directory.sharers_purged",
 }
 
