@@ -54,7 +54,7 @@ void lock_policy_case(Harness& h, LockPolicy policy, std::size_t procs, int roun
               to_string(policy), procs, rounds, ms, msgs(m), bytes(m),
               static_cast<unsigned long long>(m.get("net.msg.update")),
               static_cast<unsigned long long>(m.get("net.msg.sync_req")),
-              static_cast<unsigned long long>(m.get("net.msg.fetch_req")),
+              static_cast<unsigned long long>(m.get("net.msg.fetch_bulk_req")),
               blocked_ms(m));
   auto& row = h.add_row(std::string("lock-") + to_string(policy));
   row.params["policy"] = to_string(policy);

@@ -30,8 +30,13 @@ std::uint64_t option_bits(const BatchRecord& r) {
 
 net::Message encode_frame(std::span<const BatchRecord> recs, std::size_t num_procs,
                           bool omit_timestamps) {
-  MC_CHECK(!recs.empty());
   MC_CHECK_MSG(num_procs <= kMaxProcs, "frame clock-delta masks assume <= 64 processes");
+  net::Message m;
+  m.kind = kUpdate;
+  if (recs.empty()) {
+    MC_CHECK_MSG(!omit_timestamps, "only vector-clock frames may be empty");
+    return m;  // no base clock marks the frame empty
+  }
   const std::size_t clock_words = omit_timestamps ? 0 : num_procs;
   std::array<std::uint64_t, kMaxProcs> base{};
   if (!omit_timestamps) {
@@ -41,8 +46,6 @@ net::Message encode_frame(std::span<const BatchRecord> recs, std::size_t num_pro
       for (ProcId p = 0; p < num_procs; ++p) base[p] = std::min(base[p], r.vc[p]);
     }
   }
-  net::Message m;
-  m.kind = kUpdate;
   // Enough for any one-record frame, so an unbatched write allocates once.
   m.payload.reserve(clock_words + 3 * recs.size());
   m.payload.insert(m.payload.end(), base.begin(), base.begin() + clock_words);
@@ -79,8 +82,12 @@ net::Message encode_frame(std::span<const BatchRecord> recs, std::size_t num_pro
 
 FrameReader::FrameReader(const net::Message& m, std::size_t num_procs, bool omit_timestamps)
     : m_(m) {
-  MC_CHECK(m.kind == kUpdate || m.kind == kFetchBulkResp);
+  MC_CHECK(m.kind == kUpdate || m.kind == kFetchBulkResp || m.kind == kViewState);
   if (!omit_timestamps) {
+    if (m.payload.empty()) {
+      first_ = false;  // an empty frame: no base clock, no records
+      return;
+    }
     MC_CHECK(num_procs <= kMaxProcs && m.payload.size() >= num_procs);
     base_ = std::span(m.payload).first(num_procs);
     pos_ = num_procs;

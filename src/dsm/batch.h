@@ -1,11 +1,16 @@
-// Update frames: N >= 1 memory-update records in one kUpdate message, the
-// only wire format updates travel in (DESIGN.md §6.3).  An unbatched write
-// is a one-record frame; a batching flush ships one frame per destination;
-// directory fills (kFetchBulkResp) reuse the codec.
+// Update frames: the one record format for memory updates and for every
+// state snapshot (DESIGN.md §6.3).  A kUpdate frame carries N >= 1 update
+// records: an unbatched write is a one-record frame, a batching flush ships
+// one frame per destination.  A snapshot frame carries one snapshot record
+// per variable — value, writer, seq, clock, write epoch, kFlagCounterBase
+// for a delta-touched entry, and the staleness baseline — and travels as a
+// directory fill or demand fetch reply (kFetchBulkResp) or a view change's
+// state transfer (kViewState).
 //
 // Record 0 rides in the header (a = its w0, c = value, d = seq); b is left
 // to the carrying kind (the sender's flush stamp on kUpdate in directory
-// mode and on kFetchBulkResp).  Payload (P = num_procs <= 64):
+// mode and on kFetchBulkResp, the flavour on kViewState).  Payload
+// (P = num_procs <= 64):
 //
 //   base clock           P words: component-wise MINIMUM of the record
 //                        clocks (coalescing can make record clocks
@@ -23,10 +28,12 @@
 // say which of these follow; the encoder derives them and the decoder
 // strips them, so a record's `flags` hold only the operation and
 // kFlagCounterBase.  Records are self-delimiting, so N is implicit.  A
-// one-record frame thus costs exactly a bare timestamped update: the
-// header plus P words (plus the epoch word in elastic runs), the header
-// alone in count mode.  The payload holds exactly the words a real wire
-// format would ship, so Message::wire_bytes() charges the encoded size.
+// vector-clock frame with no records (an empty join snapshot) has no
+// payload at all: every other vector-clock frame carries its base clock.
+// A one-record frame costs exactly a bare timestamped update: the header
+// plus P words (plus the epoch word in elastic runs), the header alone in
+// count mode.  The payload holds exactly the words a real wire format
+// would ship, so Message::wire_bytes() charges the encoded size.
 //
 // `weight` counts the original updates coalesced into a record (LWW
 // writes, summed deltas); receivers advance their per-sender receive index
@@ -43,7 +50,8 @@
 
 namespace mc::dsm {
 
-/// One staged (possibly coalesced) update inside a frame.
+/// One staged (possibly coalesced) update, or one variable's snapshot,
+/// inside a frame.
 struct BatchRecord {
   VarId var = 0;
   Value value = 0;
@@ -53,17 +61,19 @@ struct BatchRecord {
   VectorClock vc;  // empty in count-vector mode
   /// View epoch of the write (elastic runs; 0 otherwise).
   std::uint64_t epoch = 0;
-  /// Explicit writer; kNoProc means "the frame sender".
+  /// Explicit writer; kNoProc means "the frame sender" in an update and
+  /// "never written" in a snapshot.
   ProcId writer = kNoProc;
-  /// Staleness baseline shipped with directory fills: the home's
-  /// applied-write count for the variable.
+  /// Staleness baseline shipped with snapshots: the sender's applied-write
+  /// count for the variable.
   std::uint64_t baseline = 0;
 
   friend bool operator==(const BatchRecord&, const BatchRecord&) = default;
 };
 
-/// Encode records into one kUpdate frame.  src, dst and b are left for the
-/// caller.
+/// Encode records into one kUpdate frame; snapshot senders re-kind it.
+/// src, dst and b are left for the caller.  `recs` may be empty only in
+/// vector-clock mode.
 [[nodiscard]] net::Message encode_frame(std::span<const BatchRecord> recs,
                                         std::size_t num_procs, bool omit_timestamps);
 
@@ -87,7 +97,7 @@ class FrameReader {
   bool first_ = true;
 };
 
-/// Decode a whole frame (tests and directory fills).
+/// Decode a whole frame (tests and snapshots).
 [[nodiscard]] std::vector<BatchRecord> decode_frame(const net::Message& m,
                                                     std::size_t num_procs,
                                                     bool omit_timestamps);

@@ -211,9 +211,6 @@ void Node::deliver(const net::Message& m) {
       ++sync_acks_[m.a];
       break;
     }
-    case kFetchReq:
-      on_fetch_request(m);
-      break;
     case kViewPropose:
       if (elastic_) on_view_propose(m);
       break;
@@ -272,20 +269,6 @@ void Node::deliver(const net::Message& m) {
     case kDirSharerSync:
       on_dir_sharer_sync(m);
       break;
-    case kFetchResp: {
-      FetchResult res;
-      res.value = m.c;
-      res.id = WriteId{static_cast<ProcId>(m.d), m.payload.empty() ? 0 : m.payload[0]};
-      res.vc = VectorClock(cfg_.num_procs);
-      MC_CHECK(m.payload.size() == 1 + cfg_.num_procs);
-      for (ProcId p = 0; p < cfg_.num_procs; ++p) res.vc.set(p, m.payload[1 + p]);
-      res.trace_id = m.trace_id;
-      {
-        std::scoped_lock lk(mu_);
-        fetch_results_[m.b] = std::move(res);
-      }
-      break;
-    }
     default:
       break;
   }
@@ -429,29 +412,6 @@ void Node::drain_causal_buffers() {
   }
 }
 
-void Node::on_fetch_request(const net::Message& m) {
-  net::Message resp;
-  resp.src = self_;
-  resp.dst = m.src;
-  resp.kind = kFetchResp;
-  resp.a = m.a;
-  resp.b = m.b;
-  {
-    std::scoped_lock lk(mu_);
-    // Mandatory flush (batching): serving a demand fetch is update
-    // propagation — the response's clock may cover staged writes, which
-    // must already be travelling when the requester blocks on them.
-    if (cfg_.batching.has_value()) flush_staged_locked();
-    const VarEntry& e = mem_.entry(static_cast<VarId>(m.a));
-    resp.c = e.value;
-    resp.d = e.last.proc;
-    resp.payload.push_back(e.last.seq);
-    const VectorClock vc = e.vc.empty() ? VectorClock(cfg_.num_procs) : e.vc;
-    resp.payload.insert(resp.payload.end(), vc.components().begin(), vc.components().end());
-  }
-  fabric_.send(std::move(resp));
-}
-
 // ----------------------------------------------------------------------
 // Elastic membership (Config::elastic; dsm/view.h, docs/FAULTS.md)
 // ----------------------------------------------------------------------
@@ -504,6 +464,26 @@ void Node::on_view_commit(const net::Message& m) {
     const auto owner = it->second;
     if (owner < 64 && ((departed >> owner) & 1) != 0) it = invalid_.erase(it);
     else ++it;
+  }
+  // Fetches in flight.  A demand fetch keeps waiting on a live owner; one
+  // whose owner departed completes with no install, so the reader falls
+  // back to its local copy as above.  A directory fill aborts rather than
+  // re-aims — re-homing can even split a prefetch frame across new homes —
+  // and the blocked reader wakes, re-checks its miss, and re-faults under
+  // the new view.
+  for (auto& [token, pf] : fills_) {
+    if (pf.done) continue;
+    if (pf.owner != kNoProc) {
+      pf.done = pf.owner < 64 && ((departed >> pf.owner) & 1) != 0;
+      continue;
+    }
+    for (const VarId x : pf.vars) {
+      fill_inflight_[x] = false;
+      // Held raced-the-fill records die with the fill: the re-issued
+      // fill's fence re-covers anything a surviving writer sent.
+      fill_backlog_.erase(x);
+    }
+    pf.done = true;
   }
   // Buffered updates gated on a dead component may be ready under the mask.
   drain_causal_buffers();
@@ -566,29 +546,31 @@ void Node::on_view_commit(const net::Message& m) {
       }
       f.need_acks &= view_.alive_mask;
       if (f.need_acks == 0) {
-        send_fill_response_locked(it->first.second, f);
+        send_fetch_response_locked(f.requester, f.vars, it->first.second);
         it = fills_serving_.erase(it);
       } else {
         ++it;
       }
     }
-    // Requester-side fills: abort rather than re-aim — re-homing can even
-    // split a prefetch frame across new homes.  The blocked reader wakes,
-    // re-checks its miss, and re-faults under the new view.
-    for (auto& [token, pf] : fills_) {
-      if (pf.done) continue;
-      for (const VarId x : pf.vars) {
-        fill_inflight_[x] = false;
-        // Held raced-the-fill records die with the fill: the re-issued
-        // fill's fence re-covers anything a surviving writer sent.
-        fill_backlog_.erase(x);
-      }
-      pf.done = true;
-    }
     // Handlers deferred to this epoch re-run once mu_ drops at the end of
     // this function (they take the lock themselves, and may re-defer).
     replay.swap(dir_deferred_);
   }
+
+  // The kViewState snapshot of the variables this node holds whose entries
+  // pass `keep`.  Directory mode ships only variables this node actually
+  // caches: an evicted replica's stale entry is not a donatable copy.
+  const auto view_state = [&](ViewStateFlavour flavour, auto keep) {
+    std::vector<VarId> vars;
+    for (VarId x = 0; x < mem_.size(); ++x) {
+      if ((!dir_managed(x) || cached_[x]) && keep(mem_.entry(x))) vars.push_back(x);
+    }
+    net::Message st = snapshot_frame_locked(vars);
+    st.kind = kViewState;
+    st.b = flavour;
+    stats_.reseeds_out.add(vars.size());
+    return st;
+  };
 
   // Donor duties: re-seed each departed process's surviving latest writes,
   // or ship the joiner a full snapshot.
@@ -598,40 +580,15 @@ void Node::on_view_commit(const net::Message& m) {
     const auto donor = static_cast<ProcId>(m.payload[2 * k + 1]);
     if (donor != self_) continue;
     const bool to_joiner = target == joiner && joiner != kNoProc;
-    net::Message st;
-    st.src = self_;
-    st.kind = kViewState;
-    st.b = view_.epoch;
-    st.c = to_joiner ? 1 : 0;
-    std::uint64_t count = 0;
-    for (VarId x = 0; x < mem_.size(); ++x) {
-      // Directory mode: only ship variables this node actually caches — an
-      // evicted replica's stale entry is not a donatable copy.
-      if (dir_mode_ && dir_managed(x) && !cached_[x]) continue;
-      const VarEntry& e = mem_.entry(x);
-      if (to_joiner) {
-        // Full snapshot: every entry ever touched, counters included (the
-        // joiner has no local applications to double-count against).
-        if (!e.last.valid() && e.vc.empty()) continue;
-      } else {
-        // Re-seed: only entries whose latest write is the departed
-        // process's, and never counters (a delta-merged value is a sum of
-        // per-replica applications, not a replicable LWW winner).
-        if (e.last.proc != target || e.delta_touched) continue;
-      }
-      st.payload.push_back(x);
-      st.payload.push_back(e.value);
-      st.payload.push_back(e.last.proc);
-      st.payload.push_back(e.last.seq);
-      st.payload.push_back(e.delta_touched ? 1 : 0);
-      st.payload.push_back(e.epoch);
-      const VectorClock vc = e.vc.empty() ? VectorClock(cfg_.num_procs) : e.vc;
-      st.payload.insert(st.payload.end(), vc.components().begin(),
-                        vc.components().end());
-      ++count;
-    }
-    st.a = count;
-    stats_.reseeds_out.add(count);
+    // A full snapshot ships every entry ever touched, counters included
+    // (the joiner has no local applications to double-count against).  A
+    // re-seed ships only entries whose latest write is the departed
+    // process's, and never counters (a delta-merged value is a sum of
+    // per-replica applications, not a replicable LWW winner).
+    net::Message st = view_state(to_joiner ? kJoinSnapshot : kReseed, [&](const VarEntry& e) {
+      return to_joiner ? e.last.valid() || !e.vc.empty()
+                       : e.last.proc == target && !e.delta_touched;
+    });
     if (to_joiner) {
       st.dst = joiner;
       fabric_.send(std::move(st));
@@ -656,30 +613,10 @@ void Node::on_view_commit(const net::Message& m) {
     // writes; LWW arbitration at the joiner picks the same winner the
     // survivors converged on, in either arrival order.  Counters stay
     // snapshot-only (a delta-merged value is not a replicable LWW winner).
-    net::Message bf;
-    bf.src = self_;
+    net::Message bf = view_state(kSelfBackfill, [&](const VarEntry& e) {
+      return e.last.proc == self_ && !e.delta_touched;
+    });
     bf.dst = joiner;
-    bf.kind = kViewState;
-    bf.b = view_.epoch;
-    bf.c = 2;
-    std::uint64_t count = 0;
-    for (VarId x = 0; x < mem_.size(); ++x) {
-      if (dir_mode_ && dir_managed(x) && !cached_[x]) continue;
-      const VarEntry& e = mem_.entry(x);
-      if (e.last.proc != self_ || e.delta_touched) continue;
-      bf.payload.push_back(x);
-      bf.payload.push_back(e.value);
-      bf.payload.push_back(e.last.proc);
-      bf.payload.push_back(e.last.seq);
-      bf.payload.push_back(0);
-      bf.payload.push_back(e.epoch);
-      const VectorClock vc = e.vc.empty() ? VectorClock(cfg_.num_procs) : e.vc;
-      bf.payload.insert(bf.payload.end(), vc.components().begin(),
-                        vc.components().end());
-      ++count;
-    }
-    bf.a = count;
-    stats_.reseeds_out.add(count);
     fabric_.send(std::move(bf));
 
     net::Message hello;
@@ -731,42 +668,18 @@ void Node::on_view_commit(const net::Message& m) {
 }
 
 void Node::on_view_state(const net::Message& m) {
-  // c distinguishes the shipment flavours: 0 = a donor's re-seed of a
-  // departed process's writes to the survivors, 1 = the donor's full
-  // snapshot to the joiner, 2 = a survivor's self-backfill to the joiner
-  // (see on_view_commit).
-  const bool full_snapshot = m.c == 1;
-  const std::size_t stride = 6 + cfg_.num_procs;
+  const std::vector<BatchRecord> recs =
+      decode_frame(m, cfg_.num_procs, /*omit_timestamps=*/false);
   std::scoped_lock lk(mu_);
-  MC_CHECK(m.payload.size() >= m.a * stride);
-  for (std::uint64_t k = 0; k < m.a; ++k) {
-    const std::uint64_t* rec = m.payload.data() + k * stride;
-    const auto x = static_cast<VarId>(rec[0]);
+  for (const BatchRecord& r : recs) {
     // Directory mode: a snapshot record for a variable this node does not
     // cache must not materialize a replica outside the directory's
     // knowledge — skip it; a later read demand-pages a fresh copy.
-    if (dir_mode_ && dir_managed(x) && !cached_[x]) continue;
-    const Value value = rec[1];
-    const WriteId id{static_cast<ProcId>(rec[2]), rec[3]};
-    const bool delta_touched = rec[4] != 0;
-    const std::uint64_t wepoch = rec[5];
-    VectorClock vc(cfg_.num_procs);
-    for (ProcId p = 0; p < cfg_.num_procs; ++p) vc.set(p, rec[6 + p]);
-    if (full_snapshot && delta_touched) {
-      // Counter baseline: an absolute value the joiner has no local
-      // applications to double-count against — install verbatim.
-      mem_.install(x, value, id, vc, delta_touched, wepoch);
-    } else if (!mem_.entry(x).delta_touched) {
-      // LWW arbitration (store.cpp) picks the winner between the shipped
-      // copy and whatever this replica already holds — snapshots,
-      // backfills, and direct updates commute to the same result, and the
-      // record's original write epoch keeps a dead process's
-      // partially-delivered last write from beating a new-view overwrite.
-      mem_.apply(x, value, kFlagWrite, id, vc, 0, /*force=*/false, 1, wepoch);
-    }
+    if (dir_managed(r.var) && !cached_[r.var]) continue;
+    install_snapshot_locked(r, /*force=*/false);
     stats_.reseeds_in.add();
   }
-  if (full_snapshot) snapshot_done_ = true;
+  if (m.b == kJoinSnapshot) snapshot_done_ = true;
 }
 
 void Node::on_view_barrier_sync(const net::Message& m) {
@@ -969,6 +882,7 @@ void Node::request_fill(std::unique_lock<std::mutex>& lk, VarId x) {
   req.a = pf.vars.size();
   req.b = token;
   req.c = elastic_ ? view_.epoch : 0;
+  req.d = kFetchFill;
   req.payload.assign(pf.vars.begin(), pf.vars.end());
   fabric_.send(std::move(req));
   wait_or_die(lk, "directory fill blocked past the liveness deadline", [&] {
@@ -989,7 +903,7 @@ void Node::register_writer(std::unique_lock<std::mutex>& lk, VarId x) {
   req.dst = effective_home(x);
   req.kind = kFetchBulkReq;
   req.a = 1;
-  req.d = 1;  // write fault
+  req.d = kFetchWriteFault;
   req.payload.push_back(x);
   fabric_.send(std::move(req));
   wait_or_die(lk, "directory writer registration blocked past the liveness deadline",
@@ -999,6 +913,15 @@ void Node::register_writer(std::unique_lock<std::mutex>& lk, VarId x) {
 void Node::on_fetch_bulk_req(const net::Message& m) {
   const auto requester = static_cast<ProcId>(m.src);
   std::scoped_lock lk(mu_);
+  MC_CHECK(m.payload.size() >= m.a && m.a >= 1);
+  std::vector<VarId> vars(m.payload.begin(), m.payload.begin() + m.a);
+  if (m.d == kFetchDemand) {
+    // A demand-lock miss: ship our copy.  Nothing to register and nobody
+    // to fence — the write lock serializes the variable's writers, and we
+    // were the last.
+    send_fetch_response_locked(requester, vars, m.b);
+    return;
+  }
   if (elastic_ && m.c > view_.epoch) {
     // Sent under a view we have not committed yet: our home assignment and
     // the re-homing offers other holders stage at that commit are not in
@@ -1006,12 +929,10 @@ void Node::on_fetch_bulk_req(const net::Message& m) {
     dir_deferred_.push_back(m);
     return;
   }
-  MC_CHECK(m.payload.size() >= m.a && m.a >= 1);
-  std::vector<VarId> vars(m.payload.begin(), m.payload.begin() + m.a);
   // No longer this variable's home (same-epoch assignment is deterministic,
   // so the requester was behind): it re-issues at its own commit.
   if (effective_home(vars[0]) != self_) return;
-  if (m.d != 0) {
+  if (m.d == kFetchWriteFault) {
     // Write fault: register the writer and answer with the current rows.
     // From here on this node's row changes reach the writer behind the
     // reply (FIFO), and every fill of these variables fences it.
@@ -1056,7 +977,7 @@ void Node::on_fetch_bulk_req(const net::Message& m) {
   fence &= ~(std::uint64_t{1} << requester);
   fence &= ~(std::uint64_t{1} << self_);
   if (fence == 0) {
-    send_fill_response_locked(m.b, f);
+    send_fetch_response_locked(requester, f.vars, m.b);
     return;
   }
   f.need_acks = fence;
@@ -1113,22 +1034,17 @@ void Node::on_dir_ack(const net::Message& m) {
   if (it == fills_serving_.end()) return;  // answered at a view commit re-mask
   it->second.need_acks &= ~(std::uint64_t{1} << static_cast<ProcId>(m.src));
   if (it->second.need_acks == 0) {
-    send_fill_response_locked(m.a, it->second);
+    send_fetch_response_locked(it->second.requester, it->second.vars, m.a);
     fills_serving_.erase(it);
   }
 }
 
-void Node::send_fill_response_locked(std::uint64_t token, const ServingFill& f) {
-  // Our own staged writes are not fenced by the acks; flush them into the
-  // snapshot too.  The flush also puts every earlier write of ours to the
-  // requester ahead of the reply, so it carries our frontier stamp.
-  if (cfg_.batching.has_value()) flush_staged_locked();
-  std::vector<BatchRecord> recs;
-  recs.reserve(f.vars.size());
-  for (const VarId x : f.vars) {
-    const VarEntry& e = mem_.entry(x);
-    BatchRecord r;
-    r.var = x;
+net::Message Node::snapshot_frame_locked(std::span<const VarId> vars) const {
+  std::vector<BatchRecord> recs(vars.size());
+  for (std::size_t k = 0; k < vars.size(); ++k) {
+    const VarEntry& e = mem_.entry(vars[k]);
+    BatchRecord& r = recs[k];
+    r.var = vars[k];
     r.value = e.value;
     r.seq = e.last.seq;
     r.writer = e.last.proc;
@@ -1136,12 +1052,46 @@ void Node::send_fill_response_locked(std::uint64_t token, const ServingFill& f) 
     r.epoch = e.epoch;
     r.baseline = e.applied_writes;
     r.vc = e.vc.empty() ? VectorClock(cfg_.num_procs) : e.vc;
-    recs.push_back(std::move(r));
   }
-  net::Message resp = encode_frame(recs, cfg_.num_procs, /*omit_timestamps=*/false);
+  net::Message m = encode_frame(recs, cfg_.num_procs, /*omit_timestamps=*/false);
+  m.src = self_;
+  return m;
+}
+
+void Node::install_snapshot_locked(const BatchRecord& r, bool force) {
+  if (r.writer == kNoProc) return;  // never written: nothing to install
+  const WriteId id{r.writer, r.seq};
+  if (r.flags & kFlagCounterBase) {
+    // Counter baseline: an absolute value with no local applications to
+    // double-count against — install verbatim.  delta_touched keeps later
+    // re-seeds skipping it and pins a directory replica, so it is never
+    // evicted and refetched (a refetch would double-count the deltas
+    // applied since).
+    mem_.install(r.var, r.value, id, r.vc, /*delta_touched=*/true, r.epoch);
+    mem_.set_applied_writes(r.var, r.baseline);
+    return;
+  }
+  // A local counter is a sum of local applications, not an LWW winner the
+  // snapshot could replace.
+  if (!force && mem_.entry(r.var).delta_touched) return;
+  // LWW arbitration (store.cpp) against whatever this replica already
+  // holds: snapshots, backfills, fills and direct updates commute to the
+  // same winner, and the record's write epoch keeps a dead process's
+  // partially-delivered last write from beating a new-view overwrite.
+  mem_.apply(r.var, r.value, kFlagWrite, id, r.vc, 0, force, /*weight=*/0, r.epoch);
+  mem_.set_applied_writes(r.var, std::max(mem_.entry(r.var).applied_writes, r.baseline));
+}
+
+void Node::send_fetch_response_locked(ProcId to, std::span<const VarId> vars,
+                                      std::uint64_t token) {
+  // Our own staged writes are not fenced by a fill's acks, and a demand
+  // fetch's clock may cover them; flush them into the snapshot too.  The
+  // flush also puts every earlier write of ours to the requester ahead of
+  // the reply, so it carries our frontier stamp.
+  if (cfg_.batching.has_value()) flush_staged_locked();
+  net::Message resp = snapshot_frame_locked(vars);
   resp.kind = kFetchBulkResp;
-  resp.src = self_;
-  resp.dst = f.requester;
+  resp.dst = to;
   resp.b = dep_vc_[self_];  // flush stamp, as on update frames
   resp.payload.push_back(token);
   fabric_.send(std::move(resp));
@@ -1149,64 +1099,59 @@ void Node::send_fill_response_locked(std::uint64_t token, const ServingFill& f) 
 
 void Node::on_fetch_bulk_resp(const net::Message& m) {
   MC_CHECK(!m.payload.empty());
-  // The fill token trails the frame; strip it before decoding.
+  // The token trails the frame; strip it before decoding.
   const std::uint64_t token = m.payload.back();
   net::Message frame = m;
   frame.payload.pop_back();
-  std::vector<BatchRecord> recs =
+  const std::vector<BatchRecord> recs =
       decode_frame(frame, cfg_.num_procs, /*omit_timestamps=*/false);
-  {
-    std::scoped_lock lk(mu_);
-    const auto home = static_cast<ProcId>(m.src);
-    resolved_.set(home, std::max(resolved_[home], m.b));
-    const auto it = fills_.find(token);
-    if (it == fills_.end() || it->second.done) return;  // duplicate after a re-issue
-    for (const BatchRecord& r : recs) {
-      const VarId x = r.var;
-      if (r.writer != kNoProc) {
-        if (r.flags & kFlagCounterBase) {
-          // Counter baseline: an absolute value with no local applications
-          // to double-count against — install verbatim.  delta_touched pins
-          // the replica, so it is never evicted and refetched (a refetch
-          // would double-count the deltas applied since).
-          mem_.install(x, r.value, WriteId{r.writer, r.seq}, r.vc,
-                       /*delta_touched=*/true, r.epoch);
-          mem_.set_applied_writes(x, r.baseline);
-        } else {
-          // LWW arbitration against whatever this replica already holds (a
-          // local write can race the fill): either apply order converges on
-          // the same winner (store.cpp).
-          mem_.apply(x, r.value, kFlagWrite, WriteId{r.writer, r.seq}, r.vc, 0,
-                     /*force=*/false, /*weight=*/0, r.epoch);
-          mem_.set_applied_writes(
-              x, std::max(mem_.entry(x).applied_writes, r.baseline));
-        }
-      }
-      // Replay updates that raced the fill (apply_dir_frame_locked held
-      // them): the snapshot clock decides, per writer, which of them the
-      // home had already folded into the snapshot and which are genuinely
-      // newer.
-      if (const auto held = fill_backlog_.find(x); held != fill_backlog_.end()) {
-        for (const BatchRecord& q : held->second) {
-          if (q.vc[q.writer] <= r.vc[q.writer]) continue;  // in the snapshot
-          mem_.apply(x, q.value, q.flags, WriteId{q.writer, q.seq}, q.vc, 0,
-                     /*force=*/false, q.weight, q.epoch);
-        }
-        fill_backlog_.erase(held);
-      }
-      cached_[x] = true;
-      fill_inflight_[x] = false;
-      sharer_mask_[x] |= std::uint64_t{1} << self_;
-      last_use_[x] = ++use_tick_;
-      stats_.dir_fill_records.add();
-      if (profiler_ != nullptr) profiler_->record_fill_record(x);
+  std::scoped_lock lk(mu_);
+  const auto from = static_cast<ProcId>(m.src);
+  if (dir_mode_) resolved_.set(from, std::max(resolved_[from], m.b));
+  const auto it = fills_.find(token);
+  // A fetch a view commit already ended (aborted fill, departed owner).
+  if (it == fills_.end() || it->second.done) return;
+  PendingFill& pf = it->second;
+  pf.done = true;
+  if (pf.owner != kNoProc) {
+    MC_CHECK(recs.size() == 1);
+    const VarId x = recs[0].var;
+    install_snapshot_locked(recs[0], /*force=*/true);
+    if (staleness_ != nullptr) {
+      // The fetched copy is the owner's current entry: it has absorbed
+      // every write issued so far (demand vars are write-lock serialized),
+      // so reset the local version-lag baseline to the issue counter.
+      mem_.set_applied_writes(x, staleness_->issued(x));
     }
-    // The faulting variable (first in the frame) must survive the budget
-    // sweep below: give it the freshest tick.
-    last_use_[it->second.vars.front()] = ++use_tick_;
-    it->second.done = true;
-    enforce_budget_locked();
+    pf.trace_id = m.trace_id;
+    return;
   }
+  for (const BatchRecord& r : recs) {
+    const VarId x = r.var;
+    install_snapshot_locked(r, /*force=*/false);
+    // Replay updates that raced the fill (apply_dir_frame_locked held
+    // them): the snapshot clock decides, per writer, which of them the
+    // home had already folded into the snapshot and which are genuinely
+    // newer.
+    if (const auto held = fill_backlog_.find(x); held != fill_backlog_.end()) {
+      for (const BatchRecord& q : held->second) {
+        if (q.vc[q.writer] <= r.vc[q.writer]) continue;  // in the snapshot
+        mem_.apply(x, q.value, q.flags, WriteId{q.writer, q.seq}, q.vc, 0,
+                   /*force=*/false, q.weight, q.epoch);
+      }
+      fill_backlog_.erase(held);
+    }
+    cached_[x] = true;
+    fill_inflight_[x] = false;
+    sharer_mask_[x] |= std::uint64_t{1} << self_;
+    last_use_[x] = ++use_tick_;
+    stats_.dir_fill_records.add();
+    if (profiler_ != nullptr) profiler_->record_fill_record(x);
+  }
+  // The faulting variable (first in the frame) must survive the budget
+  // sweep below: give it the freshest tick.
+  last_use_[pf.vars.front()] = ++use_tick_;
+  enforce_budget_locked();
 }
 
 void Node::enforce_budget_locked() {
@@ -2059,35 +2004,32 @@ void Node::wunlock(LockId l) { do_unlock(l, LockRequestKind::kWrite); }
 void Node::fetch_var(std::unique_lock<std::mutex>& lk, VarId x, net::Endpoint owner) {
   stats_.fetches.add();
   if (profiler_ != nullptr) profiler_->record_fetch(x);
-  const std::uint64_t token = ++fetch_token_counter_;
-  lk.unlock();
+  // A one-variable snapshot request; the reply installs in
+  // on_fetch_bulk_resp.
+  const std::uint64_t token = ++fill_token_counter_;
+  PendingFill& pf = fills_[token];
+  pf.vars.push_back(x);
+  pf.owner = static_cast<ProcId>(owner);
   net::Message req;
   req.src = self_;
   req.dst = owner;
-  req.kind = kFetchReq;
-  req.a = x;
+  req.kind = kFetchBulkReq;
+  req.a = 1;
   req.b = token;
+  req.d = kFetchDemand;
+  req.payload.push_back(x);
   fabric_.send(std::move(req));
-  lk.lock();
   // Traced span covers only the post-request wait (see barrier()).
   const std::uint64_t trace_t0 = obs::trace_enabled() ? obs::Tracer::now_ns() : 0;
 
   wait_or_die(lk, "demand fetch blocked past the liveness deadline",
-              [&] { return fetch_results_.count(token) > 0; });
-  FetchResult res = std::move(fetch_results_.at(token));
-  fetch_results_.erase(token);
+              [&] { return pf.done; });
+  const std::uint64_t trace_id = pf.trace_id;
+  fills_.erase(token);
   if (trace_t0 != 0 && obs::trace_enabled()) {
-    obs::trace_flow_end("msg", "net", res.trace_id);
+    obs::trace_flow_end("msg", "net", trace_id);
     obs::trace_complete_ns("fetch.wait", "dsm", obs::Tracer::now_ns() - trace_t0,
                            {"var", x}, {"proc", self_});
-  }
-
-  mem_.install(x, res.value, res.id, res.vc);
-  if (staleness_ != nullptr) {
-    // The fetched copy is the owner's current entry: it has absorbed every
-    // write issued so far (demand vars are write-lock serialized), so reset
-    // the local version-lag baseline to the issue counter.
-    mem_.set_applied_writes(x, staleness_->issued(x));
   }
 }
 

@@ -239,13 +239,6 @@ class Node {
     std::uint64_t trace_id = 0;
   };
 
-  struct FetchResult {
-    Value value;
-    WriteId id;
-    VectorClock vc;
-    std::uint64_t trace_id = 0;  // kFetchResp flow id (see GrantInfo)
-  };
-
   struct BarrierRelease {
     VectorClock vc;
     /// Directory mode: transposed per-sender sent-counts (see GrantInfo).
@@ -253,13 +246,18 @@ class Node {
     std::uint64_t trace_id = 0;  // kBarrierRelease flow id (see GrantInfo)
   };
 
-  /// Requester side of a directory fill (docs/DIRECTORY.md): the variables
-  /// requested and whether the bulk frame has installed.  Kept until the
-  /// blocked thread wakes so a view commit can re-issue the request to a
-  /// re-homed variable's new home.
+  /// Requester side of a snapshot fetch: a directory fill
+  /// (docs/DIRECTORY.md) or a demand-lock fetch.  Kept until the blocked
+  /// thread wakes, so a view commit can abort a fill (the reader re-faults
+  /// to the re-homed variable's new home) or complete a demand fetch whose
+  /// owner departed.
   struct PendingFill {
     std::vector<VarId> vars;
+    /// A demand-lock fetch's owner (its snapshot installs forced);
+    /// kNoProc for a directory fill.
+    ProcId owner = kNoProc;
     bool done = false;
+    std::uint64_t trace_id = 0;  // reply flow id (see GrantInfo)
   };
 
   /// Home side of a directory fill: the snapshot is deferred until every
@@ -288,7 +286,6 @@ class Node {
   /// apply now (expects mu_; arrival already checked per-sender FIFO).
   [[nodiscard]] bool causally_ready(const VectorClock& vc, ProcId sender) const;
   void drain_causal_buffers();
-  void on_fetch_request(const net::Message& m);
 
   // Elastic view handlers (delivery thread).
   void on_view_propose(const net::Message& m);
@@ -324,9 +321,20 @@ class Node {
   /// fill of x fences this node.  No-op once registered.  Expects lk held;
   /// releases it while blocked.
   void register_writer(std::unique_lock<std::mutex>& lk, VarId x);
-  /// Home side: snapshot the fill's variables into one kFetchBulkResp.
-  /// Expects mu_.
-  void send_fill_response_locked(std::uint64_t token, const ServingFill& f);
+  /// The one snapshot builder: a frame of one snapshot record per variable
+  /// (value, writer, seq, clock, write epoch, kFlagCounterBase when
+  /// delta-touched, staleness baseline; dsm/batch.h).  The caller sets
+  /// kind, dst and b.  Expects mu_.
+  [[nodiscard]] net::Message snapshot_frame_locked(std::span<const VarId> vars) const;
+  /// The one snapshot installer.  A counter baseline installs verbatim;
+  /// any other record arbitrates LWW, never over a local delta-touched
+  /// entry — unless `force` (a demand variable, whose writes the write
+  /// lock orders with untick'd clocks).  Expects mu_.
+  void install_snapshot_locked(const BatchRecord& r, bool force);
+  /// Answer a fill or demand fetch: flush, then one kFetchBulkResp
+  /// snapshot of `vars` to `to`.  Expects mu_.
+  void send_fetch_response_locked(ProcId to, std::span<const VarId> vars,
+                                  std::uint64_t token);
   /// Evict least-recently-used unpinned replicas until the budget holds,
   /// deregistering each from its home.  Expects mu_.
   void enforce_budget_locked();
@@ -336,7 +344,8 @@ class Node {
   void ping_lagging_locked(const VectorClock& floor, VectorClock& pinged);
 
   // Directory handlers (delivery thread; replayed from on_view_commit for
-  // messages deferred until this node's view epoch caught up).
+  // messages deferred until this node's view epoch caught up).  The
+  // kFetchBulkReq/Resp pair also serves demand-lock fetches.
   void on_fetch_bulk_req(const net::Message& m);
   void on_fetch_bulk_resp(const net::Message& m);
   void on_dir_sharer_add(const net::Message& m);
@@ -368,8 +377,9 @@ class Node {
   void do_unlock(LockId l, LockRequestKind kind);
   void do_delta(VarId x, Value amount, std::uint64_t flags);
 
-  /// Demand-driven miss handling: fetch x from `owner` and install it in
-  /// the local copy.  Expects `lk` held; may release and reacquire it.
+  /// Demand-driven miss handling: fetch x's snapshot from `owner` and
+  /// block until it installs (or the owner leaves the view, when the local
+  /// copy stands).  Expects `lk` held; releases it while blocked.
   void fetch_var(std::unique_lock<std::mutex>& lk, VarId x, net::Endpoint owner);
 
   /// Wait with a liveness deadline: a consistency protocol that blocks for
@@ -477,9 +487,9 @@ class Node {
   std::uint64_t sync_token_counter_ = 0;
   std::map<std::uint64_t, std::size_t> sync_acks_;
 
-  std::uint64_t fetch_token_counter_ = 0;
-  std::map<std::uint64_t, FetchResult> fetch_results_;
   std::map<VarId, net::Endpoint> invalid_;
+  std::uint64_t fill_token_counter_ = 0;
+  std::map<std::uint64_t, PendingFill> fills_;  // requester side, by token
 
   // Directory state (Config::directory; guarded by mu_).
   const bool dir_mode_;
@@ -513,9 +523,7 @@ class Node {
   /// may still carry in-flight writes.  Directory-mode reads gate their
   /// vector-clock floors on this instead of applied_.
   VectorClock resolved_;
-  std::uint64_t fill_token_counter_ = 0;
-  std::map<std::uint64_t, PendingFill> fills_;  // requester side, by token
-  std::vector<bool> fill_inflight_;             // per variable
+  std::vector<bool> fill_inflight_;  // per variable
   /// Updates that arrived for a variable whose fill is still in flight:
   /// the ack fence registered us before the snapshot shipped, so writers
   /// already multicast to us, but the snapshot may or may not cover each

@@ -28,12 +28,6 @@ enum MsgKind : std::uint16_t {
   /// a=token.
   kSyncAck = 3,
 
-  /// Demand-driven fetch of a lock-protected variable.  a=var, b=token.
-  kFetchReq = 4,
-  /// a=var, b=token, c=value bits, d=(writer<<32)|unused; payload =
-  /// [write seq, variable's vector clock...].
-  kFetchResp = 5,
-
   /// a=lock, b=request kind (0=read, 1=write).
   kLockReq = 6,
   /// a=lock, b=episode, c=releasing endpoint (kNoEndpoint if none yet),
@@ -76,11 +70,10 @@ enum MsgKind : std::uint16_t {
   /// d=re-seed assignment count k; payload = k (departed proc, donor proc)
   /// pairs.  Multicast manager -> view members and the barrier manager.
   kViewCommit = 17,
-  /// Re-seed / join snapshot transfer.  a=record count N, b=epoch,
-  /// c=flavour (0=re-seed to survivors, 1=donor full snapshot to the
-  /// joiner, 2=survivor self-backfill to the joiner); payload = N (var,
-  /// value bits, writer, seq, delta-touched flag, write epoch,
-  /// vc[num_procs]) records.  Counter baselines install verbatim;
+  /// Re-seed / join snapshot transfer.  b=flavour (ViewStateFlavour);
+  /// a, c, d and the payload are a snapshot frame (dsm/batch.h) of one
+  /// record per variable, possibly empty (a join snapshot is sent even
+  /// with nothing to ship).  Counter baselines install verbatim;
   /// everything else LWW-applies (and the write epoch joins the
   /// concurrent-write tiebreak — see store.cpp).
   kViewState = 18,
@@ -100,22 +93,22 @@ enum MsgKind : std::uint16_t {
   // sharers plus the home, and replicas demand-page in on first read.  A
   // variable's row lives at its home and at its registered writers.
 
-  /// Bulk fill request: requester -> home.  a=var count N, b=fill token
-  /// (requester-local), c=requester's view epoch (0 outside elastic mode),
-  /// d=1 flags a write fault (0 for a fill); payload = N variable ids (the
-  /// missing variable plus same-home prefetch candidates).  A write fault
-  /// registers the requester as a writer of the N variables and is
-  /// answered with their rows in one kDirSharerSync instead of a fill (b
-  /// unused).  A home behind the stamped epoch defers the request until
-  /// its own commit catches up.
+  /// Snapshot request: requester -> home or demand-lock owner.  a=var count
+  /// N, b=fetch token (requester-local), c=requester's view epoch (0
+  /// outside elastic mode and on a demand fetch), d=FetchMode; payload = N
+  /// variable ids.  A fill asks for the missing variable plus same-home
+  /// prefetch candidates.  A write fault registers the requester as a
+  /// writer of the N variables and is answered with their rows in one
+  /// kDirSharerSync instead of a snapshot (b unused).  A demand fetch asks
+  /// a lock-protected variable's last writer for its copy (N=1): no
+  /// registration, no fence.  A home behind a fill's stamped epoch defers
+  /// the request until its own commit catches up.
   kFetchBulkReq = 21,
-  /// Bulk fill reply: home -> requester.  b=the home's flush stamp, as on
-  /// kUpdate (the home flushed before shipping, so it advances the
+  /// Snapshot reply to a fill or demand fetch.  b=the sender's flush stamp,
+  /// as on kUpdate (it flushed before shipping, so it advances the
   /// requester's resolved frontier like kFrontierResp); a, c, d and the
-  /// payload are an update frame (dsm/batch.h) of one record per requested
-  /// variable carrying value, writer, seq, delta-encoded vector clock,
-  /// write epoch, counter baseline flag, and staleness baseline, followed
-  /// by one trailing payload word: the fill token.
+  /// payload are a snapshot frame (dsm/batch.h) of one record per
+  /// requested variable, followed by one trailing payload word: the token.
   kFetchBulkResp = 22,
   /// Sharer registration, home-serialized.  a=var count N, b=fill token,
   /// c=requesting process, d=home's view epoch; payload = N variable ids.
@@ -153,6 +146,14 @@ enum MsgKind : std::uint16_t {
 /// Lock request kinds carried in kLockReq/kUnlock (field b).
 enum class LockRequestKind : std::uint64_t { kRead = 0, kWrite = 1 };
 
+/// What a kFetchBulkReq asks for (field d).
+enum FetchMode : std::uint64_t { kFetchFill = 0, kFetchWriteFault = 1, kFetchDemand = 2 };
+
+/// Who a kViewState snapshot is for (field b): a donor's re-seed of a
+/// departed process's writes to the survivors, the donor's full snapshot
+/// to a joiner, or a survivor's self-backfill to a joiner.
+enum ViewStateFlavour : std::uint64_t { kReseed = 0, kJoinSnapshot = 1, kSelfBackfill = 2 };
+
 enum UpdateFlags : std::uint64_t {
   kFlagWrite = 0,
   kFlagIntDelta = 1,
@@ -171,8 +172,6 @@ inline void register_kind_names(net::Fabric& fabric) {
   fabric.name_kind(kUpdate, "update");
   fabric.name_kind(kSyncReq, "sync_req");
   fabric.name_kind(kSyncAck, "sync_ack");
-  fabric.name_kind(kFetchReq, "fetch_req");
-  fabric.name_kind(kFetchResp, "fetch_resp");
   fabric.name_kind(kLockReq, "lock_req");
   fabric.name_kind(kLockGrant, "lock_grant");
   fabric.name_kind(kUnlock, "unlock");

@@ -157,6 +157,45 @@ TEST(BatchCodec, RoundTripMixesBaseClockAndDeltaRecords) {
   EXPECT_EQ(decode_frame(m, kProcs, false), recs);
 }
 
+TEST(BatchCodec, RoundTripsSnapshotRecords) {
+  // Snapshot records (fills, demand fetches, view state transfers) carry
+  // an explicit writer, the write epoch, the staleness baseline, and
+  // kFlagCounterBase for a counter; a never-written entry carries none.
+  constexpr std::size_t kProcs = 3;
+  std::vector<BatchRecord> recs;
+  BatchRecord counter = clocked_record(kProcs, 4, 6);  // clock [6,0,0]
+  counter.flags = kFlagCounterBase;
+  counter.writer = 2;
+  counter.epoch = 3;
+  counter.baseline = 9;
+  recs.push_back(counter);
+  BatchRecord written = clocked_record(kProcs, 5, 2);  // clock [2,0,8]
+  written.vc.set(2, 8);
+  written.writer = 0;
+  written.baseline = 1;
+  recs.push_back(written);
+  BatchRecord untouched;  // clock [0,0,0]: the base
+  untouched.var = 6;
+  untouched.vc = VectorClock(kProcs);
+  recs.push_back(untouched);
+
+  net::Message m = encode_frame(recs, kProcs, false);
+  m.kind = kViewState;
+  // base (3) + record 0: writer, epoch, baseline, mask, 1 delta + record 1:
+  // 3 + writer + baseline + mask + 2 deltas + record 2: 3.
+  EXPECT_EQ(m.payload.size(), kProcs + 5 + (3 + 2 + 3) + 3);
+  EXPECT_EQ(decode_frame(m, kProcs, false), recs);
+}
+
+TEST(BatchCodec, EmptySnapshotFrameIsHeaderOnly) {
+  // A join snapshot with nothing to ship: no base clock, no records.
+  net::Message m = encode_frame({}, 4, false);
+  EXPECT_TRUE(m.payload.empty());
+  EXPECT_EQ(m.wire_bytes(), net::Message::kHeaderBytes);
+  m.kind = kViewState;
+  EXPECT_TRUE(decode_frame(m, 4, false).empty());
+}
+
 TEST(BatchCodec, WireBytesChargeDeltaEncodedClocks) {
   // N consecutive writes by one process: clocks differ from the frame base
   // only in the writer's component, so each record ships ONE clock-delta

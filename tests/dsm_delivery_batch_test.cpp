@@ -56,6 +56,25 @@ net::Message update(VarId x, Value v, std::uint64_t tick) {
   return frame({record(x, v, tick, VectorClock{tick, 0})}, 2);
 }
 
+/// A demand-lock fetch of x by the tester: a one-variable snapshot request.
+net::Message demand_fetch(VarId x, std::uint64_t token) {
+  net::Message m = from_tester(kFetchBulkReq);
+  m.a = 1;
+  m.b = token;
+  m.d = kFetchDemand;
+  m.payload = {x};
+  return m;
+}
+
+/// A snapshot reply's token and its one record.
+std::pair<std::uint64_t, BatchRecord> snapshot_reply(net::Message m, std::size_t procs) {
+  const std::uint64_t token = m.payload.back();
+  m.payload.pop_back();
+  const std::vector<BatchRecord> recs = decode_frame(m, procs, false);
+  EXPECT_EQ(recs.size(), 1u);
+  return {token, recs.empty() ? BatchRecord{} : recs[0]};
+}
+
 void push_as_one_batch(net::Fabric& f, std::vector<net::Message> msgs) {
   const auto due = std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
   for (net::Message& m : msgs) {
@@ -71,39 +90,35 @@ TEST(DeliveryBatch, UpdatesAndRequestsAreHandledInArrivalOrder) {
   cfg.num_vars = 4;
   {
     Node node(cfg, kNode, f, kLockMgr, kBarrierMgr);
-    net::Message fetch1 = from_tester(kFetchReq);
-    fetch1.a = 0;
-    fetch1.b = 1;
     net::Message sync = from_tester(kSyncReq);
     sync.a = 7;
-    net::Message fetch2 = from_tester(kFetchReq);
-    fetch2.a = 0;
-    fetch2.b = 2;
     std::vector<net::Message> batch;
     batch.push_back(update(0, 10, 1));
-    batch.push_back(std::move(fetch1));
+    batch.push_back(demand_fetch(0, 1));
     batch.push_back(update(0, 20, 2));
     batch.push_back(std::move(sync));
     batch.push_back(update(0, 30, 3));
-    batch.push_back(std::move(fetch2));
+    batch.push_back(demand_fetch(0, 2));
     push_as_one_batch(f, std::move(batch));
 
     // Each reply reflects exactly the updates ahead of its request: the
     // batch's updates were not hoisted past the requests between them.
     const auto r1 = f.mailbox(kTester).recv();
     ASSERT_TRUE(r1.has_value());
-    EXPECT_EQ(r1->kind, kFetchResp);
-    EXPECT_EQ(r1->b, 1u);
-    EXPECT_EQ(r1->c, 10u);
+    EXPECT_EQ(r1->kind, kFetchBulkResp);
+    const auto [token1, rec1] = snapshot_reply(*r1, 2);
+    EXPECT_EQ(token1, 1u);
+    EXPECT_EQ(rec1.value, 10u);
     const auto ack = f.mailbox(kTester).recv();
     ASSERT_TRUE(ack.has_value());
     EXPECT_EQ(ack->kind, kSyncAck);
     EXPECT_EQ(ack->a, 7u);
     const auto r2 = f.mailbox(kTester).recv();
     ASSERT_TRUE(r2.has_value());
-    EXPECT_EQ(r2->kind, kFetchResp);
-    EXPECT_EQ(r2->b, 2u);
-    EXPECT_EQ(r2->c, 30u);
+    EXPECT_EQ(r2->kind, kFetchBulkResp);
+    const auto [token2, rec2] = snapshot_reply(*r2, 2);
+    EXPECT_EQ(token2, 2u);
+    EXPECT_EQ(rec2.value, 30u);
     EXPECT_EQ(node.read(0, ReadMode::kCausal), 30u);
     f.shutdown();
   }

@@ -866,6 +866,7 @@ TEST(ElasticDirectory, LiveJoinReceivesSharerMapAndRehomedVariables) {
   // their sharer rows (kDirSharerSync), variables statically homed at the
   // joiner re-home to it with their current values, and its first reads of
   // foreign variables demand-page like any member's.
+  constexpr VarId kStart = 7;  // the joiner's first barrier instance, plus one
   Config cfg = dir_config(3, 9);
   cfg.elastic = true;
   cfg.initial_members = std::vector<ProcId>{0, 1};
@@ -876,6 +877,7 @@ TEST(ElasticDirectory, LiveJoinReceivesSharerMapAndRehomedVariables) {
         if (p == 2) {
           n.join();
           EXPECT_TRUE(n.view().is_alive(2));
+          n.write_int(kStart, static_cast<std::int64_t>(n.next_barrier_epoch()) + 1);
           // Var 6 re-homed to us at the commit; the previous ring home's
           // re-offer carries the pre-join value.  Foreign variables
           // demand-page (and register us) under the new epoch.
@@ -892,6 +894,14 @@ TEST(ElasticDirectory, LiveJoinReceivesSharerMapAndRehomedVariables) {
           // joiner's kDirSharerSync actually has rows to ship.
           n.await_int(p == 0 ? 3 : 0, 11 - p);
           while (!n.view().is_alive(2)) std::this_thread::sleep_for(200us);
+          // Meet the joiner at the barrier instance it was synced to: an
+          // instance we reach before the barrier manager has the commit
+          // releases without it.
+          std::int64_t start = 0;
+          while ((start = n.read_int(kStart, ReadMode::kPram)) == 0) {
+            std::this_thread::sleep_for(200us);
+          }
+          while (static_cast<std::int64_t>(n.next_barrier_epoch()) + 1 < start) n.barrier();
           n.barrier();
           // p2's pre-barrier write: our stale ring-era pin on var 8 lapsed
           // at the commit, so this read demand-pages from the joiner.

@@ -192,7 +192,7 @@ TEST(DsmLocks, DemandPolicyAvoidsUpdateBroadcasts) {
   });
   const auto snap = sys.metrics();
   EXPECT_EQ(snap.get("net.msg.update"), 0u);   // no broadcasts at all
-  EXPECT_GT(snap.get("net.msg.fetch_req"), 0u);  // values migrate on demand
+  EXPECT_GT(snap.get("net.msg.fetch_bulk_req"), 0u);  // values migrate on demand
   Node& n0 = sys.node(0);
   n0.wlock(0);
   EXPECT_EQ(n0.read_int(0, ReadMode::kPram), 15);

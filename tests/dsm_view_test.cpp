@@ -15,9 +15,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
+#include "dsm/batch.h"
+#include "dsm/node.h"
 #include "dsm/system.h"
 #include "net/fault.h"
 #include "obs/monitor.h"
@@ -274,6 +277,204 @@ TEST(ElasticView, JoinAfterDemandLockWriteKeepsSurvivorFifoBaseline) {
       kDeadline);
   EXPECT_FALSE(outcome.stalled) << outcome.diagnostics.reason;
   EXPECT_EQ(sys.view().live_count(), 3u);
+}
+
+// A joiner's donor snapshot ships a counter as a baseline: the joiner reads
+// the exact pre-join sum, and a post-join delta lands on top of it.
+TEST(ElasticView, JoinSnapshotCarriesCounterBaseline) {
+  Config cfg = elastic_cfg(3);
+  cfg.initial_members = std::vector<ProcId>{0, 1};
+  MixedSystem sys(cfg);
+  constexpr VarId kCounter = 5, kJoined = 6;
+
+  // Before the join: both members' deltas applied at both members.
+  sys.node(0).dec_int(kCounter, 3);
+  sys.node(1).dec_int(kCounter, 4);
+  sys.node(0).await_int(kCounter, -7);
+  sys.node(1).await_int(kCounter, -7);
+
+  const auto outcome = sys.run(
+      [&](Node& n, ProcId p) {
+        if (p == 2) {
+          n.join();
+          EXPECT_EQ(n.read_int(kCounter, ReadMode::kPram), -7);
+          n.write_int(kJoined, 1);
+        } else if (p == 0) {
+          n.await_int(kJoined, 1);
+          // Our broadcast set holds the joiner once our commit has run.
+          while (!n.view().is_alive(2)) std::this_thread::sleep_for(200us);
+          n.dec_int(kCounter, 10);
+        }
+        n.await_int(kCounter, -17);
+        n.barrier();
+        EXPECT_EQ(n.read_int(kCounter, ReadMode::kPram), -17);
+      },
+      kDeadline);
+  EXPECT_FALSE(outcome.stalled) << outcome.diagnostics.reason;
+  EXPECT_EQ(sys.metrics().get("view.joins"), 1u);
+}
+
+// A donor with nothing to ship still sends the join snapshot, and join()
+// recognises the empty frame.
+TEST(ElasticView, JoinWithEmptyDonorSnapshotCompletes) {
+  Config cfg = elastic_cfg(2);
+  cfg.initial_members = std::vector<ProcId>{0};
+  MixedSystem sys(cfg);
+
+  const auto outcome = sys.run(
+      [&](Node& n, ProcId p) {
+        if (p == 1) {
+          n.join();
+          n.write_int(0, 3);
+        } else {
+          n.await_int(0, 3);  // p1 joined: the barrier manager knows it too
+        }
+        n.barrier();
+        EXPECT_EQ(n.read_int(0, ReadMode::kPram), 3);
+      },
+      kDeadline);
+  EXPECT_FALSE(outcome.stalled) << outcome.diagnostics.reason;
+
+  const auto snap = sys.metrics();
+  EXPECT_EQ(snap.get("view.joins"), 1u);
+  EXPECT_EQ(snap.get("view.reseed_records_out"), 0u);
+}
+
+// ----------------------------------------------------------------------
+// One node driven by hand: the test plays every other endpoint.
+// ----------------------------------------------------------------------
+
+constexpr net::Endpoint kLockEp = 3, kBarrierEp = 4;
+
+/// Shuts the fabric down on every exit path, before the node's destructor
+/// joins its delivery thread.
+struct FabricShutdown {
+  net::Fabric& fabric;
+  ~FabricShutdown() { fabric.shutdown(); }
+};
+
+net::Message to_p0(std::uint16_t kind) {
+  net::Message m;
+  m.src = kLockEp;
+  m.dst = 0;
+  m.kind = kind;
+  return m;
+}
+
+/// The view manager's commit of `alive` under `epoch`; `reseeds` are
+/// (departed, donor) pairs.
+net::Message view_commit(std::uint64_t epoch, std::uint64_t alive,
+                         std::vector<std::uint64_t> reseeds = {}) {
+  net::Message m = to_p0(kViewCommit);
+  m.a = epoch;
+  m.b = alive;
+  m.c = ~std::uint64_t{0};
+  m.d = reseeds.size() / 2;
+  m.payload = std::move(reseeds);
+  return m;
+}
+
+// A re-seed ships the departed process's LWW writes as a snapshot frame and
+// skips its counters.
+TEST(ElasticView, ReseedSkipsCounters) {
+  const Config cfg = elastic_cfg(3);
+  net::Fabric f(5);
+  Node p0(cfg, 0, f, kLockEp, kBarrierEp);
+  const FabricShutdown shutdown{f};
+  constexpr VarId kWritten = 1, kCounter = 2;
+  std::vector<BatchRecord> recs(2);
+  recs[0].var = kWritten;
+  recs[0].value = value_of(std::int64_t{8});
+  recs[0].seq = 1;
+  recs[0].vc = VectorClock{0, 0, 1};
+  recs[1].var = kCounter;
+  recs[1].value = value_of(std::int64_t{2});
+  recs[1].flags = kFlagIntDelta;
+  recs[1].seq = 2;
+  recs[1].vc = VectorClock{0, 0, 2};
+  net::Message from_p2 = encode_frame(recs, 3, false);
+  from_p2.src = 2;
+  from_p2.dst = 0;
+  ASSERT_TRUE(f.mailbox(0).push(std::move(from_p2)));
+  p0.await_int(kCounter, -2);
+
+  // p2 departs; p0 re-seeds its writes to the survivor p1.
+  ASSERT_TRUE(f.mailbox(0).push(view_commit(1, 0b011, {2, 0})));
+  auto st = f.mailbox(1).recv();
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(st->kind, kViewState);
+  EXPECT_EQ(st->b, kReseed);
+  const std::vector<BatchRecord> shipped = decode_frame(*st, 3, false);
+  ASSERT_EQ(shipped.size(), 1u);
+  EXPECT_EQ(shipped[0].var, kWritten);
+  EXPECT_EQ(int_of(shipped[0].value), 8);
+  EXPECT_EQ(shipped[0].writer, 2u);
+}
+
+// A demand fetch keeps waiting while its owner is in the view, installs the
+// owner's snapshot when it lands, and completes with no install when a view
+// commit removes the owner: the reader falls back to its local copy.
+TEST(ElasticView, DemandFetchFromDepartedOwnerFallsBackToLocalCopy) {
+  Config cfg = elastic_cfg(3);
+  constexpr VarId kVar = 2;
+  constexpr LockId kLock = 1;
+  cfg.demand_association[kVar] = kLock;
+  cfg.lock_policy_override[kLock] = LockPolicy::kDemand;
+  net::Fabric f(5);
+  Node p0(cfg, 0, f, kLockEp, kBarrierEp);
+  const FabricShutdown shutdown{f};
+
+  // Grant kLock, naming p1 as the last writer of kVar.
+  std::uint64_t episode = 0;
+  const auto lock_from_p1 = [&] {
+    net::Message grant = to_p0(kLockGrant);
+    grant.a = kLock;
+    grant.b = ++episode;
+    grant.c = 1;
+    grant.d = 1;
+    grant.payload = {0, 0, 0, kVar, 1};  // release clock, then (var, owner)
+    ASSERT_TRUE(f.mailbox(0).push(std::move(grant)));
+    p0.wlock(kLock);
+  };
+  const auto next_fetch = [&] {
+    auto req = f.mailbox(1).recv();
+    EXPECT_TRUE(req.has_value() && req->kind == kFetchBulkReq && req->d == kFetchDemand);
+    return req.value_or(net::Message{});
+  };
+
+  // A commit that removes someone else leaves the fetch waiting; p1's
+  // reply then installs.
+  lock_from_p1();
+  auto reader = std::async(std::launch::async, [&] { return p0.read_int(kVar, ReadMode::kPram); });
+  const net::Message req = next_fetch();
+  ASSERT_TRUE(f.mailbox(0).push(view_commit(1, 0b011)));
+  while (p0.view().epoch < 1) std::this_thread::sleep_for(1ms);
+  EXPECT_EQ(reader.wait_for(50ms), std::future_status::timeout);
+  BatchRecord copy;
+  copy.var = kVar;
+  copy.value = value_of(std::int64_t{9});
+  copy.seq = 4;
+  copy.writer = 1;
+  copy.vc = VectorClock(3);
+  net::Message resp = encode_frame(std::span(&copy, 1), 3, false);
+  resp.kind = kFetchBulkResp;
+  resp.src = 1;
+  resp.dst = 0;
+  resp.payload.push_back(req.b);
+  ASSERT_TRUE(f.mailbox(0).push(std::move(resp)));
+  ASSERT_EQ(reader.wait_for(10s), std::future_status::ready);
+  EXPECT_EQ(reader.get(), 9);
+  p0.wunlock(kLock);
+
+  // p1 never answers the next fetch; the commit removing it completes it.
+  lock_from_p1();
+  reader = std::async(std::launch::async, [&] { return p0.read_int(kVar, ReadMode::kPram); });
+  next_fetch();
+  EXPECT_EQ(reader.wait_for(50ms), std::future_status::timeout);
+  ASSERT_TRUE(f.mailbox(0).push(view_commit(2, 0b001)));
+  ASSERT_EQ(reader.wait_for(10s), std::future_status::ready);
+  EXPECT_EQ(reader.get(), 9);
+  p0.wunlock(kLock);
 }
 
 // Config validation: elastic demands vector-clock mode and a sane initial
