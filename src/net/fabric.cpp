@@ -29,7 +29,7 @@ Fabric::Fabric(std::size_t endpoints, LatencyModel latency, std::uint64_t seed)
   MC_CHECK(endpoints > 0);
   mailboxes_.reserve(endpoints);
   for (std::size_t i = 0; i < endpoints; ++i) {
-    mailboxes_.push_back(std::make_unique<Mailbox>());
+    mailboxes_.push_back(std::make_unique<Mailbox>(endpoints));
   }
   // Registered here, not in enable_reliability(): a metrics key must never
   // degrade to a bare number ("net.msg.62") just because the reliability
@@ -271,6 +271,14 @@ MetricsSnapshot Fabric::metrics() const {
   snap.values["net.messages"] = messages;
   snap.values["net.bytes"] = bytes;
   snap.values["net.send_after_close"] = sends_after_close();
+  std::uint64_t parks = 0;
+  std::uint64_t wakes = 0;
+  for (const auto& mb : mailboxes_) {
+    parks += mb->parks();
+    wakes += mb->wakes();
+  }
+  snap.values["net.mailbox.parks"] = parks;
+  snap.values["net.mailbox.wakes"] = wakes;
   snap.add_histogram("net.send_ns", send_latency());
   {
     std::scoped_lock lk(ext_mu_);

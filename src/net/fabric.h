@@ -9,9 +9,11 @@
 // The send path takes no fabric-wide lock: channel sequence numbers are
 // per-channel atomics, latency stamping keeps its state per sender
 // (net/latency.h), and accounting lives in cache-line-aligned per-sender
-// shards that metrics() sums.  The only lock a send takes is the
-// destination mailbox's.  Receiving is bulk: drain() hands a consumer every
-// deliverable message at once (net/mailbox.h).
+// shards that metrics() sums.  Each mailbox has one lane per sending
+// endpoint, so the only lock a send takes is its own lane's in the
+// destination mailbox, and it wakes the receiver only when the receiver is
+// parked.  Receiving is bulk: drain() hands a consumer every deliverable
+// message at once (net/mailbox.h).
 //
 // Two optional layers sandwich the ideal channel (both off by default, one
 // branch on a null pointer when absent):
@@ -117,7 +119,8 @@ class Fabric {
   [[nodiscard]] std::vector<std::size_t> in_flight() const;
 
   /// Latency of the send path itself (stamping + accounting + mailbox
-  /// insertion, including contention on the destination mailbox's lock) —
+  /// insertion, including contention on the sender's lane and waking a
+  /// parked receiver) —
   /// the fabric's hot path.  A snapshot merged across the sender shards.
   [[nodiscard]] LatencyHistogram send_latency() const;
 

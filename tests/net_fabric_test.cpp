@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace mc::net {
@@ -344,6 +347,166 @@ TEST(Fabric, SenderShardsReconcileUnderConcurrentSenders) {
     }
     for (Endpoint s = 0; s < kEndpoints; ++s) EXPECT_EQ(next_seq[s], kRounds);
   }
+}
+
+TEST(Mailbox, MultiProducerStressThroughFabricLosesAndDuplicatesNothing) {
+  // Eight senders with a lane each, plus two threads that share sender 8's
+  // lane, all writing to endpoint 9 while its consumer drains in bulk.
+  // Every message arrives exactly once; each channel is FIFO in
+  // channel_seq, and on the shared channel each thread's own sends stay in
+  // its send order.
+  constexpr Endpoint kSoloSenders = 8;
+  constexpr Endpoint kShared = 8;
+  constexpr Endpoint kDst = 9;
+  constexpr std::uint64_t kPerThread = 4000;
+  Fabric f(10);
+  std::vector<Message> got;
+  std::thread consumer([&] {
+    std::vector<Message> out;
+    while (got.size() < (kSoloSenders + 2) * kPerThread && f.drain(kDst, out)) {
+      for (Message& m : out) got.push_back(std::move(m));
+    }
+  });
+  std::vector<std::thread> senders;
+  for (std::uint64_t t = 0; t < kSoloSenders + 2; ++t) {
+    const Endpoint src = t < kSoloSenders ? static_cast<Endpoint>(t) : kShared;
+    senders.emplace_back([&f, t, src] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        Message m = make(src, kDst, 1, i);
+        m.b = t;
+        f.send(std::move(m));
+      }
+    });
+  }
+  for (auto& s : senders) s.join();
+  consumer.join();
+
+  ASSERT_EQ(got.size(), (kSoloSenders + 2) * kPerThread);
+  std::map<std::uint64_t, std::uint64_t> next_a;          // per thread
+  std::map<Endpoint, std::uint64_t> next_seq;             // per solo channel
+  std::map<std::uint64_t, std::uint64_t> last_shared_seq;  // per shared thread
+  std::set<std::uint64_t> shared_seqs;
+  for (const Message& m : got) {
+    EXPECT_EQ(m.a, next_a[m.b]++) << "thread " << m.b;
+    if (m.src == kShared) {
+      EXPECT_TRUE(shared_seqs.insert(m.channel_seq).second) << "duplicate " << m.channel_seq;
+      if (last_shared_seq.contains(m.b)) EXPECT_GT(m.channel_seq, last_shared_seq[m.b]);
+      last_shared_seq[m.b] = m.channel_seq;
+    } else {
+      EXPECT_EQ(m.channel_seq, next_seq[m.src]++) << "src " << m.src;
+    }
+  }
+  for (std::uint64_t t = 0; t < kSoloSenders + 2; ++t) EXPECT_EQ(next_a[t], kPerThread);
+  ASSERT_EQ(shared_seqs.size(), 2 * kPerThread);
+  EXPECT_EQ(*shared_seqs.rbegin(), 2 * kPerThread - 1);
+  EXPECT_EQ(f.mailbox(kDst).pending(), 0u);
+  EXPECT_EQ(f.messages_sent(), (kSoloSenders + 2) * kPerThread);
+}
+
+TEST(Mailbox, CloseRacingPushesDrainsEveryAcceptedMessage) {
+  // Senders race close(): every push the mailbox accepted is drained
+  // exactly once, and every push it rejected shows in net.send_after_close.
+  constexpr std::uint64_t kPerSender = 2000;
+  constexpr Endpoint kSenders = 4;
+  for (int round = 0; round < 20; ++round) {
+    Fabric f(kSenders + 1);
+    std::set<std::pair<Endpoint, std::uint64_t>> seen;
+    std::uint64_t dups = 0;
+    std::thread consumer([&] {
+      std::vector<Message> out;
+      while (f.drain(kSenders, out)) {
+        for (const Message& m : out) dups += seen.insert({m.src, m.a}).second ? 0 : 1;
+      }
+    });
+    std::atomic<bool> go{false};
+    std::vector<std::thread> senders;
+    for (Endpoint s = 0; s < kSenders; ++s) {
+      senders.emplace_back([&f, &go, s] {
+        while (!go.load()) std::this_thread::yield();
+        for (std::uint64_t i = 0; i < kPerSender; ++i) f.send(make(s, kSenders, 1, i));
+      });
+    }
+    go.store(true);
+    // Close at a different point of the stream each round.
+    for (int spin = 0; spin < round * 200; ++spin) std::this_thread::yield();
+    f.mailbox(kSenders).close();
+    for (auto& s : senders) s.join();
+    consumer.join();
+
+    const std::uint64_t total = std::uint64_t{kSenders} * kPerSender;
+    const std::uint64_t rejected = f.metrics().get("net.send_after_close");
+    EXPECT_EQ(dups, 0u);
+    EXPECT_EQ(seen.size(), total - rejected) << "round " << round;
+    EXPECT_EQ(f.mailbox(kSenders).pending(), 0u);
+  }
+}
+
+TEST(Mailbox, ParkedConsumerWakesOnPushAndOnHeldDeadline) {
+  const auto wait_for_park = [](const Mailbox& mb, std::uint64_t parks) {
+    while (mb.parks() < parks) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+
+  // Nothing held: the consumer parks without a deadline and the push wakes it.
+  Mailbox empty(2);
+  std::vector<Message> out;
+  std::thread consumer([&] { ASSERT_TRUE(empty.drain(out)); });
+  wait_for_park(empty, 1);
+  ASSERT_TRUE(empty.push(make(1, 0, 1, 7)));
+  consumer.join();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].a, 7u);
+  EXPECT_EQ(empty.wakes(), 1u);
+
+  // Parked on a held message due far in the future: a push due now wakes
+  // the consumer early, and it releases only the due message.
+  const SimTime now = std::chrono::steady_clock::now();
+  Mailbox held(2);
+  Message later = make(0, 1, 1, 1);
+  later.deliver_at = now + std::chrono::seconds(60);
+  ASSERT_TRUE(held.push(std::move(later)));
+  std::thread early([&] { ASSERT_TRUE(held.drain(out)); });
+  wait_for_park(held, 1);
+  Message due = make(1, 1, 1, 2);
+  due.deliver_at = now;
+  ASSERT_TRUE(held.push(std::move(due)));
+  early.join();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].a, 2u);
+  EXPECT_EQ(held.wakes(), 1u);
+  EXPECT_EQ(held.pending(), 1u);
+
+  // Parked on a held message with no further pushes: the consumer wakes at
+  // its deliver_at on its own, with no producer notification.
+  Mailbox timed(2);
+  Message soon = make(0, 1, 1, 3);
+  soon.deliver_at = std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+  const SimTime soon_at = soon.deliver_at;
+  ASSERT_TRUE(timed.push(std::move(soon)));
+  ASSERT_TRUE(timed.drain(out));
+  EXPECT_GE(std::chrono::steady_clock::now(), soon_at);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].a, 3u);
+  EXPECT_EQ(timed.parks(), 1u);
+  EXPECT_EQ(timed.wakes(), 0u);
+}
+
+TEST(Mailbox, PendingAndTryRecvReturnWhileConsumerIsParked) {
+  Mailbox mb(2);
+  Message held = make(0, 1, 1, 1);
+  held.deliver_at = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  ASSERT_TRUE(mb.push(std::move(held)));
+  std::vector<Message> out;
+  std::thread consumer([&] { ASSERT_TRUE(mb.drain(out)); });
+  while (mb.parks() == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Neither call waits for the parked consumer.
+  EXPECT_EQ(mb.pending(), 1u);
+  EXPECT_FALSE(mb.try_recv().has_value());
+  EXPECT_FALSE(mb.closed());
+  ASSERT_TRUE(mb.push(make(1, 1, 1, 2)));
+  consumer.join();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].a, 2u);
+  EXPECT_EQ(mb.pending(), 1u);
 }
 
 }  // namespace

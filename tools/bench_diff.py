@@ -10,11 +10,16 @@ tools/bench_tolerances.json:
 
   diff   Every row of the baseline must exist in the fresh run with the
          same params.  Every numeric stats/metrics key present in either
-         (except keys matching the policy's ignore globs — timing, rates,
-         histogram flats, profiler occupancy) must agree within the
-         relative tolerance, or within the absolute floor for small
-         counts.  Per-key overrides tighten the tolerance for counters
-         that are deterministic under a fixed seed.
+         is matched by its section-qualified name ('metrics.net.acks')
+         against the policy's ordered 'keys' rules (the bench's own rules
+         first).  The first match gives the key a class (exact,
+         bounded-noise, timing), a 'better' direction (lower, higher, or
+         equal) and a layer.  A key fails only when it moves in a worse
+         direction by more than the absolute floor and by more than the
+         relative tolerance; the failing line names the key's class and
+         layer.  Moves the other way beyond tolerance are printed as
+         improvements.  Keys whose rule says 'compare': false (durations,
+         rates, percentiles, scheduler counts) are not diffed.
 
   gates  Absolute acceptance rules evaluated on the fresh run only — the
          batching / history-checking / directory claims formerly
@@ -26,22 +31,52 @@ version; the fresh run may additionally carry `profile` sections (those
 and the profile.* metrics are ignored by the diff — profiling the fresh
 run is how the CI attribution gates get their data).
 
-Exit status 0 on success; 1 with a diagnostic on the first hard failure.
+Exit status 0 on success; 1 with a diagnostic for every key that moved
+the worse way, or for the first structural failure.
 """
 
 import argparse
 import fnmatch
 import os
+import sys
 
 from validators_common import fail, load_json
+
+
+CLASSES = ("exact", "bounded-noise", "timing")
+DIRECTIONS = ("lower", "higher", "equal")
 
 
 def numeric(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def ignored(key, globs):
-    return any(fnmatch.fnmatchcase(key, g) for g in globs)
+def check_rules(rules, where):
+    for rule in rules:
+        if "match" not in rule:
+            fail(f"{where}: key rule without 'match': {rule}")
+        if rule.get("class") not in CLASSES:
+            fail(f"{where}: rule {rule['match']!r} has class "
+                 f"{rule.get('class')!r}, expected one of {', '.join(CLASSES)}")
+        if rule.get("better") not in DIRECTIONS:
+            fail(f"{where}: rule {rule['match']!r} has better "
+                 f"{rule.get('better')!r}, expected one of {', '.join(DIRECTIONS)}")
+
+
+def rule_for(name, rules):
+    """First rule whose glob matches the section-qualified key."""
+    for rule in rules:
+        if fnmatch.fnmatchcase(name, rule["match"]):
+            return rule
+    fail(f"no key rule matches {name!r} — the policy needs a catch-all")
+
+
+def layer_of(name, rule, layers):
+    """The rule's layer, else the longest matching prefix in 'layers'."""
+    if "layer" in rule:
+        return rule["layer"]
+    best = max((p for p in layers if name.startswith(p)), key=len, default=None)
+    return layers[best] if best is not None else "unknown"
 
 
 def resolve(row, spec, where):
@@ -94,42 +129,51 @@ def gate_row(rows, name, where):
     return matches[0]
 
 
-def diff_rows(base_row, fresh_row, policy, overrides, where):
-    """Compare one row pair; returns the number of keys compared.  Params
+def diff_rows(base_row, fresh_row, policy, rules, where, failures):
+    """Compare one row pair, appending a line to `failures` for every key
+    that moved the worse way; returns the number of keys compared.  Params
     are part of the row identity, so both rows are the same shape."""
     rel_default = policy["relative"]
     floor = policy["absolute_floor"]
-    globs = policy["ignore"]
+    layers = policy.get("layers", {})
     compared = 0
     for section in ("stats", "metrics"):
         base = base_row.get(section, {})
         fresh = fresh_row.get(section, {})
         for key in sorted(set(base) | set(fresh)):
-            if ignored(key, globs):
+            name = f"{section}.{key}"
+            rule = rule_for(name, rules)
+            if not rule.get("compare", True):
                 continue
+            tag = f"[{rule['class']}, layer {layer_of(name, rule, layers)}]"
             if key not in base or key not in fresh:
                 side = "fresh run" if key not in fresh else "baseline"
-                fail(f"{where}: {section}.{key} missing from the {side} "
-                     f"(present in the other) — add it to the ignore list "
-                     f"if it is legitimately conditional")
+                failures.append(f"{where}: {name} {tag} missing from the "
+                                f"{side} (present in the other) — give it a "
+                                f"'compare': false rule if it is legitimately "
+                                f"conditional")
+                continue
             bv, fv = base[key], fresh[key]
             if not numeric(bv) or not numeric(fv):
                 if bv != fv:
-                    fail(f"{where}: non-numeric {section}.{key} differs: "
-                         f"{bv!r} vs {fv!r}")
+                    failures.append(f"{where}: non-numeric {name} {tag} "
+                                    f"differs: {bv!r} vs {fv!r}")
                 continue
-            rel = overrides.get(f"{section}.{key}", rel_default)
-            delta = abs(fv - bv)
-            if delta <= floor:
-                compared += 1
-                continue
-            scale = max(abs(bv), abs(fv))
-            if delta > rel * scale:
-                direction = "regressed" if fv > bv else "dropped"
-                fail(f"{where}: {section}.{key} {direction}: baseline {bv} "
-                     f"vs fresh {fv} ({delta / scale:.1%} apart, "
-                     f"tolerance {rel:.0%})")
             compared += 1
+            rel = rule.get("relative", rel_default)
+            delta = abs(fv - bv)
+            scale = max(abs(bv), abs(fv))
+            if delta <= floor or delta <= rel * scale:
+                continue
+            moved = "rose" if fv > bv else "dropped"
+            better = rule["better"]
+            line = (f"{name} {moved} {tag}: baseline {bv} vs fresh {fv} "
+                    f"({delta / scale:.1%} apart, tolerance {rel:.0%}, "
+                    f"better {better})")
+            if better == "equal" or (better == "lower") == (fv > bv):
+                failures.append(f"{where}: {line}")
+            else:
+                print(f"  improved: {where}: {line}")
     return compared
 
 
@@ -196,13 +240,16 @@ def main():
 
     bench_spec = spec.get("benches", {}).get(bench, {})
     policy = spec.get("diff", {})
-    for key in ("relative", "absolute_floor", "ignore"):
+    for key in ("relative", "absolute_floor", "keys"):
         if key not in policy:
             fail(f"{args.tolerances}: diff policy missing '{key}'")
+    rules = bench_spec.get("keys", []) + policy["keys"]
+    check_rules(rules, args.tolerances)
 
     base_rows = rows_by_key(base_doc, args.baseline)
     fresh_rows = rows_by_key(fresh_doc, args.fresh)
 
+    failures = []
     if not args.gates_only:
         missing = sorted(set(base_rows) - set(fresh_rows))
         if missing:
@@ -212,14 +259,16 @@ def main():
         if extra:
             fail(f"{args.fresh}: rows not in the baseline: "
                  f"{', '.join(extra)} — regenerate the committed artifact")
-        overrides = bench_spec.get("overrides", {})
         compared = 0
         for key in sorted(base_rows):
             where = f"{bench}: row '{key}'"
             compared += diff_rows(base_rows[key], fresh_rows[key],
-                                  policy, overrides, where)
-        print(f"diff OK: {bench}: {len(base_rows)} rows, "
-              f"{compared} keys within tolerance")
+                                  policy, rules, where, failures)
+        for line in failures:
+            print(f"FAIL: {line}", file=sys.stderr)
+        if not failures:
+            print(f"diff OK: {bench}: {len(base_rows)} rows, "
+                  f"{compared} keys within tolerance or better")
 
     if not args.diff_only:
         gates = bench_spec.get("gates", [])
@@ -228,6 +277,8 @@ def main():
             print(f"gates OK: {bench}: {len(gates)} rules hold")
         else:
             print(f"gates OK: {bench}: no gates defined")
+    if failures:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
