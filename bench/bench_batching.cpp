@@ -4,9 +4,11 @@
 // equation solver with the reliability layer on a *clean* fabric (so every
 // message is protocol cost, none is repair):
 //
-//   unbatched-ack1  — the C11 "reliable" configuration: one one-record
-//                     update frame per write and destination, one
-//                     standalone ack per delivery.
+//   unbatched-ack1  — C11's "reliable" configuration from before delayed
+//                     acks became the default: one one-record update
+//                     frame per write and destination, one standalone ack
+//                     per delivery.  Every solver row sets its ack stride
+//                     explicitly, so the table does not follow the default.
 //   batch8-ack1     — coalesced multi-record frames (≤8 records), classic
 //                     acks.
 //   batch32-ack1    — bigger frames; the per-message floor amortizes more.

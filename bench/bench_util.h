@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "common/check.h"
 #include "common/stats.h"
@@ -40,6 +41,16 @@ inline double blocked_ms(const MetricsSnapshot& m, const char* key = "dsm.blocke
   return static_cast<double>(m.get(key)) / 1e6;
 }
 
+inline std::string compiler() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 /// Harness-level observability: parses `--json <path>` (emit a RunReport
 /// document on exit) and `--trace <path>` / the MC_TRACE environment
 /// variable (enable the event tracer, dump Chrome-trace JSON on exit).
@@ -49,6 +60,10 @@ class Harness {
  public:
   Harness(const char* name, int argc, char** argv) {
     report_.bench = name;
+    // Host fingerprint: wall figures mean little without the host.
+    report_.config["nproc"] = std::to_string(std::thread::hardware_concurrency());
+    report_.config["compiler"] = compiler();
+    report_.config["build_type"] = MC_BUILD_TYPE;
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
       if (arg == "--json" && i + 1 < argc) {

@@ -54,8 +54,8 @@ struct SolverOptions {
   std::optional<net::FaultPlan> faults;
   bool reliable = false;
   /// Tuning for the reliability layer when `reliable` is set — most
-  /// usefully the delayed-ack knobs (ack_every / ack_flush) bench_batching
-  /// sweeps against the batching configuration.
+  /// usefully the delayed-ack stride (ack_every) bench_batching sweeps
+  /// against the batching configuration.
   net::ReliabilityConfig reliability;
 
   /// Batched update propagation (Config::batching): coalesce and frame the

@@ -49,9 +49,6 @@ ReliableChannel::ReliableChannel(Fabric& fabric, std::size_t endpoints,
   MC_CHECK(cfg_.max_retries >= 1);
   MC_CHECK(cfg_.ack_every >= 1);
   MC_CHECK(cfg_.jitter >= 0.0 && cfg_.jitter <= 1.0);
-  MC_CHECK_MSG(cfg_.ack_every == 1 || cfg_.ack_flush < cfg_.initial_rto,
-               "ack flush window must undercut the retransmit timeout or "
-               "sender backoff fires spuriously");
   timer_ = std::thread([this] { timer_loop(); });
 }
 
@@ -91,15 +88,26 @@ void ReliableChannel::on_send(Message& m) {
   // The piggyback satisfies any suppressed standalone ack for the reverse
   // channel (should this message be lost, the peer's retransmit is re-acked
   // immediately, same as a lost standalone ack).
-  reverse.acked = reverse.delivered;
-  st.last_activity = std::chrono::steady_clock::now();
+  if (reverse.acked < reverse.delivered) {
+    reverse.acked = reverse.delivered;
+    acks_piggybacked_.add();
+  }
+  st.last_activity = Clock::now();
   if (!st.dead) {
     InFlight entry;
     entry.msg = m;
     entry.rto = cfg_.initial_rto;
     entry.deadline = st.last_activity + entry.rto;
+    arm(entry.deadline);
     st.inflight.emplace(m.rel_seq, std::move(entry));
   }
+}
+
+void ReliableChannel::arm(Clock::time_point deadline) {
+  if (deadline >= timer_wake_at_) return;
+  timer_wake_at_ = deadline;
+  timer_kicked_ = true;
+  timer_cv_.notify_one();
 }
 
 Message ReliableChannel::make_ack(Endpoint from, Endpoint to, std::uint64_t acked) const {
@@ -113,8 +121,13 @@ Message ReliableChannel::make_ack(Endpoint from, Endpoint to, std::uint64_t acke
 
 void ReliableChannel::handle_ack(std::size_t ch, std::uint64_t acked) {
   SendState& st = send_[ch];
+  const bool had_inflight = !st.inflight.empty();
   st.inflight.erase(st.inflight.begin(), st.inflight.upper_bound(acked));
-  st.last_activity = std::chrono::steady_clock::now();
+  st.last_activity = Clock::now();
+  // A channel that just went quiet starts its keepalive countdown.
+  if (had_inflight && st.inflight.empty() && cfg_.keepalive.count() > 0) {
+    arm(st.last_activity + cfg_.keepalive);
+  }
 }
 
 void ReliableChannel::process(Endpoint e, Message m, std::vector<Message>& acks_out) {
@@ -171,7 +184,10 @@ void ReliableChannel::process(Endpoint e, Message m, std::vector<Message>& acks_
   } else if (st.delivered > st.acked) {
     // Delayed cumulative ack: suppress the standalone ack; a later k-th
     // delivery, reverse-traffic piggyback, or the flush timer covers it.
-    if (!was_pending) st.ack_pending_since = std::chrono::steady_clock::now();
+    if (!was_pending) {
+      st.ack_pending_since = Clock::now();
+      arm(st.ack_pending_since + ack_flush_window(cfg_));
+    }
     acks_delayed_.add();
   }
 }
@@ -206,16 +222,18 @@ bool ReliableChannel::drain(Endpoint e, std::vector<Message>& out, std::size_t m
 void ReliableChannel::timer_loop() {
   std::unique_lock lk(mu_);
   while (!stop_) {
-    timer_cv_.wait_for(lk, cfg_.tick);
-    if (stop_) break;
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
+    auto next = Clock::time_point::max();  // earliest deadline left armed
     std::vector<Message> resends;
     std::vector<PeerUnreachable> new_errors;
     for (std::size_t ch = 0; ch < send_.size(); ++ch) {
       SendState& st = send_[ch];
       if (st.dead || st.inflight.empty()) continue;
       for (auto& [seq, entry] : st.inflight) {
-        if (entry.deadline > now) continue;
+        if (entry.deadline > now) {
+          next = std::min(next, entry.deadline);
+          continue;
+        }
         if (entry.attempts >= cfg_.max_retries) {
           st.dead = true;
           PeerUnreachable err;
@@ -261,7 +279,10 @@ void ReliableChannel::timer_loop() {
         if (st.dead || src == dst || st.next_seq == 1 || !st.inflight.empty()) {
           continue;
         }
-        if (now - st.last_activity < cfg_.keepalive) continue;
+        if (now - st.last_activity < cfg_.keepalive) {
+          next = std::min(next, st.last_activity + cfg_.keepalive);
+          continue;
+        }
         Message ping;
         ping.src = src;
         ping.dst = dst;
@@ -274,16 +295,18 @@ void ReliableChannel::timer_loop() {
     // Flush suppressed acks past their window, so sender RTOs never fire
     // on a healthy-but-quiet channel.
     std::vector<Message> ack_flushes;
-    if (cfg_.ack_every > 1) {
-      for (std::size_t ch = 0; ch < recv_.size(); ++ch) {
-        RecvState& st = recv_[ch];
-        if (st.delivered > st.acked && now - st.ack_pending_since >= cfg_.ack_flush) {
-          st.acked = st.delivered;
-          ack_flushes.push_back(make_ack(static_cast<Endpoint>(ch % endpoints_),
-                                         static_cast<Endpoint>(ch / endpoints_),
-                                         st.delivered));
-        }
+    const auto flush = ack_flush_window(cfg_);
+    for (std::size_t ch = 0; ch < recv_.size(); ++ch) {
+      RecvState& st = recv_[ch];
+      if (st.delivered == st.acked) continue;
+      if (now - st.ack_pending_since < flush) {
+        next = std::min(next, st.ack_pending_since + flush);
+        continue;
       }
+      st.acked = st.delivered;
+      ack_flushes.push_back(make_ack(static_cast<Endpoint>(ch % endpoints_),
+                                     static_cast<Endpoint>(ch / endpoints_),
+                                     st.delivered));
     }
     if (!resends.empty() || !ack_flushes.empty() || !new_errors.empty() ||
         !pings.empty()) {
@@ -304,7 +327,20 @@ void ReliableChannel::timer_loop() {
         for (const PeerUnreachable& err : new_errors) cb(err);
       }
       lk.lock();
+      continue;  // the sends may have armed deadlines: rescan before sleeping
     }
+    // Sleep until the earliest armed deadline, or until arm() brings one
+    // earlier; with nothing armed, sleep until kicked.
+    timer_wake_at_ = next;
+    timer_kicked_ = false;
+    const auto woken = [this] { return stop_ || timer_kicked_; };
+    if (next == Clock::time_point::max()) {
+      timer_cv_.wait(lk, woken);
+    } else {
+      timer_cv_.wait_until(lk, next, woken);
+    }
+    timer_wake_at_ = Clock::time_point::min();
+    timer_wakeups_.add();
   }
 }
 
@@ -319,7 +355,9 @@ void ReliableChannel::add_metrics(MetricsSnapshot& snap) const {
   snap.values["net.acks"] = acks_sent_.get();
   snap.values["net.ack_bytes"] = ack_bytes_.get();
   snap.values["net.ack.delayed"] = acks_delayed_.get();
+  snap.values["net.ack.piggybacked"] = acks_piggybacked_.get();
   snap.values["net.keepalives"] = keepalives_.get();
+  snap.values["net.rel_timer.wakeups"] = timer_wakeups_.get();
   snap.add_histogram("net.rto_ns", rto_ns_);
   std::scoped_lock lk(mu_);
   snap.values["net.peer_unreachable"] = errors_.size();

@@ -4,10 +4,13 @@
 // workstation network only approximates them.  This layer reconstructs the
 // assumption the way a real deployment must: per-channel sequence numbers,
 // receiver-side dedup and reorder buffering, cumulative acks (piggybacked
-// on reverse traffic and sent standalone), and retransmission on timeout
-// with exponential backoff.  A channel that exhausts its retries surfaces a
-// structured PeerUnreachable record instead of retrying forever — the
-// stall itself is the watchdog's job to report (src/dsm/watchdog.h).
+// on reverse traffic, otherwise sent standalone every few deliveries or
+// after a flush window), and retransmission on timeout with exponential
+// backoff.  One timer thread fires every deadline — retransmit timeouts,
+// ack flushes and keepalive probes — sleeping until the earliest one.  A
+// channel that exhausts its retries surfaces a structured PeerUnreachable
+// record instead of retrying forever — the stall itself is the watchdog's
+// job to report (src/dsm/watchdog.h).
 //
 // The protocol state machine (sender and receiver sides) is documented in
 // docs/FAULTS.md.  When reliability is disabled the fabric never consults
@@ -52,19 +55,16 @@ struct ReliabilityConfig {
   std::chrono::nanoseconds max_rto{std::chrono::milliseconds(200)};
   /// Retransmissions per message before the channel is declared dead.
   int max_retries = 10;
-  /// Granularity of the retransmit timer thread.
-  std::chrono::nanoseconds tick{std::chrono::microseconds(500)};
 
   /// Delayed cumulative acks: emit a standalone ack only every `ack_every`
   /// deliveries on a channel (1 = classic ack-per-message).  Acks are
   /// cumulative, so skipping intermediates loses nothing; duplicates are
   /// still re-acked immediately (the sender is already retransmitting) and
-  /// reverse traffic still piggybacks the newest ack for free.
-  std::uint64_t ack_every = 1;
-  /// Flush window bounding how long a suppressed ack may wait before the
-  /// timer ships it anyway.  Must stay comfortably below initial_rto or
-  /// sender backoff fires spuriously on perfectly healthy channels.
-  std::chrono::nanoseconds ack_flush{std::chrono::microseconds(500)};
+  /// reverse traffic still piggybacks the newest ack for free.  A
+  /// suppressed ack is flushed ack_flush_window() = initial_rto / 3 after
+  /// it became owed, so no config can make the flush overtake the sender's
+  /// first timeout.
+  std::uint64_t ack_every = 8;
 
   /// Deterministic seeded backoff jitter in [0, 1].  Each doubled RTO is
   /// scaled by a factor in [1-jitter, 1+jitter] drawn from a splitmix64
@@ -142,6 +142,14 @@ class ReliableChannel {
       std::chrono::nanoseconds prev, const ReliabilityConfig& cfg,
       std::uint64_t channel, std::uint64_t seq, int attempt);
 
+  /// How long a suppressed ack may stay owed before the timer ships it: a
+  /// third of cfg.initial_rto (667 us at the default 2 ms RTO).  Shorter
+  /// windows leave reverse traffic too little time to carry the ack.
+  [[nodiscard]] static std::chrono::nanoseconds ack_flush_window(
+      const ReliabilityConfig& cfg) {
+    return cfg.initial_rto / 3;
+  }
+
   // --- accounting (docs/METRICS.md) ---
   [[nodiscard]] std::uint64_t retransmits() const { return retransmits_.get(); }
   [[nodiscard]] std::uint64_t dup_dropped() const { return dup_dropped_.get(); }
@@ -150,6 +158,12 @@ class ReliableChannel {
   /// Deliveries whose standalone ack was suppressed by ack_every (they were
   /// covered later by a cumulative ack, a piggyback, or the flush timer).
   [[nodiscard]] std::uint64_t acks_delayed() const { return acks_delayed_.get(); }
+  /// Owed acks satisfied by a reverse-traffic piggyback instead of a
+  /// standalone ack.
+  [[nodiscard]] std::uint64_t acks_piggybacked() const { return acks_piggybacked_.get(); }
+  /// Times the timer thread woke (a deadline came due or an earlier one
+  /// was armed).
+  [[nodiscard]] std::uint64_t timer_wakeups() const { return timer_wakeups_.get(); }
   /// Keepalive probes sent (ReliabilityConfig::keepalive).
   [[nodiscard]] std::uint64_t keepalives() const { return keepalives_.get(); }
   [[nodiscard]] const LatencyHistogram& rto_ns() const { return rto_ns_; }
@@ -158,9 +172,11 @@ class ReliableChannel {
   void add_metrics(MetricsSnapshot& snap) const;
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct InFlight {
     Message msg;  // deliver_at restamped on every (re)send
-    std::chrono::steady_clock::time_point deadline;
+    Clock::time_point deadline;
     std::chrono::nanoseconds rto;
     int attempts = 0;
   };
@@ -171,15 +187,15 @@ class ReliableChannel {
     bool dead = false;
     /// Last send or ack on this channel; keepalive probes fire once a
     /// once-used channel has been quiet past cfg_.keepalive.
-    std::chrono::steady_clock::time_point last_activity{};
+    Clock::time_point last_activity{};
   };
 
   struct RecvState {
     std::uint64_t delivered = 0;  // highest in-order sequence handed up
     std::uint64_t acked = 0;      // highest sequence the sender knows about
-    /// A suppressed ack is pending since this instant (valid when
-    /// acked < delivered); the timer flushes it after cfg_.ack_flush.
-    std::chrono::steady_clock::time_point ack_pending_since{};
+    /// A suppressed ack is owed since this instant (valid when
+    /// acked < delivered); the timer flushes it after ack_flush_window().
+    Clock::time_point ack_pending_since{};
     std::map<std::uint64_t, Message> reorder;
   };
 
@@ -194,6 +210,9 @@ class ReliableChannel {
   void handle_ack(std::size_t ch, std::uint64_t acked);
   [[nodiscard]] Message make_ack(Endpoint from, Endpoint to, std::uint64_t acked) const;
 
+  /// A deadline was armed (caller holds mu_): wake the timer if it sleeps
+  /// past it.
+  void arm(Clock::time_point deadline);
   void timer_loop();
 
   Fabric& fabric_;
@@ -208,10 +227,14 @@ class ReliableChannel {
   std::function<void(const PeerUnreachable&)> unreachable_cb_;
 
   Counter retransmits_, dup_dropped_, acks_sent_, ack_bytes_, acks_delayed_;
-  Counter keepalives_;
+  Counter acks_piggybacked_, keepalives_, timer_wakeups_;
   LatencyHistogram rto_ns_;
 
   std::condition_variable timer_cv_;
+  /// When the sleeping timer wakes by itself; min() while it is awake (it
+  /// rescans before sleeping again, so arming needs no wake then).
+  Clock::time_point timer_wake_at_ = Clock::time_point::min();
+  bool timer_kicked_ = false;  // an earlier deadline was armed
   bool stop_ = false;
   std::thread timer_;
 };

@@ -41,7 +41,6 @@ void fast_reliability(SolverOptions& opt) {
   opt.reliability.initial_rto = 500us;
   opt.reliability.max_rto = 10ms;
   opt.reliability.max_retries = 6;
-  opt.reliability.tick = 200us;
   opt.reliability.jitter = 0.25;
   opt.reliability.jitter_seed = 9;
 }
@@ -169,7 +168,6 @@ TEST(ElasticCholesky, CrashAfterOwnColumnsSurvivorsFinishFullFactor) {
   opt.reliability.initial_rto = 500us;
   opt.reliability.max_rto = 10ms;
   opt.reliability.max_retries = 6;
-  opt.reliability.tick = 200us;
   opt.reliability.jitter = 0.25;
   opt.reliability.jitter_seed = 9;
 

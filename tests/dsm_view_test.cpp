@@ -47,7 +47,6 @@ void fast_reliability(Config& cfg) {
   cfg.reliability.initial_rto = 200us;
   cfg.reliability.max_rto = 2ms;
   cfg.reliability.max_retries = 3;
-  cfg.reliability.tick = 100us;
   cfg.reliability.jitter = 0.25;
   cfg.reliability.jitter_seed = 9;
 }
@@ -176,6 +175,9 @@ TEST(ElasticView, CrashRevokesLocksAndReseedsVariables) {
   EXPECT_EQ(v.live_count(), 2u);
   EXPECT_FALSE(v.is_alive(2));
 
+  // Shutdown drains every accepted message, so the donor's re-seed frame
+  // has been applied before the counters are read.
+  sys.shutdown();
   const auto snap = sys.metrics();
   EXPECT_GE(snap.get("view.faults"), 1u);
   EXPECT_EQ(snap.get("view.locks_revoked"), 1u);

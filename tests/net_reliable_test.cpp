@@ -29,7 +29,6 @@ ReliabilityConfig fast_cfg() {
   cfg.initial_rto = std::chrono::milliseconds(1);
   cfg.max_rto = std::chrono::milliseconds(20);
   cfg.max_retries = 30;
-  cfg.tick = std::chrono::microseconds(200);
   return cfg;
 }
 
@@ -111,7 +110,6 @@ TEST(ReliableChannel, SurfacesPeerUnreachableInsteadOfRetryingForever) {
   cfg.initial_rto = std::chrono::microseconds(200);
   cfg.max_rto = std::chrono::milliseconds(1);
   cfg.max_retries = 3;
-  cfg.tick = std::chrono::microseconds(100);
   f.enable_reliability(cfg);
   FaultPlan plan;
   plan.channel_drop_prob[{0, 1}] = 1.0;  // the forward channel is severed
@@ -174,7 +172,6 @@ TEST(ReliableChannel, DelayedAcksSuppressStandaloneAckTraffic) {
   ReliabilityConfig cfg;
   cfg.initial_rto = std::chrono::milliseconds(500);  // no spurious timeouts
   cfg.ack_every = 8;
-  cfg.ack_flush = std::chrono::milliseconds(50);
   f.enable_reliability(cfg);
 
   std::vector<std::uint64_t> got;
@@ -208,14 +205,12 @@ TEST(ReliableChannel, DelayedAcksSuppressStandaloneAckTraffic) {
 TEST(ReliableChannel, AckFlushWindowAcksShortStreamsBeforeRtoFires) {
   // Fewer messages than the ack stride: only the flush timer can ack them.
   // It must do so well inside the (huge) retransmit timeout, otherwise the
-  // sender would spuriously back off — the interaction the
-  // ack_flush < initial_rto config check exists for.
+  // sender would spuriously back off — why the flush window is derived
+  // from initial_rto.
   Fabric f(2);
   ReliabilityConfig cfg;
   cfg.initial_rto = std::chrono::milliseconds(500);
   cfg.ack_every = 64;
-  cfg.ack_flush = std::chrono::milliseconds(2);
-  cfg.tick = std::chrono::microseconds(200);
   f.enable_reliability(cfg);
 
   std::vector<std::uint64_t> got;
@@ -255,7 +250,6 @@ TEST(ReliableChannel, DelayedAcksStillRepairDropsViaRetransmit) {
   Fabric f(2);
   ReliabilityConfig cfg = fast_cfg();
   cfg.ack_every = 4;
-  cfg.ack_flush = std::chrono::microseconds(500);  // < initial_rto = 1ms
   f.enable_reliability(cfg);
   FaultPlan plan;
   plan.seed = 23;
@@ -285,6 +279,166 @@ TEST(ReliableChannel, DelayedAcksStillRepairDropsViaRetransmit) {
   EXPECT_GT(rel->retransmits(), 0u);
   EXPECT_GT(rel->acks_delayed(), 0u);
   EXPECT_TRUE(rel->errors().empty());
+}
+
+TEST(ReliableChannel, DefaultStrideSendsAtMostOneAckPerFourDeliveries) {
+  // Delayed acks are the default: a one-way stream on a clean fabric costs
+  // at most one standalone ack per four deliveries.  Only initial_rto is
+  // raised (and with it the derived flush window), so a slow host cannot
+  // turn spurious retransmits or early flushes into extra acks.
+  constexpr std::uint64_t kTotal = 200;
+  Fabric f(2);
+  ReliabilityConfig cfg;
+  cfg.initial_rto = std::chrono::milliseconds(500);
+  EXPECT_GT(cfg.ack_every, 1u);
+  f.enable_reliability(cfg);
+
+  std::vector<std::uint64_t> got;
+  std::thread receiver([&] {
+    while (got.size() < kTotal) {
+      const auto m = f.recv(1);
+      if (!m.has_value()) break;
+      got.push_back(m->a);
+    }
+  });
+  std::thread ack_drain([&] {
+    while (f.recv(0).has_value()) {
+    }
+  });
+  for (std::uint64_t i = 0; i < kTotal; ++i) f.send(make(0, 1, 1, i));
+  receiver.join();
+  f.shutdown();
+  ack_drain.join();
+
+  ASSERT_EQ(got.size(), kTotal);
+  ReliableChannel* rel = f.reliable_channel();
+  EXPECT_EQ(rel->retransmits(), 0u);
+  EXPECT_LE(rel->acks_sent(), kTotal / 4);
+  EXPECT_GT(rel->acks_delayed(), 0u);
+}
+
+TEST(ReliableChannel, PingPongAcksRideReverseTraffic) {
+  // Every request is answered before the next one goes out, so each owed
+  // ack leaves on the reply (and each reply's ack on the next request)
+  // instead of as a standalone message.  The 500 ms flush window keeps the
+  // flush timer from beating a reply on a slow host.
+  constexpr std::uint64_t kRounds = 50;
+  Fabric f(2);
+  ReliabilityConfig cfg;
+  cfg.initial_rto = std::chrono::seconds(2);
+  f.enable_reliability(cfg);
+
+  std::thread responder([&] {
+    for (std::uint64_t r = 0; r < kRounds; ++r) {
+      const auto m = f.recv(1);
+      if (!m.has_value()) return;
+      f.send(make(1, 0, 2, m->a));
+    }
+  });
+  std::vector<std::uint64_t> replies;
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    f.send(make(0, 1, 1, r));
+    const auto m = f.recv(0);
+    ASSERT_TRUE(m.has_value());
+    replies.push_back(m->a);
+  }
+  responder.join();
+  f.shutdown();
+
+  ASSERT_EQ(replies.size(), kRounds);
+  for (std::uint64_t r = 0; r < kRounds; ++r) EXPECT_EQ(replies[r], r);
+  ReliableChannel* rel = f.reliable_channel();
+  EXPECT_GE(rel->acks_piggybacked(), kRounds - 1);
+  EXPECT_EQ(f.metrics().get("net.ack.piggybacked"), rel->acks_piggybacked());
+  EXPECT_EQ(rel->retransmits(), 0u);
+}
+
+TEST(ReliableChannel, LowRtoWithDefaultStrideFlushesAtThirdOfRto) {
+  // The flush window is derived from the RTO, so a low-RTO config keeps
+  // delayed acks (no separate flush knob can overtake the timeout).
+  Fabric f(2);
+  ReliabilityConfig cfg;
+  cfg.initial_rto = std::chrono::microseconds(200);
+  f.enable_reliability(cfg);
+  EXPECT_EQ(ReliableChannel::ack_flush_window(cfg), cfg.initial_rto / 3);
+
+  std::vector<std::uint64_t> got;
+  std::thread receiver([&] {
+    while (got.size() < 3) {
+      const auto m = f.recv(1);
+      if (!m.has_value()) break;
+      got.push_back(m->a);
+    }
+  });
+  std::thread ack_drain([&] {
+    while (f.recv(0).has_value()) {
+    }
+  });
+  ReliableChannel* rel = f.reliable_channel();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < 3; ++i) f.send(make(0, 1, 1, i));
+  receiver.join();
+  // Fewer deliveries than the stride: only the flush (or, on a host too
+  // slow for a 200 us RTO, a re-ack of a retransmitted copy) acks them,
+  // and neither can go out before the window has passed.
+  const auto deadline = t0 + std::chrono::seconds(5);
+  while (rel->acks_sent() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const auto acked_after = std::chrono::steady_clock::now() - t0;
+  f.shutdown();
+  ack_drain.join();
+
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_GE(rel->acks_sent(), 1u);
+  EXPECT_GE(acked_after, ReliableChannel::ack_flush_window(cfg));
+  EXPECT_GT(rel->acks_delayed(), 0u);
+  EXPECT_TRUE(rel->errors().empty());
+}
+
+TEST(ReliableChannel, TimerSleepsWhileNoDeadlineIsArmed) {
+  // The timer sleeps until its earliest deadline instead of polling: with
+  // keepalive off and nothing in flight or owed, it does not wake at all.
+  Fabric f(2);
+  ReliabilityConfig cfg;
+  ASSERT_EQ(cfg.keepalive.count(), 0);
+  f.enable_reliability(cfg);
+  ReliableChannel* rel = f.reliable_channel();
+
+  const std::uint64_t idle = rel->timer_wakeups();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(rel->timer_wakeups(), idle);
+
+  // After a short stream is delivered and acked, the timer goes back to
+  // sleeping without a deadline.
+  std::vector<std::uint64_t> got;
+  std::thread receiver([&] {
+    while (got.size() < 3) {
+      const auto m = f.recv(1);
+      if (!m.has_value()) break;
+      got.push_back(m->a);
+    }
+  });
+  std::thread ack_drain([&] {
+    while (f.recv(0).has_value()) {
+    }
+  });
+  for (std::uint64_t i = 0; i < 3; ++i) f.send(make(0, 1, 1, i));
+  receiver.join();
+  bool quiet = false;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!quiet && std::chrono::steady_clock::now() < deadline) {
+    const std::uint64_t before = rel->timer_wakeups();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    quiet = rel->acks_sent() > 0 && rel->timer_wakeups() == before;
+  }
+  f.shutdown();
+  ack_drain.join();
+
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_TRUE(quiet);
+  EXPECT_GT(rel->timer_wakeups(), idle);  // the flush deadline woke it
+  EXPECT_EQ(f.metrics().get("net.rel_timer.wakeups"), rel->timer_wakeups());
 }
 
 TEST(ReliableChannel, MessagesOutsideTheProtocolPassThrough) {
@@ -377,7 +531,6 @@ TEST(ReliableChannel, UnreachableCallbackFiresAndMarkDeadSilencesChannel) {
   cfg.initial_rto = std::chrono::microseconds(200);
   cfg.max_rto = std::chrono::milliseconds(1);
   cfg.max_retries = 3;
-  cfg.tick = std::chrono::microseconds(100);
   cfg.jitter = 0.5;
   cfg.jitter_seed = 7;
   f.enable_reliability(cfg);

@@ -99,6 +99,7 @@ TEST(KindNamesTest, NoNumericWireKindInMetrics) {
   dsm::Config cfg;
   cfg.num_procs = 2;
   cfg.reliable = true;  // exercises the rel_ack kind as well
+  cfg.reliability.ack_every = 1;  // a standalone ack per delivery, not a timed flush
   dsm::MixedSystem sys(cfg);
   run_workload(sys);
   const MetricsSnapshot m = sys.metrics();
