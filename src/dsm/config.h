@@ -71,12 +71,16 @@ struct BatchingConfig {
 /// pinned, so eviction never drops the last replica.
 struct DirectoryConfig {
   /// Maximum demand-paged (non-homed, non-pinned) replicas a node keeps
-  /// cached; 0 means unlimited.  Exceeding the budget evicts the least
-  /// recently used unpinned replica.
+  /// cached; 0 means unlimited.  A fill that exceeds the budget evicts
+  /// whole fill frames, least recently used first (a frame is as recent
+  /// as its most recently used member), never the frame it just
+  /// installed; pinned members stay.  docs/DIRECTORY.md "Eviction".
   std::size_t replica_budget = 0;
   /// Upper bound on variables per fill frame: a read miss requests the
-  /// missing variable plus up to this many same-home neighbours (working-
-  /// set prefetch into one kFetchBulkResp).
+  /// missing variable plus same-home neighbours up to this many variables
+  /// in all (working-set prefetch into one kFetchBulkResp), capped at
+  /// replica_budget.  The frame is also the unit of eviction, so 1 gives
+  /// per-variable LRU.
   std::size_t fetch_frame = 16;
 };
 

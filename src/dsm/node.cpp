@@ -50,6 +50,7 @@ Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint lo
     writer_mask_.assign(cfg_.num_vars, elastic_ ? full_mask(cfg_.num_procs) : 0);
     cached_.assign(cfg_.num_vars, false);
     last_use_.assign(cfg_.num_vars, 0);
+    frame_of_.assign(cfg_.num_vars, 0);
     fill_inflight_.assign(cfg_.num_vars, false);
     resolved_ = VectorClock(cfg_.num_procs);
     // Owner pin: the home's copy of each of its variables is always
@@ -859,12 +860,10 @@ void Node::request_fill(std::unique_lock<std::mutex>& lk, VarId x) {
   PendingFill& pf = fills_[token];
   pf.vars.push_back(x);
   fill_inflight_[x] = true;
-  // Same-home prefetch: pull a working-set frame in one bulk reply.  Capped
-  // by the budget so the sweep after install cannot evict the frame itself.
-  std::size_t frame = cfg_.directory->fetch_frame;
-  if (cfg_.directory->replica_budget > 0) {
-    frame = std::min(frame, cfg_.directory->replica_budget);
-  }
+  // Same-home prefetch: pull a working-set frame, no larger than the
+  // cache, in one bulk reply.
+  const std::size_t budget = cfg_.directory->replica_budget;
+  const std::size_t frame = std::min(cfg_.directory->fetch_frame, budget > 0 ? budget : SIZE_MAX);
   for (VarId y = 0; y < cfg_.num_vars && pf.vars.size() < frame; ++y) {
     if (y == x || cached_[y] || fill_inflight_[y] || !dir_managed(y)) continue;
     if (effective_home(y) != h) continue;
@@ -1145,44 +1144,45 @@ void Node::on_fetch_bulk_resp(const net::Message& m) {
     fill_inflight_[x] = false;
     sharer_mask_[x] |= std::uint64_t{1} << self_;
     last_use_[x] = ++use_tick_;
+    frame_of_[x] = token;  // a refill moves x to this frame
     stats_.dir_fill_records.add();
     if (profiler_ != nullptr) profiler_->record_fill_record(x);
   }
-  // The faulting variable (first in the frame) must survive the budget
-  // sweep below: give it the freshest tick.
-  last_use_[pf.vars.front()] = ++use_tick_;
-  enforce_budget_locked();
+  enforce_budget_locked(token);
 }
 
-void Node::enforce_budget_locked() {
+void Node::enforce_budget_locked(std::uint64_t fresh) {
   if (!dir_mode_ || cfg_.directory->replica_budget == 0) return;
-  const std::size_t budget = cfg_.directory->replica_budget;
-  std::vector<std::vector<VarId>> dropped(cfg_.num_procs);
-  bool any = false;
-  for (;;) {
-    std::size_t unpinned = 0;
-    bool found = false;
-    VarId victim = 0;
-    for (VarId x = 0; x < cfg_.num_vars; ++x) {
-      if (!dir_managed(x) || !cached_[x] || replica_pinned(x)) continue;
-      ++unpinned;
-      if (!found || last_use_[x] < last_use_[victim]) {
-        victim = x;
-        found = true;
-      }
-    }
-    // Best effort: pinned replicas (homed variables, counters, in-flight
-    // fills) stay resident even over budget.
-    if (unpinned <= budget || !found) break;
-    mem_.evict(victim);
-    cached_[victim] = false;
-    sharer_mask_[victim] &= ~(std::uint64_t{1} << self_);
-    stats_.dir_evictions.add();
-    if (profiler_ != nullptr) profiler_->record_eviction(victim);
-    dropped[effective_home(victim)].push_back(victim);
-    any = true;
+  std::map<std::uint64_t, std::uint64_t> recency;  // by installing token
+  std::vector<std::pair<std::uint64_t, VarId>> lru;
+  std::size_t unpinned = 0;
+  for (VarId x = 0; x < cfg_.num_vars; ++x) {
+    if (!dir_managed(x) || !cached_[x] || replica_pinned(x)) continue;
+    ++unpinned;
+    if (frame_of_[x] == fresh) continue;
+    std::uint64_t& r = recency[frame_of_[x]];
+    r = std::max(r, last_use_[x]);
+    lru.emplace_back(frame_of_[x], x);
   }
-  if (!any) return;
+  if (unpinned <= cfg_.directory->replica_budget) return;
+  // Use ticks are unique, so a frame's recency also names it.
+  for (auto& [key, x] : lru) key = recency[key];
+  std::sort(lru.begin(), lru.end());
+  std::vector<std::vector<VarId>> dropped(cfg_.num_procs);
+  for (std::size_t i = 0; i < lru.size(); ++i) {
+    const VarId x = lru[i].second;
+    if (i == 0 || lru[i].first != lru[i - 1].first) {
+      if (unpinned <= cfg_.directory->replica_budget) break;
+      stats_.dir_evicted_frames.add();
+    }
+    --unpinned;
+    mem_.evict(x);
+    cached_[x] = false;
+    sharer_mask_[x] &= ~(std::uint64_t{1} << self_);
+    stats_.dir_evictions.add();
+    if (profiler_ != nullptr) profiler_->record_eviction(x);
+    dropped[effective_home(x)].push_back(x);
+  }
   // Deregister with each home.  No drain fence is needed: a write already
   // in flight to us lands counted-but-unapplied (the replica is gone), and
   // a later refill's ack fence folds it into the snapshot baseline.

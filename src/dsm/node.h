@@ -87,12 +87,13 @@ struct NodeStats {
   Counter reseeds_out, reseeds_in;
   /// Directory-based partial replication (Config::directory;
   /// docs/METRICS.md `directory.*`): bulk fills requested, records they
-  /// installed, replicas evicted under the budget, frontier probes sent
-  /// from blocked reads, sharer registrations/deregistrations seen at this
-  /// node's home role, writers registered there, and departed-sharer bits
-  /// purged at view commits.
-  Counter dir_fills, dir_fill_records, dir_evictions, dir_frontier_pings,
-      dir_sharer_adds, dir_sharer_dels, dir_writer_registrations, dir_sharers_purged;
+  /// installed, replicas and whole fill frames evicted under the budget,
+  /// frontier probes sent from blocked reads, sharer registrations/
+  /// deregistrations seen at this node's home role, writers registered
+  /// there, and departed-sharer bits purged at view commits.
+  Counter dir_fills, dir_fill_records, dir_evictions, dir_evicted_frames,
+      dir_frontier_pings, dir_sharer_adds, dir_sharer_dels, dir_writer_registrations,
+      dir_sharers_purged;
   /// Time a read/delta spent blocked on a demand-page fill.
   LatencyHistogram dir_fill_wait_ns;
 
@@ -335,9 +336,17 @@ class Node {
   /// snapshot of `vars` to `to`.  Expects mu_.
   void send_fetch_response_locked(ProcId to, std::span<const VarId> vars,
                                   std::uint64_t token);
-  /// Evict least-recently-used unpinned replicas until the budget holds,
-  /// deregistering each from its home.  Expects mu_.
-  void enforce_budget_locked();
+  /// Evict unpinned replicas until the budget holds, deregistering them
+  /// with one kDirUnregister per home.  The fill frame is the unit: each
+  /// replica belongs to the fill that last installed it, a frame is as
+  /// recent as its most recently used member, and whole frames go, least
+  /// recent first, in one pass over the keyspace.  Pinned members (homed
+  /// variables, counters, in-flight fills) stay resident, and the frame
+  /// just installed (`fresh`) is never a victim.  A leftover of a
+  /// half-evicted frame would cost an update frame per flush and a second
+  /// deregistration later.  With fetch_frame = 1 this is per-variable LRU.
+  /// Expects mu_.
+  void enforce_budget_locked(std::uint64_t fresh);
   /// Send one kFrontierReq to every alive component whose resolved frontier
   /// lags `floor` and has not been probed at this floor yet (`pinged`
   /// remembers probed levels across predicate re-evaluations).  Expects mu_.
@@ -512,6 +521,7 @@ class Node {
   /// demand-page in via request_fill and may be evicted back out.
   std::vector<bool> cached_;
   std::vector<std::uint64_t> last_use_;  // LRU ticks ordering eviction
+  std::vector<std::uint64_t> frame_of_;  // installing fill's token: eviction unit
   std::uint64_t use_tick_ = 0;
   /// Resolved frontier: resolved_[s] >= k promises that every one of s's
   /// first k writes has either been applied here or was never addressed to

@@ -319,7 +319,8 @@ MetricsSnapshot MixedSystem::metrics() const {
     }
   }
   if (cfg_.directory.has_value()) {
-    std::uint64_t fills = 0, fill_records = 0, evictions = 0, pings = 0;
+    std::uint64_t fills = 0, fill_records = 0, evictions = 0, evicted_frames = 0;
+    std::uint64_t pings = 0;
     std::uint64_t adds = 0, dels = 0, writers = 0, purged = 0;
     LatencyHistogram fill_wait_ns;
     for (const auto& n : nodes_) {
@@ -327,6 +328,7 @@ MetricsSnapshot MixedSystem::metrics() const {
       fills += s.dir_fills.get();
       fill_records += s.dir_fill_records.get();
       evictions += s.dir_evictions.get();
+      evicted_frames += s.dir_evicted_frames.get();
       pings += s.dir_frontier_pings.get();
       adds += s.dir_sharer_adds.get();
       dels += s.dir_sharer_dels.get();
@@ -337,6 +339,7 @@ MetricsSnapshot MixedSystem::metrics() const {
     snap.values["directory.fills"] = fills;
     snap.values["directory.fill_records"] = fill_records;
     snap.values["directory.evictions"] = evictions;
+    snap.values["directory.evicted_frames"] = evicted_frames;
     snap.values["directory.frontier_pings"] = pings;
     snap.values["directory.sharer_adds"] = adds;
     snap.values["directory.sharer_dels"] = dels;

@@ -123,16 +123,18 @@ struct FlowEnd {
 struct ThreadLane {
   std::vector<Span> spans;
   std::vector<FlowEnd> ends;
-  /// Flow-start timestamps: chain cut points on application threads.
-  std::vector<std::uint64_t> cuts;
+  /// Flow start and end timestamps: the points every chain segment is
+  /// split at.
+  std::vector<std::uint64_t> splits;
   /// Timestamps of every non-span event, for app/infra classification.
   std::vector<std::uint64_t> loose_ts;
   bool has_marker = false;  ///< saw a proc.start / proc.end instant
   bool is_app = false;
   /// Marked lane lifetime: earliest proc.start and latest proc.end in the
-  /// window (0: marker absent or clipped out).  Gap fill is clamped to this
-  /// range so system construction / teardown around the measured run is not
-  /// billed as compute.
+  /// window (0: marker absent or clipped out).  Gap fill is clamped to the
+  /// run's first proc.start and this lane's proc.end, so system
+  /// construction / teardown around the measured run is not billed as
+  /// compute, but a process whose thread started late is billed the delay.
   std::uint64_t marker_s = 0;
   std::uint64_t marker_e = 0;
 
@@ -143,17 +145,20 @@ struct ThreadLane {
   };
   std::vector<Pos> chain;
 
-  /// The chain node whose range holds `ts`, preferring the segment that
-  /// *ends* at ts over the one that starts there (a cut at a flow start
-  /// splits the chain exactly so the sender's history stops at the send).
-  [[nodiscard]] const Pos* locate(std::uint64_t ts) const {
+  /// The chain node whose range holds `ts`.  Chains are split at every
+  /// flow start and end, so a send leaves the segment that *ends* at its
+  /// timestamp (`at_end`) and an arrival enters the one that *starts* there.
+  [[nodiscard]] const Pos* locate(std::uint64_t ts, bool at_end) const {
+    if (at_end) {
+      auto it = std::lower_bound(chain.begin(), chain.end(), ts,
+                                 [](const Pos& p, std::uint64_t t) { return p.e < t; });
+      return it == chain.end() || it->s > ts ? nullptr : &*it;
+    }
     auto it = std::upper_bound(chain.begin(), chain.end(), ts,
                                [](std::uint64_t t, const Pos& p) { return t < p.s; });
     if (it == chain.begin()) return nullptr;
     --it;
-    if (it->s == ts && it != chain.begin()) --it;
-    if (ts < it->s || ts > it->e) return nullptr;
-    return &*it;
+    return ts > it->e ? nullptr : &*it;
   }
 };
 
@@ -169,6 +174,7 @@ CriticalPath analyze_trace(const std::vector<Tracer::Recorded>& events,
   // the first recorded send wins, which is the original transmission.
   std::map<std::uint64_t, std::pair<std::uint32_t, std::uint64_t>> starts;
   bool any_marker = false;
+  std::uint64_t first_start = 0;  // earliest proc.start of any lane
 
   for (const Tracer::Recorded& r : events) {
     const TraceEvent& ev = r.ev;
@@ -185,10 +191,11 @@ CriticalPath analyze_trace(const std::vector<Tracer::Recorded>& events,
     ThreadLane& lane = lanes[r.tid];
     if (ev.phase == 's') {
       starts.emplace(ev.flow_id, std::make_pair(r.tid, ev.ts_ns));
-      lane.cuts.push_back(ev.ts_ns);
+      lane.splits.push_back(ev.ts_ns);
       lane.loose_ts.push_back(ev.ts_ns);
     } else if (ev.phase == 'f') {
       lane.ends.push_back(FlowEnd{ev.ts_ns, ev.flow_id});
+      lane.splits.push_back(ev.ts_ns);
       lane.loose_ts.push_back(ev.ts_ns);
     } else {
       const std::string_view name = ev.name == nullptr ? std::string_view{} : ev.name;
@@ -196,6 +203,7 @@ CriticalPath analyze_trace(const std::vector<Tracer::Recorded>& events,
         lane.has_marker = true;
         any_marker = true;
         if (lane.marker_s == 0 || ev.ts_ns < lane.marker_s) lane.marker_s = ev.ts_ns;
+        if (first_start == 0 || ev.ts_ns < first_start) first_start = ev.ts_ns;
       } else if (name == "proc.end") {
         lane.has_marker = true;
         any_marker = true;
@@ -262,39 +270,48 @@ CriticalPath analyze_trace(const std::vector<Tracer::Recorded>& events,
   }
 
   // Materialize each thread's chain: span nodes, and on app threads the
-  // compute gaps between them — split at flow starts so a sender's chain
-  // weight stops at the send instead of running to the next span.
+  // compute gaps between them.  Every segment is split at the lane's flow
+  // starts and ends, and transit edges leave the piece ending at the send
+  // and enter the piece starting at the arrival, so the nodes along any
+  // path are disjoint in time and no path outlasts the window.  (A sender's
+  // chain stops at the send; a fan-out inside one deliver span does not
+  // bill the span's tail to each message's path.)
   for (auto& [tid, lane] : lanes) {
     (void)tid;
-    std::sort(lane.cuts.begin(), lane.cuts.end());
-    auto append = [&lane, &dag](std::uint64_t s, std::uint64_t e, CpCategory cat,
-                                std::uint64_t weight) {
-      const std::size_t node = dag.add_node(cat, weight);
-      if (!lane.chain.empty()) dag.add_edge(lane.chain.back().node, node);
-      lane.chain.push_back(ThreadLane::Pos{s, e, node});
-    };
-    auto fill_gap = [&lane, &append](std::uint64_t from, std::uint64_t to) {
-      if (!lane.is_app || to <= from) return;
-      std::uint64_t cursor = from;
-      for (auto it = std::upper_bound(lane.cuts.begin(), lane.cuts.end(), from);
-           it != lane.cuts.end() && *it < to; ++it) {
-        if (*it == cursor) continue;
-        append(cursor, *it, CpCategory::kCompute, *it - cursor);
+    std::vector<std::uint64_t>& splits = lane.splits;
+    std::sort(splits.begin(), splits.end());
+    splits.erase(std::unique(splits.begin(), splits.end()), splits.end());
+    // Pieces of [s, e] weigh their overlap with [from, e]: a bound wait
+    // weighs only its post-arrival sliver.
+    auto append = [&lane, &dag, &splits](std::uint64_t s, std::uint64_t e, CpCategory cat,
+                                          std::uint64_t from) {
+      auto piece = [&](std::uint64_t ps, std::uint64_t pe) {
+        const std::size_t node = dag.add_node(cat, pe > from ? pe - std::max(ps, from) : 0);
+        if (!lane.chain.empty()) dag.add_edge(lane.chain.back().node, node);
+        lane.chain.push_back(ThreadLane::Pos{ps, pe, node});
+      };
+      // A flow point at s or e yields a zero-length piece there, so a send
+      // at s still leaves a piece that ends at it.
+      std::uint64_t cursor = s;
+      for (auto it = std::lower_bound(splits.begin(), splits.end(), s);
+           it != splits.end() && *it <= e; ++it) {
+        piece(cursor, *it);
         cursor = *it;
       }
-      if (to > cursor) append(cursor, to, CpCategory::kCompute, to - cursor);
+      piece(cursor, e);
+    };
+    auto fill_gap = [&lane, &append](std::uint64_t from, std::uint64_t to) {
+      if (lane.is_app && to > from) append(from, to, CpCategory::kCompute, from);
     };
 
     const std::uint64_t lane_t0 =
-        lane.marker_s != 0 ? std::max(t0_ns, lane.marker_s) : t0_ns;
+        lane.marker_s != 0 ? std::max(t0_ns, first_start) : t0_ns;
     const std::uint64_t lane_t1 =
         lane.marker_e != 0 ? std::min(t1_ns, lane.marker_e) : t1_ns;
     std::uint64_t cursor = lane_t0;
     for (const Span& sp : lane.spans) {
       fill_gap(cursor, std::min(sp.s, lane_t1));
-      const std::uint64_t weight =
-          sp.arrival != 0 ? sp.e - std::max(sp.arrival, sp.s) : sp.e - sp.s;
-      append(sp.s, sp.e, sp.cat, weight);
+      append(sp.s, sp.e, sp.cat, std::max(sp.arrival, sp.s));
       cursor = sp.e;
     }
     fill_gap(cursor, lane_t1);
@@ -309,7 +326,7 @@ CriticalPath analyze_trace(const std::vector<Tracer::Recorded>& events,
       if (sit == starts.end()) continue;  // start lost to ring overwrite
       const auto [sender_tid, ts_s] = sit->second;
       if (ts_s > fe.ts) continue;
-      const ThreadLane::Pos* dst = lane.locate(fe.ts);
+      const ThreadLane::Pos* dst = lane.locate(fe.ts, /*at_end=*/false);
       if (dst == nullptr) continue;
       const CpCategory cat = (fe.id & kFlowRetransmitBit) != 0
                                  ? CpCategory::kRetransmit
@@ -317,7 +334,7 @@ CriticalPath analyze_trace(const std::vector<Tracer::Recorded>& events,
       const std::size_t transit = dag.add_node(cat, fe.ts - ts_s);
       const auto lit = lanes.find(sender_tid);
       if (lit != lanes.end()) {
-        const ThreadLane::Pos* src = lit->second.locate(ts_s);
+        const ThreadLane::Pos* src = lit->second.locate(ts_s, /*at_end=*/true);
         if (src != nullptr && src->node != dst->node) {
           dag.add_edge(src->node, transit);
         }

@@ -1,12 +1,12 @@
 // Directory-based partial replication (Config::directory; docs/DIRECTORY.md).
 //
 // Protocol-level coverage: demand-paging on first read, sharer-multicast
-// instead of broadcast, LRU eviction under the replica budget with
-// deregistration and re-fetch freshness, the owner pin (eviction never
-// drops the last copy), delta write-allocation, writer registration and
-// the writer-scoped fill fence, read-floor soundness on freshly paged-in
-// replicas across barriers and locks, and the directory.*
-// / net.bytes.* metrics surface.  App-level bitwise equivalence lives in
+// instead of broadcast, eviction by whole fill frames (least recently
+// used first) under the replica budget with deregistration and re-fetch
+// freshness, the owner pin (eviction never drops the last copy), delta
+// write-allocation, writer registration and the writer-scoped fill
+// fence, read-floor soundness on freshly paged-in replicas across
+// barriers and locks, and the directory.* / net.bytes.* metrics surface.  App-level bitwise equivalence lives in
 // apps_directory_test.cpp; chaos and elastic interplay in chaos_test.cpp
 // and the elastic sections below.
 
@@ -249,6 +249,99 @@ TEST(Directory, PrefetchCappedByBudget) {
   });
 }
 
+// Frame eviction: 32 variables over 2 processes, so p0 homes 0..15; p1
+// reads them with fetch_frame 4 and a budget of two frames.  A miss on x
+// pages in x plus the lowest uncached same-home variables.
+
+/// p0 writes 100 + x to each of its variables; p1 runs `reader` after the
+/// barrier.  Returns the metrics.
+template <typename Reader>
+MetricsSnapshot run_frame_reader(Reader reader) {
+  MixedSystem sys(dir_config(2, 32, /*budget=*/8, /*fetch_frame=*/4));
+  sys.run([&](Node& n, ProcId p) {
+    if (p == 0) {
+      for (VarId x = 0; x < 16; ++x) n.write_int(x, 100 + x);
+      n.barrier();
+      n.barrier();
+    } else {
+      n.barrier();
+      reader(n);
+      n.barrier();
+    }
+  });
+  return sys.metrics();
+}
+
+/// Reads x and returns how many fills the read caused.
+std::uint64_t fills_for_read(Node& n, VarId x, std::int64_t expect) {
+  const std::uint64_t before = n.stats().dir_fills.get();
+  EXPECT_EQ(n.read_int(x, ReadMode::kPram), expect) << "var " << x;
+  return n.stats().dir_fills.get() - before;
+}
+
+TEST(Directory, RecentlyReadMemberKeepsItsWholeFrameResident) {
+  const MetricsSnapshot snap = run_frame_reader([](Node& n) {
+    EXPECT_EQ(fills_for_read(n, 0, 100), 1u);  // frame {0,1,2,3}
+    EXPECT_EQ(fills_for_read(n, 4, 104), 1u);  // frame {4,5,6,7}
+    EXPECT_EQ(fills_for_read(n, 0, 100), 0u);  // the first frame is hotter
+    EXPECT_EQ(fills_for_read(n, 8, 108), 1u);  // evicts {4,5,6,7} whole
+    // Per-variable LRU would have evicted 1, 2 and 3 here.
+    for (VarId x = 1; x < 4; ++x) EXPECT_EQ(fills_for_read(n, x, 100 + x), 0u);
+    EXPECT_EQ(fills_for_read(n, 5, 105), 1u);  // evicts {8,9,10,11}
+  });
+  EXPECT_EQ(snap.get("directory.fills"), 4u);
+  EXPECT_EQ(snap.get("directory.evictions"), 8u);
+  EXPECT_EQ(snap.get("directory.evicted_frames"), 2u);
+  EXPECT_EQ(snap.get("net.msg.dir_unregister"), 2u);
+}
+
+TEST(Directory, DeltaTouchedMemberOfEvictedFrameStaysResident) {
+  const MetricsSnapshot snap = run_frame_reader([](Node& n) {
+    EXPECT_EQ(fills_for_read(n, 0, 100), 1u);  // frame {0,1,2,3}
+    n.dec_int(1, 5);                           // pins var 1
+    EXPECT_EQ(fills_for_read(n, 4, 104), 1u);  // frame {4,5,6,7}
+    EXPECT_EQ(fills_for_read(n, 8, 108), 1u);  // evicts 0, 2 and 3 only
+    EXPECT_EQ(fills_for_read(n, 1, 101 - 5), 0u);
+    EXPECT_EQ(fills_for_read(n, 0, 100), 1u);
+  });
+  EXPECT_EQ(snap.get("directory.evicted_frames"), 2u);
+}
+
+TEST(Directory, RefilledVariableIsEvictedWithItsNewFrame) {
+  run_frame_reader([](Node& n) {
+    EXPECT_EQ(fills_for_read(n, 0, 100), 1u);  // {0,1,2,3}
+    EXPECT_EQ(fills_for_read(n, 4, 104), 1u);  // {4,5,6,7}
+    EXPECT_EQ(fills_for_read(n, 8, 108), 1u);  // {8..11}; evicts {0,1,2,3}
+    EXPECT_EQ(fills_for_read(n, 12, 112), 1u);  // {12,0,1,2}; evicts {4..7}
+    EXPECT_EQ(fills_for_read(n, 3, 103), 1u);  // {3,4,5,6}; evicts {8..11}
+    // Var 0 now belongs to {12,0,1,2}, the colder frame, and goes with it
+    // although its first frame's member 3 was just read.
+    EXPECT_EQ(fills_for_read(n, 7, 107), 1u);  // {7,8,9,10}; evicts {12,0,1,2}
+    EXPECT_EQ(fills_for_read(n, 3, 103), 0u);
+    EXPECT_EQ(fills_for_read(n, 0, 100), 1u);
+  });
+}
+
+TEST(Directory, FrameOfOneIsPerVariableLru) {
+  MixedSystem sys(dir_config(2, 8, /*budget=*/2, /*fetch_frame=*/1));
+  sys.run([](Node& n, ProcId p) {
+    if (p == 1) {
+      for (VarId x = 4; x < 8; ++x) n.write_int(x, 100 + x);
+      n.barrier();
+      n.barrier();
+      return;
+    }
+    n.barrier();
+    // (var, fills) along a trace where the least recently used variable
+    // is always the victim: 5, 6, 4 and 6 again are evicted.
+    const std::pair<VarId, std::uint64_t> trace[] = {
+        {4, 1}, {5, 1}, {4, 0}, {6, 1}, {4, 0}, {5, 1}, {6, 1}, {5, 0}, {4, 1}};
+    for (const auto& [x, fills] : trace) EXPECT_EQ(fills_for_read(n, x, 100 + x), fills);
+    n.barrier();
+  });
+  EXPECT_EQ(sys.metrics().get("directory.evictions"), 4u);
+}
+
 // ----------------------------------------------------------------------
 // Deltas
 // ----------------------------------------------------------------------
@@ -420,6 +513,10 @@ TEST(Directory, StripShapeSendsNoDirectoryControlTraffic) {
   EXPECT_GT(snap.get("directory.fills"), 0u);
   EXPECT_GT(snap.get("directory.evictions"), 0u);
   EXPECT_GT(snap.get("net.msg.dir_unregister"), 0u);
+  // Each fill after a process's first evicts the previous window whole:
+  // one deregistration per fill, no leftovers to drop later.
+  EXPECT_EQ(snap.get("net.msg.dir_unregister"), snap.get("directory.fills") - kProcs);
+  EXPECT_EQ(snap.get("directory.evicted_frames"), snap.get("directory.fills") - kProcs);
   for (const char* key : {"net.msg.dir_sharer_add", "net.msg.dir_ack",
                           "net.msg.dir_sharer_del", "net.msg.frontier_req"}) {
     EXPECT_EQ(snap.get(key), 0u) << key;
@@ -800,7 +897,7 @@ TEST(Directory, MetricsExposeDirectoryKeys) {
   const MetricsSnapshot snap = sys.metrics();
   for (const char* key :
        {"directory.fills", "directory.fill_records", "directory.evictions",
-        "directory.frontier_pings", "directory.sharer_adds",
+        "directory.evicted_frames", "directory.frontier_pings", "directory.sharer_adds",
         "directory.sharer_dels", "directory.sharers_purged"}) {
     EXPECT_TRUE(snap.values.count(key)) << key;
   }

@@ -146,14 +146,16 @@ TEST(AnalyzeTraceTest, BoundWaitRoutesThroughSenderChain) {
   ev.push_back(flow(2, 's', 2, 490));           // grant sent, in-span
 
   const CriticalPath cp = analyze_trace(ev, 0, 1000);
-  // gap[5,100]=95 -> transit(210-100)=110 -> deliver=300 ->
-  // transit(600-490)=110 -> sliver(610-600)=10 -> gap[610,1000]=390.
-  EXPECT_EQ(cp.total_ns, 95u + 110u + 300u + 110u + 10u + 390u);
+  // gap[5,100]=95 -> transit(210-100)=110 -> deliver[210,490]=280 ->
+  // transit(600-490)=110 -> sliver(610-600)=10 -> gap[610,1000]=390.  The
+  // deliver span counts only between the request's arrival and the grant's
+  // send: the rest overlaps the two transits.
+  EXPECT_EQ(cp.total_ns, 95u + 110u + 280u + 110u + 10u + 390u);
   // The [100,110] pre-span gap is off the winning path (the detour leaves
   // at the t=100 send): compute = gap[5,100] + gap[610,1000].
   EXPECT_EQ(cp.category(CpCategory::kCompute), 95u + 390u);
   EXPECT_EQ(cp.category(CpCategory::kNetTransit), 220u);
-  EXPECT_EQ(cp.category(CpCategory::kDeliver), 300u);
+  EXPECT_EQ(cp.category(CpCategory::kDeliver), 280u);
   EXPECT_EQ(cp.category(CpCategory::kLockWait), 10u);
   EXPECT_EQ(cp.cyclic_nodes, 0u);
 }
@@ -162,16 +164,50 @@ TEST(AnalyzeTraceTest, RetransmitFlowBillsRetransmitCategory) {
   std::vector<Tracer::Recorded> ev;
   const std::uint64_t id = 3u | kFlowRetransmitBit;
   ev.push_back(flow(1, 's', id, 100));
+  ev.push_back(instant(1, "proc.end", 150));
   ev.push_back(span(2, "deliver", 400, 50));  // clipped to [400, 430]
   ev.push_back(flow(2, 'f', id, 405));
 
   const CriticalPath cp = analyze_trace(ev, 0, 430);
   // Sender chain to the send (100) + retransmit transit (305) + clipped
-  // deliver (30) beats the sender's straight 430ns compute chain.
-  EXPECT_EQ(cp.total_ns, 435u);
+  // deliver from the arrival (25) beats the sender's 150ns compute chain.
+  EXPECT_EQ(cp.total_ns, 430u);
   EXPECT_EQ(cp.category(CpCategory::kRetransmit), 305u);
   EXPECT_EQ(cp.category(CpCategory::kNetTransit), 0u);
-  EXPECT_EQ(cp.category(CpCategory::kDeliver), 30u);
+  EXPECT_EQ(cp.category(CpCategory::kDeliver), 25u);
+}
+
+TEST(AnalyzeTraceTest, BarrierFanOutDoesNotOutlastTheWindow) {
+  // Four processes arrive at a barrier (sends at t=100, waits from t=105);
+  // the manager consumes the arrivals in four deliver spans and, in the
+  // last one ([260, 500]), sends the releases one after another at
+  // 300, 350, 400, 450.  Process k's release lands at 470 + 10k and its
+  // wait ends 5ns later; every lane ends at t=900.  Billing the whole
+  // fan-out span to each release's path (and the span's head before the
+  // arrival that entered it) made the path 1091ns long — longer than the
+  // 890ns the processes lived.
+  std::vector<Tracer::Recorded> ev;
+  for (std::uint32_t k = 0; k < 4; ++k) {
+    const std::uint32_t tid = k + 1;
+    const std::uint64_t landing = 470 + 10 * k;
+    ev.push_back(instant(tid, "proc.start", 10));
+    ev.push_back(flow(tid, 's', tid, 100));  // arrival
+    ev.push_back(span(tid, "barrier.wait", 105, landing + 5 - 105));
+    ev.push_back(flow(tid, 'f', 10 + tid, landing));  // release
+    ev.push_back(instant(tid, "proc.end", 900));
+    const std::uint64_t d = 200 + 20 * k;
+    ev.push_back(span(9, "deliver", d, k < 3 ? 10 : 240));
+    ev.push_back(flow(9, 'f', tid, d + 1));
+    ev.push_back(flow(9, 's', 11 + k, 300 + 50 * k));
+  }
+
+  const CriticalPath cp = analyze_trace(ev, 0, 1000);
+  // Last arrival's sender chain [10,100] + transit to 261 = 251, then any
+  // release k: deliver [261, send] + transit + 5ns sliver + compute to 900.
+  EXPECT_EQ(cp.total_ns, 890u);
+  EXPECT_LE(cp.category(CpCategory::kDeliver), 450u - 261u);
+  EXPECT_EQ(cp.category(CpCategory::kBarrierWait), 5u);
+  EXPECT_EQ(cp.cyclic_nodes, 0u);
 }
 
 TEST(AnalyzeTraceTest, UnboundWaitKeepsFullWeight) {
@@ -208,6 +244,21 @@ TEST(AnalyzeTraceTest, ProcEndBoundsTheLane) {
   EXPECT_EQ(cp.total_ns, 800u);
   EXPECT_EQ(cp.category(CpCategory::kAwaitSpin), 50u);
   EXPECT_EQ(cp.category(CpCategory::kCompute), 750u);
+}
+
+TEST(AnalyzeTraceTest, LateStartingProcessIsBilledItsStartDelay) {
+  // Process 2's thread starts 390ns after process 1's and nothing traced
+  // explains the delay; the run still lasts from the first start to the
+  // last end, so the late lane's chain starts where the run did.
+  std::vector<Tracer::Recorded> ev;
+  ev.push_back(instant(1, "proc.start", 10));
+  ev.push_back(instant(1, "proc.end", 200));
+  ev.push_back(instant(2, "proc.start", 400));
+  ev.push_back(instant(2, "proc.end", 900));
+
+  const CriticalPath cp = analyze_trace(ev, 0, 1000);
+  EXPECT_EQ(cp.total_ns, 890u);
+  EXPECT_EQ(cp.category(CpCategory::kCompute), 890u);
 }
 
 TEST(AnalyzeTraceTest, EmptyWindow) {

@@ -45,6 +45,7 @@ DIRECTORY_KEYS = {
     "directory.fills",
     "directory.fill_records",
     "directory.evictions",
+    "directory.evicted_frames",
     "directory.frontier_pings",
     "directory.sharer_adds",
     "directory.sharer_dels",
