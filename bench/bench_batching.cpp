@@ -22,9 +22,16 @@
 // the standalone-ack-to-data-message ratio from ~1.0 to ≤0.2; combined,
 // both the message count and the ack ratio collapse.  A second table runs
 // the 2-D Yee grid unbatched vs batched as a stencil cross-check.
+//
+// Whether an owed ack finds reverse traffic before its flush timer fires
+// depends on how fast the host runs, so standalone-ack counts are timing.
+// Every row therefore runs kRuns times and reports the run whose
+// ack-to-data ratio is the median; the C12 ratio gate reads that median.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "apps/em_field2d.h"
 #include "apps/equation_solver.h"
@@ -38,22 +45,44 @@ namespace {
 
 struct Variant {
   const char* name;
-  std::optional<dsm::BatchingConfig> batching;
+  dsm::BatchingConfig batching;
   std::uint64_t ack_every = 1;
 };
 
 std::vector<Variant> variants() {
-  dsm::BatchingConfig small;
-  small.max_updates = 8;
-  dsm::BatchingConfig big;
-  big.max_updates = 32;
+  const dsm::BatchingConfig unbatched{.max_updates = 1};
+  const dsm::BatchingConfig small{.max_updates = 8};
+  const dsm::BatchingConfig big{.max_updates = 32};
   return {
-      {"unbatched-ack1", std::nullopt, 1},
+      {"unbatched-ack1", unbatched, 1},
       {"batch8-ack1", small, 1},
       {"batch32-ack1", big, 1},
       {"batch32-ack8", big, 8},
-      {"unbatched-ack8", std::nullopt, 8},
+      {"unbatched-ack8", unbatched, 8},
   };
+}
+
+/// Repeated runs per row (odd, so the median is one of them).
+constexpr std::size_t kRuns = 9;
+
+/// Standalone acks per data message.
+double ack_ratio_of(const MetricsSnapshot& m) {
+  const auto total = static_cast<double>(m.get("net.messages"));
+  const auto acks = static_cast<double>(m.get("net.msg.rel_ack"));
+  return total > acks ? acks / (total - acks) : 0.0;
+}
+
+/// Run `once` kRuns times and return the result whose ack ratio is the
+/// median.
+template <typename Run>
+auto median_run(Run once) {
+  std::vector<decltype(once())> runs;
+  for (std::size_t i = 0; i < kRuns; ++i) runs.push_back(once());
+  std::nth_element(runs.begin(), runs.begin() + kRuns / 2, runs.end(),
+                   [](const auto& a, const auto& b) {
+                     return ack_ratio_of(a.metrics) < ack_ratio_of(b.metrics);
+                   });
+  return std::move(runs[kRuns / 2]);
 }
 
 /// Derived columns shared by both tables: split total traffic into data
@@ -62,10 +91,9 @@ std::vector<Variant> variants() {
 obs::RunReport::Row& report(Harness& h, const std::string& name, double ms,
                             std::size_t iters, const MetricsSnapshot& m,
                             const std::string& app) {
-  const auto total = static_cast<double>(m.get("net.messages"));
   const auto acks = static_cast<double>(m.get("net.msg.rel_ack"));
-  const double data = total - acks;
-  const double ack_ratio = data > 0 ? acks / data : 0.0;
+  const double data = static_cast<double>(m.get("net.messages")) - acks;
+  const double ack_ratio = ack_ratio_of(m);
   std::printf("%-16s time=%8.2fms msgs=%-8llu data=%-8llu acks=%-8llu "
               "ack/data=%.2f bytes=%-10llu coalesced=%-7llu upd/msg=%llu\n",
               name.c_str(), ms, msgs(m),
@@ -82,6 +110,7 @@ obs::RunReport::Row& report(Harness& h, const std::string& name, double ms,
   row.stats["data_msgs"] = data;
   row.stats["standalone_acks"] = acks;
   row.stats["ack_to_data_ratio"] = ack_ratio;
+  row.stats["runs"] = static_cast<double>(kRuns);
   row.metrics = m;
   return row;
 }
@@ -92,7 +121,8 @@ void solver_table(Harness& h) {
   print_header("C12 — batched update propagation: Figure 2 solver, reliable "
                "clean fabric",
                "unbatched vs multi-record frames vs delayed cumulative acks; expect "
-               "≥3x fewer messages and ack/data ≤0.2 with the full stack");
+               "≥3x fewer messages and ack/data ≤0.2 with the full stack (each row "
+               "is the median-ack-ratio run of 9)");
   for (const Variant& v : variants()) {
     SolverOptions opt;
     opt.workers = 3;
@@ -101,7 +131,7 @@ void solver_table(Harness& h) {
     opt.reliability.ack_every = v.ack_every;
     opt.batching = v.batching;
     if (h.profiling()) opt.profile = h.profile_options();
-    const SolverResult r = solve_barrier_pram(sys, opt);
+    const SolverResult r = median_run([&] { return solve_barrier_pram(sys, opt); });
     auto& row = report(h, v.name, r.elapsed_ms, r.iterations, r.metrics, "solver");
     if (h.profiling() && !r.profile.empty()) Harness::set_profile(row, r.profile);
   }
@@ -115,19 +145,20 @@ void em2d_table(Harness& h) {
   print_header("C12b — 2-D Yee grid stencil cross-check (ghost rows, "
                "reliable clean fabric)",
                "whole ghost rows coalesce into one frame per barrier "
-               "interval; ack stride fixed at 1");
+               "interval; default ack stride");
   const struct {
     const char* name;
-    std::optional<dsm::BatchingConfig> batching;
+    dsm::BatchingConfig batching;
   } rows[] = {
-      {"unbatched", std::nullopt},
+      {"unbatched", {.max_updates = 1}},
       {"batch32", dsm::BatchingConfig{.max_updates = 32}},
   };
   for (const auto& v : rows) {
-    const Em2dResult r = em2d_mixed(
-        prob, 3, ReadMode::kPram, net::LatencyModel::fast(), 1, std::nullopt,
-        /*reliable=*/true, v.batching, std::nullopt,
-        h.profiling() ? std::optional(h.profile_options()) : std::nullopt);
+    const Em2dResult r = median_run([&] {
+      return em2d_mixed(prob, 3, ReadMode::kPram, net::LatencyModel::fast(), 1,
+                        std::nullopt, /*reliable=*/true, v.batching, std::nullopt,
+                        h.profiling() ? std::optional(h.profile_options()) : std::nullopt);
+    });
     auto& row = report(h, v.name, r.elapsed_ms, 0, r.metrics, "em-field2d");
     if (h.profiling() && !r.profile.empty()) Harness::set_profile(row, r.profile);
   }

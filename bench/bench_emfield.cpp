@@ -67,7 +67,7 @@ void run_case_2d(Harness& h, std::size_t nx, std::size_t ny, std::size_t procs) 
   const auto ref = em2d_reference(prob);
   const auto par = em2d_mixed(
       prob, procs, ReadMode::kPram, net::LatencyModel::fast(), 1, std::nullopt,
-      false, std::nullopt, std::nullopt,
+      false, {.max_updates = 1}, std::nullopt,
       h.profiling() ? std::optional(h.profile_options()) : std::nullopt);
   const bool exact = par.ez == ref.ez && par.hx == ref.hx && par.hy == ref.hy;
   std::printf("2d-yee-pram        grid=%zux%-3zu procs=%zu time=%8.2fms msgs=%-8llu "

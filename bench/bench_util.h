@@ -10,8 +10,13 @@
 
 #pragma once
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -40,6 +45,54 @@ inline unsigned long long bytes(const MetricsSnapshot& m) {
 inline double blocked_ms(const MetricsSnapshot& m, const char* key = "dsm.blocked_ns") {
   return static_cast<double>(m.get(key)) / 1e6;
 }
+
+/// The process's current thread count (the `Threads:` line of
+/// /proc/self/status; 0 where that file does not exist).
+inline std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+/// Samples process_threads() every millisecond on a thread of its own and
+/// keeps the peak, not counting itself: how many threads the runtime runs
+/// while a case is live (app, delivery, manager and timer threads).
+class ThreadPeak {
+ public:
+  ThreadPeak()
+      : sampler_([this] {
+          std::unique_lock lk(mu_);
+          do {
+            const std::size_t n = process_threads();
+            if (n > 0) peak_ = std::max(peak_, n - 1);
+          } while (!cv_.wait_for(lk, std::chrono::milliseconds(1), [&] { return stop_; }));
+        }) {}
+  ~ThreadPeak() { stop(); }
+
+  ThreadPeak(const ThreadPeak&) = delete;
+  ThreadPeak& operator=(const ThreadPeak&) = delete;
+
+  /// Stop sampling and return the peak.
+  std::size_t stop() {
+    {
+      std::scoped_lock lk(mu_);
+      stop_ = true;
+    }
+    cv_.notify_one();
+    if (sampler_.joinable()) sampler_.join();
+    return peak_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::size_t peak_ = 0;
+  std::thread sampler_;
+};
 
 inline std::string compiler() {
 #if defined(__clang__)
@@ -174,6 +227,7 @@ class Harness {
   void finish() {
     if (finished_) return;
     finished_ = true;
+    report_.config["threads_peak"] = std::to_string(threads_.stop());
     bool ok = true;
     if (!json_path_.empty()) {
       if (report_.write_file(json_path_)) {
@@ -206,6 +260,7 @@ class Harness {
   bool smoke_ = false;
   bool profile_ = false;
   bool finished_ = false;
+  ThreadPeak threads_;
 };
 
 /// Keep `value` observable so timing loops are not optimized away.

@@ -56,12 +56,13 @@ struct CholeskyOptions {
   /// schedule-dependent update ordering).
   std::optional<ProcId> crash_proc;
 
-  /// Batched update propagation (Config::batching).  The counter variant
-  /// exercises delta-sum coalescing; the lock variant flush-on-unlock.
-  std::optional<dsm::BatchingConfig> batching;
+  /// Update staging (Config::batching; one-record frames by default).
+  /// Batched, the counter variant exercises delta-sum coalescing and the
+  /// lock variant flush-on-unlock.
+  dsm::BatchingConfig batching{.max_updates = 1};
 
-  /// Directory-based partial replication (Config::directory; requires
-  /// `batching`).  The counter variant additionally exercises delta
+  /// Directory-based partial replication (Config::directory).  The
+  /// counter variant additionally exercises delta
   /// write-allocation (a delta to an uncached variable fills first).
   std::optional<dsm::DirectoryConfig> directory;
 

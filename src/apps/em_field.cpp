@@ -69,7 +69,7 @@ EmResult em_reference(const EmProblem& prob) {
 EmResult em_mixed(const EmProblem& prob, std::size_t procs, ReadMode mode,
                   EmSharing sharing, net::LatencyModel latency, std::uint64_t seed,
                   bool pattern_optimized, const std::optional<net::FaultPlan>& faults,
-                  bool reliable, const std::optional<dsm::BatchingConfig>& batching,
+                  bool reliable, const dsm::BatchingConfig& batching,
                   const std::optional<dsm::DirectoryConfig>& directory) {
   MC_CHECK(procs >= 1 && procs <= prob.m);
   MC_CHECK_MSG(!pattern_optimized ||

@@ -58,7 +58,7 @@ EmResult em_mixed(const EmProblem& prob, std::size_t procs, ReadMode mode,
                   std::uint64_t seed = 1, bool pattern_optimized = false,
                   const std::optional<net::FaultPlan>& faults = std::nullopt,
                   bool reliable = false,
-                  const std::optional<dsm::BatchingConfig>& batching = std::nullopt,
+                  const dsm::BatchingConfig& batching = {.max_updates = 1},
                   const std::optional<dsm::DirectoryConfig>& directory = std::nullopt);
 
 /// The same algorithm on the sequentially consistent baseline.

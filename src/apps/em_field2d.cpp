@@ -87,7 +87,7 @@ Em2dResult em2d_reference(const Em2dProblem& prob) {
 Em2dResult em2d_mixed(const Em2dProblem& prob, std::size_t procs, ReadMode mode,
                       net::LatencyModel latency, std::uint64_t seed,
                       const std::optional<net::FaultPlan>& faults, bool reliable,
-                      const std::optional<dsm::BatchingConfig>& batching,
+                      const dsm::BatchingConfig& batching,
                       const std::optional<dsm::DirectoryConfig>& directory,
                       const std::optional<obs::ProfilerOptions>& profile) {
   MC_CHECK(procs >= 1 && procs <= prob.nx);

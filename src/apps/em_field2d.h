@@ -47,12 +47,12 @@ Em2dResult em2d_reference(const Em2dProblem& prob);
 /// Mixed-consistency run: row strips, ghost boundary rows, barriers, reads
 /// under the given label.  Optional chaos-testing knobs mirror the other
 /// Section 5 applications: a seeded fault plan, the reliability layer that
-/// repairs it, and batched update propagation.
+/// repairs it, and the update staging thresholds.
 Em2dResult em2d_mixed(const Em2dProblem& prob, std::size_t procs, ReadMode mode,
                       net::LatencyModel latency = {}, std::uint64_t seed = 1,
                       const std::optional<net::FaultPlan>& faults = std::nullopt,
                       bool reliable = false,
-                      const std::optional<dsm::BatchingConfig>& batching = std::nullopt,
+                      const dsm::BatchingConfig& batching = {.max_updates = 1},
                       const std::optional<dsm::DirectoryConfig>& directory = std::nullopt,
                       const std::optional<obs::ProfilerOptions>& profile = std::nullopt);
 

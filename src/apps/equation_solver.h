@@ -58,12 +58,12 @@ struct SolverOptions {
   /// against the batching configuration.
   net::ReliabilityConfig reliability;
 
-  /// Batched update propagation (Config::batching): coalesce and frame the
-  /// per-write broadcasts.  Flush-on-sync keeps every variant correct.
-  std::optional<dsm::BatchingConfig> batching;
+  /// Update staging (Config::batching; one-record frames by default):
+  /// batched, it coalesces and frames the per-write broadcasts.
+  /// Flush-on-sync keeps every variant correct.
+  dsm::BatchingConfig batching{.max_updates = 1};
 
-  /// Directory-based partial replication (Config::directory; requires
-  /// `batching`): updates multicast only to registered sharers, replicas
+  /// Directory-based partial replication (Config::directory): updates multicast only to registered sharers, replicas
   /// demand-page in, cold replicas evict under the budget.  Converged
   /// results are bitwise-identical to full replication.
   std::optional<dsm::DirectoryConfig> directory;

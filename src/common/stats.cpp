@@ -20,6 +20,13 @@ void LatencyHistogram::record_ns(std::uint64_t ns) {
   }
 }
 
+void LatencyHistogram::record_serialized(std::uint64_t ns, std::uint64_t times) {
+  auto& bucket = buckets_[bucket_of(ns)];
+  bucket.store(bucket.load(std::memory_order_relaxed) + times, std::memory_order_relaxed);
+  sum_.store(sum_.load(std::memory_order_relaxed) + ns * times, std::memory_order_relaxed);
+  if (max_.load(std::memory_order_relaxed) < ns) max_.store(ns, std::memory_order_relaxed);
+}
+
 std::uint64_t LatencyHistogram::count() const {
   std::uint64_t n = 0;
   for (const auto& b : buckets_) n += b.load(std::memory_order_relaxed);

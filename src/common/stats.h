@@ -22,6 +22,12 @@ namespace mc {
 class Counter {
  public:
   void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  /// add() for a counter whose updates a lock already serializes: a plain
+  /// load and store instead of a locked read-modify-write.  Concurrent
+  /// readers still see whole values.
+  void add_serialized(std::uint64_t n = 1) {
+    v_.store(v_.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
   [[nodiscard]] std::uint64_t get() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 
@@ -48,6 +54,9 @@ class LatencyHistogram {
 
   void record(std::chrono::nanoseconds d) { record_ns(static_cast<std::uint64_t>(d.count())); }
   void record_ns(std::uint64_t ns);
+  /// `times` samples of `ns` into a histogram whose updates a lock already
+  /// serializes (see Counter::add_serialized).
+  void record_serialized(std::uint64_t ns, std::uint64_t times);
 
   [[nodiscard]] std::uint64_t count() const;
   [[nodiscard]] std::uint64_t sum_ns() const { return sum_.load(std::memory_order_relaxed); }

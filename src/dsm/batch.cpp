@@ -46,7 +46,7 @@ net::Message encode_frame(std::span<const BatchRecord> recs, std::size_t num_pro
       for (ProcId p = 0; p < num_procs; ++p) base[p] = std::min(base[p], r.vc[p]);
     }
   }
-  // Enough for any one-record frame, so an unbatched write allocates once.
+  // Enough for any one-record frame, so an inline write allocates once.
   m.payload.reserve(clock_words + 3 * recs.size());
   m.payload.insert(m.payload.end(), base.begin(), base.begin() + clock_words);
   for (std::size_t k = 0; k < recs.size(); ++k) {

@@ -1,7 +1,7 @@
 // Update frames: the one record format for memory updates and for every
 // state snapshot (DESIGN.md §6.3).  A kUpdate frame carries N >= 1 update
-// records: an unbatched write is a one-record frame, a batching flush ships
-// one frame per destination.  A snapshot frame carries one snapshot record
+// records: a write shipped inline (max_updates = 1) is a one-record frame,
+// a flush of several staged records one frame per destination.  A snapshot frame carries one snapshot record
 // per variable — value, writer, seq, clock, write epoch, kFlagCounterBase
 // for a delta-touched entry, and the staleness baseline — and travels as a
 // directory fill or demand fetch reply (kFetchBulkResp) or a view change's

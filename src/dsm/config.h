@@ -40,25 +40,30 @@ enum class LockPolicy : std::uint8_t {
   return "?";
 }
 
-/// Batched update propagation (Section 6: "the access pattern of the
-/// application can be used to reduce the communication cost"; Munin-style
-/// write coalescing, see DESIGN.md §6.3).  Updates destined for the same
-/// endpoint accumulate in a per-channel staging buffer and ship as one
-/// multi-record kUpdate frame.  Staged plain writes to the same variable
-/// collapse last-writer-wins and staged deltas merge by summation, so a
-/// flush can carry far fewer records than the writes it covers.  The node
-/// flushes unconditionally before every synchronization action (lock
-/// release, barrier arrival, await, demand-fetch service), which is what
-/// keeps Theorem 1's sufficient conditions intact — see DESIGN.md.
+/// Update propagation through the staging buffers (Section 6: "the access
+/// pattern of the application can be used to reduce the communication
+/// cost"; Munin-style write coalescing, see DESIGN.md §6.3).  Every update
+/// leaves a node this way.  Updates accumulate in a staging buffer and ship
+/// as one multi-record kUpdate frame per destination.  Staged plain writes
+/// to the same variable collapse last-writer-wins and staged deltas merge
+/// by summation, so a flush can carry far fewer records than the writes it
+/// covers.  The node flushes unconditionally before every synchronization
+/// action (lock release, barrier arrival, await, demand-fetch service),
+/// which is what keeps Theorem 1's sufficient conditions intact — see
+/// DESIGN.md.  With max_updates = 1 (Config's default) every write ships
+/// inline as its own one-record frame: the paper's one-message-per-write
+/// sketch.  The defaults below are the batched ones.
 struct BatchingConfig {
   /// Flush once any destination's staging buffer holds this many records.
   std::size_t max_updates = 16;
   /// ... or once its encoded wire size would exceed roughly this many bytes.
   std::size_t max_bytes = 4096;
-  /// Upper bound on how long a staged update may sit before the background
-  /// flusher ships it anyway — bounds staleness for asynchronous readers
-  /// (e.g. the Section 5.1 asynchronous solver, which never synchronizes).
-  /// Mandatory flush-on-sync does not wait for this.
+  /// Upper bound on how long a staged update may sit before a flush ships
+  /// it anyway — bounds staleness for asynchronous readers (e.g. the
+  /// Section 5.1 asynchronous solver, which never synchronizes).  The
+  /// deadline is a message the node posts into its own mailbox when a
+  /// staging run starts (DESIGN.md §6.3).  Mandatory flush-on-sync does not
+  /// wait for this.
   std::chrono::nanoseconds max_delay{std::chrono::microseconds(200)};
 };
 
@@ -102,12 +107,11 @@ struct Config {
   bool reliable = false;
   net::ReliabilityConfig reliability;
 
-  /// Stage, coalesce and frame update broadcasts into multi-record kUpdate
-  /// frames (see BatchingConfig above).  Absent by default: every write is
-  /// its own one-record kUpdate fan-out, matching the paper's naive
-  /// Section 6 sketch.  Both modes share the wire format, the destination
-  /// set and the receive path; only the staging differs.
-  std::optional<BatchingConfig> batching;
+  /// How updates are staged, coalesced and framed (see BatchingConfig
+  /// above).  The default, max_updates = 1, ships every write inline as its
+  /// own one-record kUpdate frame to each destination, matching the
+  /// paper's naive Section 6 sketch; BatchingConfig{} batches.
+  BatchingConfig batching{.max_updates = 1};
 
   LockPolicy default_lock_policy = LockPolicy::kLazy;
   std::map<LockId, LockPolicy> lock_policy_override;
@@ -172,8 +176,7 @@ struct Config {
   std::map<VarId, std::vector<ProcId>> update_subscribers;
 
   /// Directory-based partial replication (see DirectoryConfig above).
-  /// Requires batching (the staging buffers carry the sharer-only
-  /// multicast and its frontier stamps) and vector-clock mode;
+  /// Requires vector-clock mode;
   /// incompatible with update_subscribers (the directory subsumes static
   /// subscription).  Elastic membership is supported: view commits purge
   /// departed sharers and re-home their variables.

@@ -61,22 +61,12 @@ Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint lo
       writer_mask_[x] |= std::uint64_t{1} << static_home(x);
     }
   }
-  if (cfg_.batching.has_value()) {
-    staged_.resize(cfg_.num_procs);
-    flusher_ = std::thread([this] { run_flusher(); });
-  }
   delivery_ = std::thread([this] { run_delivery(); });
 }
 
 Node::~Node() { stop(); }
 
 void Node::stop() {
-  {
-    std::scoped_lock lk(mu_);
-    flusher_stop_ = true;
-  }
-  flush_cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
   if (delivery_.joinable()) delivery_.join();
 }
 
@@ -199,12 +189,7 @@ void Node::deliver(const net::Message& m) {
       // FIFO channels guarantee the prober's earlier updates were handled
       // ahead of this probe (the delivery batch keeps arrival order);
       // acknowledge immediately.
-      net::Message ack;
-      ack.src = self_;
-      ack.dst = m.src;
-      ack.kind = kSyncAck;
-      ack.a = m.a;
-      fabric_.send(std::move(ack));
+      fabric_.send(msg_to(m.src, kSyncAck, m.a));
       break;
     }
     case kSyncAck: {
@@ -250,13 +235,10 @@ void Node::deliver(const net::Message& m) {
       // write ahead of the frontier stamp, so the stamp's promise ("all
       // my writes up to this counter are on the wire to you") holds.
       net::Message resp;
-      resp.dst = m.src;
       {
         std::scoped_lock lk(mu_);
-        if (cfg_.batching.has_value()) flush_staged_locked();
-        resp.src = self_;
-        resp.kind = kFrontierResp;
-        resp.a = dep_vc_[self_];
+        flush_staged_locked();
+        resp = msg_to(m.src, kFrontierResp, dep_vc_[self_]);
       }
       fabric_.send(std::move(resp));
       break;
@@ -270,6 +252,14 @@ void Node::deliver(const net::Message& m) {
     case kDirSharerSync:
       on_dir_sharer_sync(m);
       break;
+    case kFlushDue: {
+      // The staging run this deadline was posted for is still open: its
+      // oldest record has waited max_delay.  After shutdown (the mailbox
+      // releases what it holds at close) nobody is left to receive it.
+      std::scoped_lock lk(mu_);
+      if (m.a == staging_run_ && !fabric_.mailbox(self_).closed()) flush_staged_locked();
+      break;
+    }
     default:
       break;
   }
@@ -420,13 +410,9 @@ void Node::drain_causal_buffers() {
 void Node::on_view_propose(const net::Message& m) {
   // Ack = "my staging buffers are flushed and this applied clock is
   // truthful" — the manager picks re-seed donors from these snapshots.
-  net::Message ack;
-  ack.src = self_;
-  ack.dst = m.src;
-  ack.kind = kViewAck;
-  ack.a = m.a;
+  net::Message ack = msg_to(m.src, kViewAck, m.a);
   std::scoped_lock lk(mu_);
-  if (cfg_.batching.has_value()) flush_staged_locked();
+  flush_staged_locked();
   ack.payload.assign(applied_.components().begin(), applied_.components().end());
   fabric_.send(std::move(ack));
 }
@@ -450,13 +436,12 @@ void Node::on_view_commit(const net::Message& m) {
   // Staged updates to the departed will never be acknowledged; drop them.
   // Their sent_to_ counts stand — nobody synchronizes on a dead sender's
   // counts again.
-  if (cfg_.batching.has_value()) {
-    for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-      if (p < 64 && ((departed >> p) & 1) != 0 && !staged_[p].empty()) {
-        staged_total_ -= staged_[p].size();
-        staged_[p].clear();
-      }
+  if (split_) {
+    for (ProcId p = 0; p < cfg_.num_procs && p < 64; ++p) {
+      if (((departed >> p) & 1) != 0) split_staged_[p].clear();
     }
+  } else if ((shared_dests_ &= ~departed) == 0) {
+    shared_n_ = 0;
   }
   // Demand-driven invalidations pointing at a dead owner: fall back to the
   // local copy (the re-mastering pass re-seeds it if the owner's write was
@@ -503,6 +488,7 @@ void Node::on_view_commit(const net::Message& m) {
       }
     }
     if (view_.is_alive(self_)) {
+      const bool run_started = staging_empty();
       // Re-home: a variable whose effective home moved to this node is
       // pinned here from now on; when it moved *away*, offer our copy to
       // the new home — which may never have been a sharer.  LWW
@@ -519,9 +505,9 @@ void Node::on_view_commit(const net::Message& m) {
           cached_[x] = true;  // owner pin: the home always holds a copy
         } else if (cached_[x]) {
           const VarEntry& e = mem_.entry(x);
-          if (e.last.valid() && !e.delta_touched && cfg_.batching.has_value()) {
-            stage_update(new_home, x, e.value, kFlagWrite, e.last.seq, e.vc,
-                         e.epoch, e.last.proc);
+          if (e.last.valid() && !e.delta_touched) {
+            stage_update(std::uint64_t{1} << new_home, x, e.value, kFlagWrite,
+                         e.last.seq, e.vc, e.epoch, e.last.proc);
           }
           // The owner pin lapses with the homing: a pin-only copy has no
           // row bit, so the new home's multicasts would never refresh it —
@@ -534,6 +520,8 @@ void Node::on_view_commit(const net::Message& m) {
           }
         }
       }
+      // The offers ship with the next flush, or at the run's deadline.
+      if (run_started && !staging_empty()) post_flush_deadline_locked();
     }
     // Home-side fills: a dead requester's fill is abandoned, dead ackers
     // leave the fence, and a variable re-homed away is the new home's
@@ -620,10 +608,7 @@ void Node::on_view_commit(const net::Message& m) {
     bf.dst = joiner;
     fabric_.send(std::move(bf));
 
-    net::Message hello;
-    hello.src = self_;
-    hello.dst = joiner;
-    hello.kind = kViewHello;
+    net::Message hello = msg_to(joiner, kViewHello);
     // The clock component, not write_counter_: demand-lock writes count
     // there but never tick the clock the joiner's FIFO check compares.
     hello.a = dep_vc_[self_];
@@ -636,11 +621,7 @@ void Node::on_view_commit(const net::Message& m) {
       // homed variables.  Sent even when empty — the joiner counts sync
       // senders before finishing join(), and FIFO sequencing puts the sync
       // ahead of any later kDirSharerAdd we multicast.
-      net::Message sync;
-      sync.src = self_;
-      sync.dst = joiner;
-      sync.kind = kDirSharerSync;
-      sync.b = view_.epoch;
+      net::Message sync = msg_to(joiner, kDirSharerSync, 0, view_.epoch);
       std::uint64_t pairs = 0;
       for (VarId x = 0; x < cfg_.num_vars; ++x) {
         if (!dir_managed(x)) continue;
@@ -728,12 +709,7 @@ void Node::join() {
     std::scoped_lock lk(mu_);
     MC_CHECK_MSG(!view_.is_alive(self_), "join by a process already in the view");
   }
-  net::Message req;
-  req.src = self_;
-  req.dst = lock_mgr_;
-  req.kind = kViewJoin;
-  req.a = self_;
-  fabric_.send(std::move(req));
+  fabric_.send(msg_to(lock_mgr_, kViewJoin, self_));
   std::unique_lock lk(mu_);
   wait_or_die(lk, "join blocked past the liveness deadline", [&] {
     // Admitted, barrier counters aligned, the donor snapshot landed
@@ -769,27 +745,19 @@ void Node::leave() {
         if (home_under(view_.alive_mask, x) != self_) continue;
         const VarEntry& e = mem_.entry(x);
         if (!e.last.valid() || e.delta_touched) continue;
-        stage_update(home_under(next, x), x, e.value, kFlagWrite, e.last.seq,
-                     e.vc, e.epoch, e.last.proc);
+        stage_update(std::uint64_t{1} << home_under(next, x), x, e.value, kFlagWrite,
+                     e.last.seq, e.vc, e.epoch, e.last.proc);
         handoff |= std::uint64_t{1} << home_under(next, x);
       }
     }
-    if (cfg_.batching.has_value()) flush_staged_locked();
+    flush_staged_locked();
     dir_handoff_wait_ = handoff;
     for (ProcId p = 0; handoff != 0 && p < cfg_.num_procs; ++p) {
       if ((handoff >> p & 1) == 0) continue;
       // Flush-and-ack probe (a kDirSharerAdd carrying no variables): FIFO
       // sequences the ack behind the offers just flushed on this channel,
       // so a cleared wait bit means the new home has applied them.
-      net::Message probe;
-      probe.src = self_;
-      probe.dst = p;
-      probe.kind = kDirSharerAdd;
-      probe.a = 0;
-      probe.b = kDirHandoffToken;
-      probe.c = self_;
-      probe.d = view_.epoch;
-      fabric_.send(std::move(probe));
+      fabric_.send(msg_to(p, kDirSharerAdd, 0, kDirHandoffToken, self_, view_.epoch));
     }
   }
   if (handoff != 0) {
@@ -797,12 +765,7 @@ void Node::leave() {
     wait_or_die(lk, "leave handoff blocked past the liveness deadline",
                 [&] { return dir_handoff_wait_ == 0; });
   }
-  net::Message req;
-  req.src = self_;
-  req.dst = lock_mgr_;
-  req.kind = kViewLeave;
-  req.a = self_;
-  fabric_.send(std::move(req));
+  fabric_.send(msg_to(lock_mgr_, kViewLeave, self_));
   std::unique_lock lk(mu_);
   wait_or_die(lk, "leave blocked past the liveness deadline", [&] { return left_; });
 }
@@ -873,15 +836,9 @@ void Node::request_fill(std::unique_lock<std::mutex>& lk, VarId x) {
   // Flush first, request second: our own staged writes travel ahead of the
   // request on our channel to the home, so the fill reflects them
   // (read-your-writes across a miss).
-  if (cfg_.batching.has_value()) flush_staged_locked();
-  net::Message req;
-  req.src = self_;
-  req.dst = h;
-  req.kind = kFetchBulkReq;
-  req.a = pf.vars.size();
-  req.b = token;
-  req.c = elastic_ ? view_.epoch : 0;
-  req.d = kFetchFill;
+  flush_staged_locked();
+  net::Message req = msg_to(h, kFetchBulkReq, pf.vars.size(), token,
+                            elastic_ ? view_.epoch : 0, kFetchFill);
   req.payload.assign(pf.vars.begin(), pf.vars.end());
   fabric_.send(std::move(req));
   wait_or_die(lk, "directory fill blocked past the liveness deadline", [&] {
@@ -897,12 +854,7 @@ void Node::register_writer(std::unique_lock<std::mutex>& lk, VarId x) {
   if (!dir_managed(x) || (writer_mask_[x] & self) != 0) return;
   // Threads of one process racing to a first write may each register; the
   // home's answer is idempotent, and FIFO keeps each reply's row current.
-  net::Message req;
-  req.src = self_;
-  req.dst = effective_home(x);
-  req.kind = kFetchBulkReq;
-  req.a = 1;
-  req.d = kFetchWriteFault;
+  net::Message req = msg_to(effective_home(x), kFetchBulkReq, 1, 0, 0, kFetchWriteFault);
   req.payload.push_back(x);
   fabric_.send(std::move(req));
   wait_or_die(lk, "directory writer registration blocked past the liveness deadline",
@@ -935,11 +887,7 @@ void Node::on_fetch_bulk_req(const net::Message& m) {
     // Write fault: register the writer and answer with the current rows.
     // From here on this node's row changes reach the writer behind the
     // reply (FIFO), and every fill of these variables fences it.
-    net::Message sync;
-    sync.src = self_;
-    sync.dst = requester;
-    sync.kind = kDirSharerSync;
-    sync.a = vars.size();
+    net::Message sync = msg_to(requester, kDirSharerSync, vars.size());
     for (const VarId x : vars) {
       if ((writer_mask_[x] >> requester & 1) == 0) {
         writer_mask_[x] |= std::uint64_t{1} << requester;
@@ -1010,14 +958,8 @@ void Node::on_dir_sharer_add(const net::Message& m) {
   for (std::uint64_t k = 0; k < m.a; ++k) {
     sharer_mask_[static_cast<VarId>(m.payload[k])] |= std::uint64_t{1} << m.c;
   }
-  if (cfg_.batching.has_value()) flush_staged_locked();
-  net::Message ack;
-  ack.src = self_;
-  ack.dst = m.src;
-  ack.kind = kDirAck;
-  ack.a = m.b;
-  ack.b = m.c;
-  fabric_.send(std::move(ack));
+  flush_staged_locked();
+  fabric_.send(msg_to(m.src, kDirAck, m.b, m.c));
 }
 
 void Node::on_dir_ack(const net::Message& m) {
@@ -1087,7 +1029,7 @@ void Node::send_fetch_response_locked(ProcId to, std::span<const VarId> vars,
   // fetch's clock may cover them; flush them into the snapshot too.  The
   // flush also puts every earlier write of ours to the requester ahead of
   // the reply, so it carries our frontier stamp.
-  if (cfg_.batching.has_value()) flush_staged_locked();
+  flush_staged_locked();
   net::Message resp = snapshot_frame_locked(vars);
   resp.kind = kFetchBulkResp;
   resp.dst = to;
@@ -1188,11 +1130,7 @@ void Node::enforce_budget_locked(std::uint64_t fresh) {
   // a later refill's ack fence folds it into the snapshot baseline.
   for (ProcId h = 0; h < cfg_.num_procs; ++h) {
     if (dropped[h].empty()) continue;
-    net::Message unreg;
-    unreg.src = self_;
-    unreg.dst = h;
-    unreg.kind = kDirUnregister;
-    unreg.a = dropped[h].size();
+    net::Message unreg = msg_to(h, kDirUnregister, dropped[h].size());
     unreg.payload.assign(dropped[h].begin(), dropped[h].end());
     fabric_.send(std::move(unreg));
   }
@@ -1266,11 +1204,7 @@ void Node::ping_lagging_locked(const VectorClock& floor, VectorClock& pinged) {
     if (resolved_[s] >= floor[s] || pinged[s] >= floor[s]) continue;
     pinged.set(s, floor[s]);
     stats_.dir_frontier_pings.add();
-    net::Message probe;
-    probe.src = self_;
-    probe.dst = s;
-    probe.kind = kFrontierReq;
-    fabric_.send(std::move(probe));
+    fabric_.send(msg_to(s, kFrontierReq));
   }
 }
 
@@ -1321,55 +1255,18 @@ std::uint64_t Node::update_dests_locked(VarId x) const {
 void Node::broadcast_update(VarId x, Value value, std::uint64_t flags, SeqNo seq,
                             const VectorClock& stamp, std::uint64_t epoch) {
   const std::uint64_t dests = update_dests_locked(x);
-  if (cfg_.batching.has_value()) {
-    // Batched propagation: stage per destination; thresholds or the
-    // flusher (or the next synchronization action) ship the frames.
-    for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-      if ((dests >> p & 1) != 0) stage_update(p, x, value, flags, seq, stamp, epoch);
-    }
-    for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-      if (staged_[p].size() >= cfg_.batching->max_updates ||
-          approx_batch_bytes(staged_[p].size()) >= cfg_.batching->max_bytes) {
-        flush_staged_locked();
-        break;
-      }
-    }
-    return;
-  }
   if (dests == 0) return;
-  // Unbatched: one one-record frame, encoded once.  The reused record
-  // keeps its clock storage, so only the payload and the per-destination
-  // copies allocate.
-  BatchRecord& r = unbatched_rec_;
-  r.var = x;
-  r.value = value;
-  r.flags = flags;
-  r.seq = seq;
-  r.epoch = epoch;
-  if (!cfg_.omit_timestamps) r.vc.assign(stamp.components());
-  net::Message m = encode_frame(std::span(&r, 1), cfg_.num_procs, cfg_.omit_timestamps);
-  m.src = self_;
-  const std::size_t frame_bytes =
-      net::Message::kHeaderBytes + m.payload.size() * sizeof(std::uint64_t);
-  // Every destination but the last gets a copy; the last gets the original.
-  const auto last = static_cast<ProcId>(63 - std::countl_zero(dests));
-  for (ProcId p = 0; p <= last; ++p) {
-    if ((dests >> p & 1) == 0) continue;
-    if (p == last) {
-      m.dst = p;
-      fabric_.send(std::move(m));
-    } else {
-      net::Message copy = m;
-      copy.dst = p;
-      fabric_.send(std::move(copy));
-    }
-    sent_to_.set(p, sent_to_[p] + 1);
-    if (profiler_ != nullptr) profiler_->record_update_bytes(x, frame_bytes);
+  const bool run_started = staging_empty();
+  stage_update(dests, x, value, flags, seq, stamp, epoch);
+  if (staging_full_locked()) {
+    flush_staged_locked();
+  } else if (run_started) {
+    post_flush_deadline_locked();
   }
 }
 
 // ----------------------------------------------------------------------
-// Batched propagation (Config::batching; DESIGN.md §6.3)
+// Staging buffers (Config::batching; DESIGN.md §6.3)
 // ----------------------------------------------------------------------
 
 std::size_t Node::approx_batch_bytes(std::size_t records) const {
@@ -1382,94 +1279,156 @@ std::size_t Node::approx_batch_bytes(std::size_t records) const {
   return net::Message::kHeaderBytes + (base + per_record * records) * sizeof(std::uint64_t);
 }
 
-void Node::stage_update(ProcId dest, VarId x, Value value, std::uint64_t flags, SeqNo seq,
-                        const VectorClock& stamp, std::uint64_t epoch, ProcId writer) {
-  // Count the staged original immediately: the record WILL travel (every
-  // synchronization action flushes first), and Section 6's count
-  // synchronization compares this against the receiver's weighted index.
-  sent_to_.set(dest, sent_to_[dest] + 1);
-  if (profiler_ != nullptr) {
-    // Approximate per-destination wire cost of this record, the same
-    // heuristic as approx_batch_bytes (coalescing may shrink it later).
-    profiler_->record_update_bytes(
-        x, (cfg_.omit_timestamps ? 3 : 5) * sizeof(std::uint64_t));
-  }
-  auto& buf = staged_[dest];
-  // Coalesce with the *latest* staged record for this variable only —
-  // merging past an intervening record of the other kind would reorder
-  // this process's per-variable update sequence.  Records differing in
-  // epoch or writer never merge.
+namespace {
+
+/// Merge `r` into the *latest* staged record for its variable, if that
+/// record may absorb it.  Merging past an intervening record of the other
+/// kind would reorder this process's per-variable update sequence, and
+/// records differing in epoch or writer never merge.
+bool coalesce(std::span<BatchRecord> buf, const BatchRecord& r) {
   for (auto it = buf.rbegin(); it != buf.rend(); ++it) {
-    if (it->var != x) continue;
-    if (it->flags != flags || it->epoch != epoch || it->writer != writer) break;
-    switch (flags & kFlagOpMask) {
+    if (it->var != r.var) continue;
+    if (it->flags != r.flags || it->epoch != r.epoch || it->writer != r.writer) return false;
+    switch (r.flags & kFlagOpMask) {
       case kFlagWrite:
-        it->value = value;  // last writer wins
+        it->value = r.value;  // last writer wins
         break;
       case kFlagIntDelta:
-        it->value = value_of(int_of(it->value) + int_of(value));
+        it->value = value_of(int_of(it->value) + int_of(r.value));
         break;
       case kFlagDoubleDelta:
-        it->value = value_of(double_of(it->value) + double_of(value));
+        it->value = value_of(double_of(it->value) + double_of(r.value));
         break;
       default:
         MC_CHECK_MSG(false, "unknown update flags");
     }
-    it->seq = seq;
-    if (!cfg_.omit_timestamps) it->vc = stamp;
+    it->seq = r.seq;
+    it->vc.assign(r.vc.components());
     ++it->weight;
-    stats_.batch_coalesced.add();
-    return;
+    return true;
   }
-  BatchRecord r;
+  return false;
+}
+
+}  // namespace
+
+void Node::stage_update(std::uint64_t dests, VarId x, Value value, std::uint64_t flags,
+                        SeqNo seq, const VectorClock& stamp, std::uint64_t epoch,
+                        ProcId writer) {
+  // Count the staged original immediately: the record WILL travel (every
+  // synchronization action flushes first), and Section 6's count
+  // synchronization compares this against the receiver's weighted index.
+  const auto copies = static_cast<std::uint64_t>(popcount64(dests));
+  for (std::uint64_t rest = dests; rest != 0; rest &= rest - 1) {
+    const auto p = static_cast<ProcId>(std::countr_zero(rest));
+    sent_to_.set(p, sent_to_[p] + 1);
+  }
+  if (profiler_ != nullptr) {
+    // Approximate per-destination wire cost of this record, the same
+    // heuristic as approx_batch_bytes (coalescing may shrink it later).
+    profiler_->record_update_bytes(
+        x, copies * (cfg_.omit_timestamps ? 3 : 5) * sizeof(std::uint64_t));
+  }
+  if (!split_ && shared_n_ > 0 && dests != shared_dests_) {
+    // A second destination set: give every destination its own copy of
+    // the run so far, and stage per destination until the next flush.
+    split_staged_.resize(cfg_.num_procs);
+    for (std::uint64_t rest = shared_dests_; rest != 0; rest &= rest - 1) {
+      split_staged_[std::countr_zero(rest)].assign(shared_.begin(),
+                                                  shared_.begin() + shared_n_);
+    }
+    shared_n_ = 0;
+    split_ = true;
+  }
+  // Build the record in the next free shared slot, reusing its clock
+  // storage; a split run copies it from there.
+  if (shared_n_ == shared_.size()) shared_.emplace_back();
+  BatchRecord& r = shared_[shared_n_];
   r.var = x;
   r.value = value;
   r.flags = flags;
   r.seq = seq;
+  r.weight = 1;
   r.epoch = epoch;
   r.writer = writer;
-  if (!cfg_.omit_timestamps) r.vc = stamp;
-  buf.push_back(std::move(r));
-  if (staged_total_++ == 0) {
-    oldest_staged_ = std::chrono::steady_clock::now();
-    flush_cv_.notify_one();
+  if (!cfg_.omit_timestamps) r.vc.assign(stamp.components());
+  if (!split_) {
+    // One destination set so far: the record is staged once for all.
+    shared_dests_ = dests;
+    if (coalesce(std::span(shared_.data(), shared_n_), r)) {
+      stats_.batch_coalesced.add_serialized(copies);
+    } else {
+      ++shared_n_;
+    }
+    return;
+  }
+  for (std::uint64_t rest = dests; rest != 0; rest &= rest - 1) {
+    auto& buf = split_staged_[std::countr_zero(rest)];
+    if (coalesce(buf, r)) {
+      stats_.batch_coalesced.add_serialized();
+    } else {
+      buf.push_back(r);
+    }
+  }
+}
+
+bool Node::staging_full_locked() const {
+  const auto full = [&](std::size_t records) {
+    return records >= cfg_.batching.max_updates ||
+           approx_batch_bytes(records) >= cfg_.batching.max_bytes;
+  };
+  if (!split_) return full(shared_n_);
+  return std::any_of(split_staged_.begin(), split_staged_.end(),
+                     [&](const auto& buf) { return full(buf.size()); });
+}
+
+void Node::send_frame_locked(std::span<const BatchRecord> recs, std::uint64_t dests) {
+  net::Message m = encode_frame(recs, cfg_.num_procs, cfg_.omit_timestamps);
+  m.src = self_;
+  // Directory mode: stamp the resolved frontier (wire.h kUpdate) — the
+  // clock component, which demand-lock writes never tick.
+  if (dir_mode_) m.b = dep_vc_[self_];
+  const auto copies = static_cast<std::uint64_t>(popcount64(dests));
+  stats_.batch_msgs.add_serialized(copies);
+  stats_.batch_updates.add_serialized(copies * recs.size());
+  stats_.batch_updates_per_msg.record_serialized(recs.size(), copies);
+  // Every destination but the last gets a copy; the last gets the original.
+  const auto last = static_cast<ProcId>(63 - std::countl_zero(dests));
+  for (std::uint64_t rest = dests; rest != 0; rest &= rest - 1) {
+    const auto p = static_cast<ProcId>(std::countr_zero(rest));
+    if (p == last) {
+      m.dst = p;
+      fabric_.send(std::move(m));
+    } else {
+      net::Message copy = m;
+      copy.dst = p;
+      fabric_.send(std::move(copy));
+    }
   }
 }
 
 void Node::flush_staged_locked() {
-  if (staged_total_ == 0) return;
+  if (!split_) {
+    if (shared_n_ == 0) return;
+    send_frame_locked(std::span(shared_.data(), shared_n_), shared_dests_);
+    shared_n_ = 0;
+    return;
+  }
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    auto& buf = staged_[p];
+    auto& buf = split_staged_[p];
     if (buf.empty()) continue;
-    net::Message m = encode_frame(buf, cfg_.num_procs, cfg_.omit_timestamps);
-    m.src = self_;
-    m.dst = p;
-    // Directory mode: stamp the resolved frontier (wire.h kUpdate) — the
-    // clock component, which demand-lock writes never tick.
-    if (dir_mode_) m.b = dep_vc_[self_];
-    stats_.batch_msgs.add();
-    stats_.batch_updates.add(buf.size());
-    stats_.batch_updates_per_msg.record_ns(buf.size());
-    fabric_.send(std::move(m));
+    send_frame_locked(buf, std::uint64_t{1} << p);
     buf.clear();
   }
-  staged_total_ = 0;
+  split_ = false;
 }
 
-void Node::run_flusher() {
-  std::unique_lock lk(mu_);
-  for (;;) {
-    flush_cv_.wait(lk, [&] { return flusher_stop_ || staged_total_ > 0; });
-    if (flusher_stop_) return;
-    const auto deadline = oldest_staged_ + cfg_.batching->max_delay;
-    if (flush_cv_.wait_until(lk, deadline, [&] { return flusher_stop_; })) return;
-    // A mandatory flush may have raced us and new records may have been
-    // staged since; only ship once something has genuinely aged out.
-    if (staged_total_ > 0 &&
-        std::chrono::steady_clock::now() >= oldest_staged_ + cfg_.batching->max_delay) {
-      flush_staged_locked();
-    }
-  }
+void Node::post_flush_deadline_locked() {
+  net::Message due = msg_to(self_, kFlushDue, ++staging_run_);
+  due.deliver_at = std::chrono::steady_clock::now() + cfg_.batching.max_delay;
+  // Straight into the mailbox, not through Fabric::send: the deadline is
+  // local and costs no wire message (wire.h kFlushDue).
+  (void)fabric_.mailbox(self_).push(std::move(due));
 }
 
 // ----------------------------------------------------------------------
@@ -1693,11 +1652,11 @@ void Node::await(VarId x, Value v, ReadMode mode) {
   stats_.awaits.add();
   Stopwatch blocked;
   std::unique_lock lk(mu_);
-  // Mandatory flush (batching): our own staged writes must be on the wire
+  // Mandatory flush: our own staged writes must be on the wire
   // before we block — the peer whose write resolves this await may itself
   // be awaiting one of our staged values (liveness), and the |-> await
   // edge's visibility obligations assume our prior writes travel first.
-  if (cfg_.batching.has_value()) flush_staged_locked();
+  flush_staged_locked();
   // Directory miss: register as a sharer first, so the write that resolves
   // this await is multicast to us at all.
   if (dir_managed(x)) {
@@ -1749,18 +1708,13 @@ void Node::barrier(BarrierId b) {
     std::scoped_lock lk(mu_);
     epoch = barrier_epoch_[b]++;
   }
-  net::Message arrive;
-  arrive.src = self_;
-  arrive.dst = barrier_mgr_;
-  arrive.kind = kBarrierArrive;
-  arrive.a = b;
-  arrive.b = epoch;
+  net::Message arrive = msg_to(barrier_mgr_, kBarrierArrive, b, epoch);
   {
     std::scoped_lock lk(mu_);
-    // Mandatory flush (batching): the snapshot below promises peers that
+    // Mandatory flush: the snapshot below promises peers that
     // every update it counts is on the wire; staged records would make the
     // promise a lie and Theorem 1's barrier condition unsound.
-    if (cfg_.batching.has_value()) flush_staged_locked();
+    flush_staged_locked();
     // Count mode ships the paper's per-receiver sent-update counts; the
     // manager transposes them.  VC mode ships the dependency clock.
     // Directory mode ships both: counts gate reception, the merged clock
@@ -1830,13 +1784,7 @@ void Node::do_lock(LockId l, LockRequestKind kind) {
     std::scoped_lock lk(mu_);
     MC_CHECK_MSG(held_.find(l) == held_.end(), "locks are not re-entrant");
   }
-  net::Message req;
-  req.src = self_;
-  req.dst = lock_mgr_;
-  req.kind = kLockReq;
-  req.a = l;
-  req.b = static_cast<std::uint64_t>(kind);
-  fabric_.send(std::move(req));
+  fabric_.send(msg_to(lock_mgr_, kLockReq, l, static_cast<std::uint64_t>(kind)));
   // Traced span covers only the post-request wait (see barrier()).
   const std::uint64_t trace_t0 = obs::trace_enabled() ? obs::Tracer::now_ns() : 0;
 
@@ -1906,10 +1854,10 @@ void Node::do_unlock(LockId l, LockRequestKind kind) {
   std::vector<VarId> digest;
   {
     std::scoped_lock lk(mu_);
-    // Mandatory flush (batching): critical-section updates must precede the
+    // Mandatory flush: critical-section updates must precede the
     // eager flush probes (FIFO makes the probe's ack meaningful) and the
     // unlock's clock/count snapshot, for every propagation policy.
-    if (cfg_.batching.has_value()) flush_staged_locked();
+    flush_staged_locked();
     auto it = held_.find(l);
     MC_CHECK_MSG(it != held_.end(), "unlock of a lock that is not held");
     MC_CHECK_MSG(it->second.kind == kind, "unlock kind does not match the held lock");
@@ -1940,12 +1888,7 @@ void Node::do_unlock(LockId l, LockRequestKind kind) {
     }
     for (ProcId p = 0; p < cfg_.num_procs; ++p) {
       if ((probed & (std::uint64_t{1} << p)) == 0) continue;
-      net::Message probe;
-      probe.src = self_;
-      probe.dst = p;
-      probe.kind = kSyncReq;
-      probe.a = token;
-      fabric_.send(std::move(probe));
+      fabric_.send(msg_to(p, kSyncReq, token));
     }
     std::unique_lock lk(mu_);
     wait_or_die(lk, "eager unlock blocked past the liveness deadline", [&] {
@@ -1959,12 +1902,7 @@ void Node::do_unlock(LockId l, LockRequestKind kind) {
     stats_.unlock_blocked.record(blocked.elapsed());
   }
 
-  net::Message unlock;
-  unlock.src = self_;
-  unlock.dst = lock_mgr_;
-  unlock.kind = kUnlock;
-  unlock.a = l;
-  unlock.b = static_cast<std::uint64_t>(kind);
+  net::Message unlock = msg_to(lock_mgr_, kUnlock, l, static_cast<std::uint64_t>(kind));
   {
     std::scoped_lock lk(mu_);
     if (dir_mode_) {
@@ -2010,13 +1948,7 @@ void Node::fetch_var(std::unique_lock<std::mutex>& lk, VarId x, net::Endpoint ow
   PendingFill& pf = fills_[token];
   pf.vars.push_back(x);
   pf.owner = static_cast<ProcId>(owner);
-  net::Message req;
-  req.src = self_;
-  req.dst = owner;
-  req.kind = kFetchBulkReq;
-  req.a = 1;
-  req.b = token;
-  req.d = kFetchDemand;
+  net::Message req = msg_to(owner, kFetchBulkReq, 1, token, 0, kFetchDemand);
   req.payload.push_back(x);
   fabric_.send(std::move(req));
   // Traced span covers only the post-request wait (see barrier()).

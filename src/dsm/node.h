@@ -20,8 +20,10 @@
 // thread applies incoming fabric traffic, a drained batch at a time: in
 // arrival order across kinds, each run of consecutive updates under one
 // lock hold, one wake-up of the application thread per batch (DESIGN.md
-// decision 9).  All shared node state is guarded by a single mutex
-// (CP.20-style scoped locking throughout).
+// decision 9).  The same thread ships staged updates whose max_delay ran
+// out: the deadline is a message in the node's own mailbox.  All shared
+// node state is guarded by a single mutex (CP.20-style scoped locking
+// throughout).
 
 #pragma once
 
@@ -67,10 +69,12 @@ struct NodeStats {
   /// / `barrier.wait_ns` summaries of docs/METRICS.md.
   LatencyHistogram read_pram_ns, read_causal_ns, await_spin_ns, lock_acquire_ns,
       barrier_wait_ns;
-  /// Batched propagation (Config::batching; docs/METRICS.md `net.batch.*`):
-  /// frames flushed from the staging buffers, update records they carried,
+  /// Update propagation (Config::batching; docs/METRICS.md `net.batch.*`):
+  /// frames sent from the staging buffers, update records they carried,
   /// and original updates absorbed into an already-staged record (LWW
   /// writes / summed deltas) instead of becoming records of their own.
+  /// Updated only under the node's mutex, hence with the *_serialized
+  /// forms: the inline path pays no locked read-modify-write per write.
   Counter batch_msgs, batch_updates, batch_coalesced;
   /// Records per flushed frame — samples are counts, not nanoseconds
   /// (surfaced as the `net.batch.updates_per_msg` summary).
@@ -407,35 +411,60 @@ class Node {
   /// for the ordering contract).
   void emit_op(history::Operation& op);
 
-  /// Propagate one local update: staged per destination under batching,
-  /// else one one-record frame copied to each destination.  Requires mu_.
+  /// A message from this node to `dst` of the given kind and scalar fields.
+  [[nodiscard]] net::Message msg_to(net::Endpoint dst, std::uint16_t kind,
+                                    std::uint64_t a = 0, std::uint64_t b = 0,
+                                    std::uint64_t c = 0, std::uint64_t d = 0) const {
+    net::Message m;
+    m.src = self_;
+    m.dst = dst;
+    m.kind = kind;
+    m.a = a;
+    m.b = b;
+    m.c = c;
+    m.d = d;
+    return m;
+  }
+
+  /// Propagate one local update through the staging buffers: stage it for
+  /// its destinations, then flush when a buffer reached its threshold
+  /// (every write under max_updates = 1: the inline path), or post the
+  /// flush deadline when this write started a staging run.  Requires mu_.
   void broadcast_update(VarId x, Value value, std::uint64_t flags, SeqNo seq,
                         const VectorClock& stamp, std::uint64_t epoch = 0);
-  /// Destinations of an update to x in both propagation modes: directory
-  /// sharers plus home, static subscribers, or every live peer.  Requires mu_.
+  /// Destinations of an update to x: directory sharers plus home, static
+  /// subscribers, or every live peer.  Requires mu_.
   [[nodiscard]] std::uint64_t update_dests_locked(VarId x) const;
   [[nodiscard]] bool demand_local_write(VarId x, HeldLock** held_out);
 
-  // ----- batched propagation (Config::batching; DESIGN.md §6.3) -----
+  // ----- staging buffers (Config::batching; DESIGN.md §6.3) -----
 
-  /// Stage one update for `dest`, coalescing into an already-staged record
-  /// when permitted.  Bumps sent_to_ immediately (the staged record WILL
-  /// travel — flush-before-sync makes the count truthful before anyone
-  /// synchronizes on it).  `epoch` is the writer's view epoch (travels with
-  /// the record when nonzero); `writer` overrides the record's write id
-  /// owner for directory re-homing offers, where the new home must apply
-  /// the original writer's id, not the carrier's.  Requires mu_.
-  void stage_update(ProcId dest, VarId x, Value value, std::uint64_t flags, SeqNo seq,
-                    const VectorClock& stamp, std::uint64_t epoch = 0,
+  /// Stage one update for every destination in `dests`, coalescing into an
+  /// already-staged record when permitted.  Bumps sent_to_ immediately (the
+  /// staged record WILL travel — flush-before-sync makes the count truthful
+  /// before anyone synchronizes on it).  `epoch` is the writer's view epoch
+  /// (travels with the record when nonzero); `writer` overrides the record's
+  /// write id owner for directory re-homing offers, where the new home must
+  /// apply the original writer's id, not the carrier's.  Requires mu_.
+  void stage_update(std::uint64_t dests, VarId x, Value value, std::uint64_t flags,
+                    SeqNo seq, const VectorClock& stamp, std::uint64_t epoch = 0,
                     ProcId writer = kNoProc);
-  /// Ship every non-empty staging buffer as one frame per destination.
-  /// All destinations flush together: uniform flush boundaries keep batch
-  /// dependency edges pointing at earlier-flushed batches only, which is
-  /// the acyclicity argument for deadlock-freedom (DESIGN.md §6.3).
-  /// Requires mu_.
+  /// Ship every staged record: one frame per destination, encoded once
+  /// per distinct frame.  All destinations flush together: uniform flush
+  /// boundaries keep batch dependency edges pointing at earlier-flushed
+  /// batches only, which is the acyclicity argument for deadlock-freedom
+  /// (DESIGN.md §6.3).  Requires mu_.
   void flush_staged_locked();
-  /// Background flusher honoring BatchingConfig::max_delay.
-  void run_flusher();
+  /// Encode `recs` once and send the frame to every destination in `dests`.
+  void send_frame_locked(std::span<const BatchRecord> recs, std::uint64_t dests);
+  [[nodiscard]] bool staging_empty() const { return shared_n_ == 0 && !split_; }
+  /// Some destination's buffer reached max_updates or max_bytes.
+  [[nodiscard]] bool staging_full_locked() const;
+  /// Start a staging run's max_delay clock: post a kFlushDue message into
+  /// this node's own mailbox, due when the run's oldest record has waited
+  /// max_delay.  The delivery thread flushes on it unless the run has
+  /// already shipped.  Requires mu_.
+  void post_flush_deadline_locked();
   [[nodiscard]] std::size_t approx_batch_bytes(std::size_t records) const;
 
   const Config& cfg_;
@@ -573,22 +602,28 @@ class Node {
   TraceRecorder trace_;
   NodeStats stats_;
 
-  // Batched propagation state (guarded by mu_; empty unless Config::batching).
-  std::vector<std::vector<BatchRecord>> staged_;  // per destination endpoint
-  std::size_t staged_total_ = 0;
-  std::chrono::steady_clock::time_point oldest_staged_{};
-  bool flusher_stop_ = false;
-  std::condition_variable flush_cv_;
+  // Staging state (guarded by mu_).  While every staged record shares one
+  // destination set, the records are staged once, in the first shared_n_
+  // slots of shared_ (the slots past it keep their clock storage for
+  // reuse, so the inline path allocates nothing per write beyond the
+  // frame).  A record for a different set splits the run: each
+  // destination gets its own copy in split_staged_ until the next flush.
+  std::vector<BatchRecord> shared_;
+  std::size_t shared_n_ = 0;
+  std::uint64_t shared_dests_ = 0;
+  bool split_ = false;
+  std::vector<std::vector<BatchRecord>> split_staged_;  // per destination
+  /// Staging runs started; a kFlushDue message names the run it was posted
+  /// for, so a deadline whose run a mandatory flush already shipped is a
+  /// no-op (the next run posted its own).
+  std::uint64_t staging_run_ = 0;
 
-  // Reused frame buffers (guarded by mu_), so the unbatched path allocates
-  // nothing per message beyond the payloads: decoded records and their
-  // merged clock on receive, the one record of an outgoing frame on send.
+  // Reused receive buffers (guarded by mu_): decoded records and their
+  // merged clock.
   std::vector<BatchRecord> frame_;
   VectorClock frame_vc_;
-  BatchRecord unbatched_rec_;
 
   std::thread delivery_;
-  std::thread flusher_;
 };
 
 }  // namespace mc::dsm

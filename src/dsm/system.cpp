@@ -13,10 +13,6 @@ MixedSystem::MixedSystem(Config cfg)
       fabric_(cfg_.num_procs + 2, cfg_.latency, cfg_.seed) {
   MC_CHECK(cfg_.num_procs >= 1);
   if (cfg_.directory.has_value()) {
-    MC_CHECK_MSG(cfg_.batching.has_value(),
-                 "the directory protocol rides the staging buffers "
-                 "(sharer-only multicast, frontier stamps): Config::batching "
-                 "required");
     MC_CHECK_MSG(!cfg_.omit_timestamps,
                  "directory mode needs vector timestamps: fills install "
                  "LWW winners and deltas merge clocks");
@@ -296,13 +292,11 @@ MetricsSnapshot MixedSystem::metrics() const {
   snap.values["dsm.writes"] = writes;
   snap.values["dsm.deltas"] = deltas;
   snap.values["dsm.fetches"] = fetches;
-  if (cfg_.batching.has_value()) {
-    snap.values["net.batch.msgs"] = batch_msgs;
-    snap.values["net.batch.updates"] = batch_updates;
-    snap.values["net.batch.coalesced"] = batch_coalesced;
-    // Samples are record counts, not nanoseconds (docs/METRICS.md).
-    snap.add_histogram("net.batch.updates_per_msg", batch_updates_per_msg);
-  }
+  snap.values["net.batch.msgs"] = batch_msgs;
+  snap.values["net.batch.updates"] = batch_updates;
+  snap.values["net.batch.coalesced"] = batch_coalesced;
+  // Samples are record counts, not nanoseconds (docs/METRICS.md).
+  snap.add_histogram("net.batch.updates_per_msg", batch_updates_per_msg);
   snap.add_histogram("read.pram_ns", read_pram_ns);
   snap.add_histogram("read.causal_ns", read_causal_ns);
   snap.add_histogram("await.spin_ns", await_spin_ns);

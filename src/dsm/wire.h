@@ -141,6 +141,13 @@ enum MsgKind : std::uint16_t {
   /// mask) pairs for variables the sender homes.  The receiver installs
   /// the rows and is a registered writer of those variables from then on.
   kDirSharerSync = 29,
+
+  /// Local only, never on the wire: a node's staging-run flush deadline,
+  /// pushed straight into its own mailbox with deliver_at set to the
+  /// deadline (Node::post_flush_deadline_locked).  It bypasses
+  /// Fabric::send, so it is never stamped, counted, named or traced.
+  /// a=staging run.
+  kFlushDue = 30,
 };
 
 /// Lock request kinds carried in kLockReq/kUnlock (field b).

@@ -256,10 +256,14 @@ MetricsSnapshot Fabric::metrics() const {
   }
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
+  // Standalone acks follow the host's timing (a delayed ack may or may not
+  // find reverse traffic), so once reliability is installed rel_ack is
+  // reported even at zero: every run of a configuration has the same keys.
+  const bool acks_sendable = reliability_enabled();
   {
     std::scoped_lock lk(names_mu_);
     for (std::size_t k = 0; k < kKindBuckets; ++k) {
-      if (kind_msgs[k] == 0) continue;
+      if (kind_msgs[k] == 0 && !(k == kRelAckKind && acks_sendable)) continue;
       messages += kind_msgs[k];
       bytes += kind_bytes[k];
       const std::string& name = kind_names_[k];

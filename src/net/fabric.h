@@ -126,6 +126,8 @@ class Fabric {
 
   /// Snapshot of fabric-level metrics, with per-kind counts labeled through
   /// `kind_name` (protocol layers install their kind names at startup).
+  /// A kind appears once counted; rel_ack appears, zero or not, whenever
+  /// reliability is installed.
   /// Includes fault and reliability counters when those layers exist.
   [[nodiscard]] MetricsSnapshot metrics() const;
 

@@ -71,9 +71,7 @@ Message Mailbox::pop_top() {
 void Mailbox::park(std::optional<SimTime> until, std::uint64_t collected) {
   const SimTime::rep deadline =
       until ? until->time_since_epoch().count() : std::numeric_limits<SimTime::rep>::max();
-  const auto ready = [&] {
-    return arrivals_.load() != collected || (!until && closed_.load());
-  };
+  const auto ready = [&] { return arrivals_.load() != collected || closed_.load(); };
   std::unique_lock lk(park_mu_);
   bool blocked = false;
   for (;;) {
@@ -105,7 +103,10 @@ bool Mailbox::drain(std::vector<Message>& out, std::size_t max) {
     collect(closing);
     std::optional<SimTime> until;
     if (!held_.empty()) {
-      const SimTime now = std::chrono::steady_clock::now();
+      // Once closed, everything held is released at once: nobody is left
+      // to observe simulated latency, and a far-off local deadline (a
+      // node's flush-due message) must not hold up shutdown.
+      const SimTime now = closing ? SimTime::max() : std::chrono::steady_clock::now();
       until = held_.front().msg.deliver_at;
       if (*until <= now) {
         do {

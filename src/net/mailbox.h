@@ -64,6 +64,8 @@ class Mailbox {
   /// `out` in (deliver_at, arrival) order.  Returns false (with `out` empty) once
   /// the mailbox is closed *and* drained — every message accepted before
   /// close is still delivered, so shutdown cannot drop protocol traffic.
+  /// After close, held messages are released without waiting for their
+  /// deliver_at.
   bool drain(std::vector<Message>& out,
              std::size_t max = std::numeric_limits<std::size_t>::max());
 
@@ -119,8 +121,7 @@ class Mailbox {
   Message pop_top();
 
   /// Block until a push is not yet collected (`collected` is the arrival
-  /// count the caller has seen), `until` passes, or — when nothing is held
-  /// (`until` is nullopt) — the mailbox closes.
+  /// count the caller has seen), `until` passes, or the mailbox closes.
   void park(std::optional<SimTime> until, std::uint64_t collected);
 
   /// Producer half of the park protocol: notify a consumer parked past

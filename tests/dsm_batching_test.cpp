@@ -1,11 +1,15 @@
-// Batched update propagation (Config::batching; DESIGN.md §6.3).
+// Update staging and propagation (Config::batching; DESIGN.md §6.3).
 //
-// Three layers of coverage:
+// Four layers of coverage:
 //   - the update-frame codec: round trips, one-record frames at the cost
 //     of a bare update, and the wire_bytes honesty the delta-encoded
 //     clocks exist for;
 //   - coalescing semantics: last-writer-wins for plain writes, summation
 //     for deltas, no cross-kind merging, truthful weights in count mode;
+//   - the send path itself: one one-record frame per write and destination
+//     under the default max_updates = 1 (the directory included), and the
+//     flush deadline in the node's own mailbox as the only way a staged
+//     write of a silent process ever ships;
 //   - flush-on-sync litmus programs: staging windows so large that ONLY the
 //     mandatory flushes before barrier / unlock / await / fetch can ship an
 //     update — if any flush point were skipped, the observing process would
@@ -18,9 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <optional>
+#include <thread>
 #include <tuple>
 
 #include "common/rng.h"
@@ -222,11 +227,11 @@ TEST(BatchCodec, WireBytesChargeDeltaEncodedClocks) {
 // Coalescing semantics
 // ----------------------------------------------------------------------
 
-Config two_proc_cfg(std::optional<BatchingConfig> batching) {
+Config two_proc_cfg(const BatchingConfig& batching) {
   Config cfg;
   cfg.num_procs = 2;
   cfg.num_vars = 8;
-  cfg.batching = std::move(batching);
+  cfg.batching = batching;
   return cfg;
 }
 
@@ -345,6 +350,182 @@ TEST(Batching, DelayFlushBoundsStalenessForAsyncReaders) {
       },
       10s);
   ASSERT_FALSE(out.stalled) << out.diagnostics.reason;
+}
+
+TEST(Batching, DeadlineAloneShipsAStagedWriteToAnAwaitingReader) {
+  // The writer stays alive, never synchronizes and receives no message
+  // (the reader's await sends nothing), so neither a mandatory flush nor
+  // the end of the writer's run can ship the write.  Only the flush
+  // deadline the write posted into the writer's own mailbox can.
+  BatchingConfig b = sync_only_batching();
+  b.max_delay = 1ms;
+  MixedSystem sys(two_proc_cfg(b));
+  std::atomic<bool> seen{false};
+  bool writer_outlived_reader = false;
+  const auto out = sys.run(
+      [&](Node& n, ProcId p) {
+        if (p == 0) {
+          n.write_int(0, 42);
+          const auto give_up = std::chrono::steady_clock::now() + 10s;
+          while (!seen.load() && std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::sleep_for(200us);
+          }
+          writer_outlived_reader = seen.load();
+        } else {
+          n.await_int(0, 42);
+          seen = true;
+        }
+      },
+      5s);
+  ASSERT_FALSE(out.stalled) << out.diagnostics.reason;
+  EXPECT_TRUE(writer_outlived_reader);
+  const auto metrics = sys.metrics();
+  EXPECT_EQ(metrics.get("net.msg.update"), 1u);
+  EXPECT_EQ(metrics.get("net.batch.updates"), 1u);
+}
+
+TEST(Batching, DefaultShipsOneOneRecordFramePerWritePerDestination) {
+  // Config's default, max_updates = 1: every write leaves inline as its own
+  // one-record frame to every peer — the paper's one-message-per-write
+  // sketch — whatever the program does between writes.
+  constexpr std::size_t kProcs = 3;
+  constexpr std::size_t kVars = 6;
+  Config cfg;
+  cfg.num_procs = kProcs;
+  cfg.num_vars = kVars;
+  cfg.default_lock_policy = LockPolicy::kLazy;
+  ASSERT_EQ(cfg.batching.max_updates, 1u);
+  MixedSystem sys(cfg);
+  sys.run([&](Node& n, ProcId p) {
+    Rng rng(77 * (p + 1));
+    for (int step = 0; step < 30; ++step) {
+      const auto x = static_cast<VarId>(rng.below(kVars));
+      if (rng.chance(0.5)) {
+        n.wlock(0);
+        n.write_int(x, n.read_int(x, ReadMode::kCausal) + 1);
+        n.wunlock(0);
+      } else {
+        n.write_int(x, step);
+        n.write_int(x, step + 1);  // would coalesce if it were staged
+      }
+    }
+    n.barrier();
+  });
+  const auto metrics = sys.metrics();
+  const std::uint64_t writes = metrics.get("dsm.writes");
+  ASSERT_GT(writes, 0u);
+  EXPECT_EQ(metrics.get("net.msg.update"), writes * (kProcs - 1));
+  EXPECT_EQ(metrics.get("net.batch.msgs"), writes * (kProcs - 1));
+  EXPECT_EQ(metrics.get("net.batch.updates"), writes * (kProcs - 1));
+  EXPECT_EQ(metrics.get("net.batch.coalesced"), 0u);
+  EXPECT_EQ(metrics.get("net.batch.updates_per_msg.count"), writes * (kProcs - 1));
+  EXPECT_EQ(metrics.get("net.batch.updates_per_msg.max"), 1u);
+}
+
+// ----------------------------------------------------------------------
+// The directory on the inline send path (max_updates = 1)
+// ----------------------------------------------------------------------
+
+Config inline_dir_cfg(std::size_t procs, std::size_t vars, std::size_t budget = 0,
+                      std::size_t fetch_frame = 16) {
+  Config cfg;
+  cfg.num_procs = procs;
+  cfg.num_vars = vars;
+  DirectoryConfig dir;
+  dir.replica_budget = budget;
+  dir.fetch_frame = fetch_frame;
+  cfg.directory = dir;
+  return cfg;
+}
+
+TEST(Batching, InlineDirectoryFillSeesWriteOrderedBeforeReadFloor) {
+  MixedSystem sys(inline_dir_cfg(3, 9));  // vars 0..2 p0, 3..5 p1, 6..8 p2
+  const auto out = sys.run(
+      [](Node& n, ProcId p) {
+        if (p == 0) {
+          n.write_int(0, 1234);
+          n.write_int(3, 77);  // homed at p1: the write registers p0 first
+          n.barrier();
+          n.barrier();
+        } else {
+          n.barrier();
+          EXPECT_EQ(n.read_int(0, ReadMode::kPram), 1234);
+          EXPECT_EQ(n.read_int(3, ReadMode::kCausal), 77);
+          n.barrier();
+        }
+      },
+      20s);
+  ASSERT_FALSE(out.stalled) << out.diagnostics.reason;
+  EXPECT_GE(sys.metrics().get("directory.fills"), 1u);
+  EXPECT_EQ(sys.metrics().get("net.batch.updates_per_msg.max"), 1u);
+}
+
+TEST(Batching, InlineDirectoryLockSerializedIncrementsNeverLoseUpdates) {
+  // Replica budget 1 and one-variable frames: constant evict/re-fetch churn
+  // on the lock-protected counter.
+  constexpr int kIters = 12;
+  MixedSystem sys(inline_dir_cfg(3, 9, /*budget=*/1, /*fetch_frame=*/1));
+  const auto out = sys.run(
+      [](Node& n, ProcId p) {
+        for (int i = 0; i < kIters; ++i) {
+          n.wlock(0);
+          n.write_int(0, n.read_int(0, ReadMode::kCausal) + 1);
+          n.wunlock(0);
+          (void)n.read_int(static_cast<VarId>(3 * ((p + 1) % 3) + 1), ReadMode::kPram);
+        }
+        n.barrier();
+        EXPECT_EQ(n.read_int(0, ReadMode::kCausal), 3 * kIters);
+        n.barrier();
+      },
+      20s);
+  ASSERT_FALSE(out.stalled) << out.diagnostics.reason;
+  EXPECT_GE(sys.metrics().get("directory.evictions"), 1u);
+}
+
+TEST(Batching, InlineDirectoryCausalChainAcrossThreeNodes) {
+  MixedSystem sys(inline_dir_cfg(3, 9));
+  const auto out = sys.run(
+      [](Node& n, ProcId p) {
+        if (p == 0) {
+          n.write_int(0, 1);  // x, homed at p0
+          n.barrier();
+        } else if (p == 1) {
+          n.await_int(0, 1, ReadMode::kCausal);
+          n.write_int(3, 1);  // y, homed at p1, causally after x=1
+          n.barrier();
+        } else {
+          n.await_int(3, 1, ReadMode::kCausal);
+          EXPECT_EQ(n.read_int(0, ReadMode::kCausal), 1);
+          n.barrier();
+        }
+      },
+      20s);
+  ASSERT_FALSE(out.stalled) << out.diagnostics.reason;
+}
+
+TEST(Batching, InlineDirectoryTracedRunPassesMixedChecker) {
+  Config cfg = inline_dir_cfg(3, 9);
+  cfg.record_trace = true;
+  MixedSystem sys(cfg);
+  const auto out = sys.run(
+      [](Node& n, ProcId p) {
+        const VarId mine = static_cast<VarId>(3 * p);
+        n.write_int(mine, 10 + p);
+        n.barrier();
+        for (ProcId q = 0; q < 3; ++q) {
+          EXPECT_EQ(n.read_int(static_cast<VarId>(3 * q), ReadMode::kPram), 10 + q);
+        }
+        n.barrier();
+        n.wlock(0);
+        n.write_int(1, int_of(n.read(1, ReadMode::kPram)) + 1);
+        n.wunlock(0);
+        n.barrier();
+        EXPECT_EQ(n.read_int(1, ReadMode::kCausal), 3);
+      },
+      20s);
+  ASSERT_FALSE(out.stalled) << out.diagnostics.reason;
+  const auto verdict = history::check_mixed_consistency(sys.collect_history());
+  EXPECT_TRUE(verdict.ok) << verdict.message();
 }
 
 // ----------------------------------------------------------------------

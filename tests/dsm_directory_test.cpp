@@ -852,15 +852,6 @@ TEST(Directory, TracedRunPassesMixedChecker) {
 
 using DirectoryDeathTest = ::testing::Test;
 
-TEST(DirectoryDeathTest, RequiresBatching) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  Config cfg;
-  cfg.num_procs = 2;
-  cfg.num_vars = 8;
-  cfg.directory = DirectoryConfig{};
-  EXPECT_DEATH(MixedSystem{cfg}, "batching");
-}
-
 TEST(DirectoryDeathTest, RejectsTimestampElision) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   Config cfg = dir_config(2, 8);

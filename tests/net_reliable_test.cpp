@@ -572,5 +572,41 @@ TEST(ReliableChannel, UnreachableCallbackFiresAndMarkDeadSilencesChannel) {
   f.shutdown();
 }
 
+TEST(ReliableChannel, UnfilledAckStrideStillReportsZeroStandaloneAcks) {
+  // Three deliveries against a stride of 8, and an ack flush window far
+  // beyond the test: no standalone ack goes out, and the metrics say so
+  // with a zero instead of leaving the key out.
+  Fabric f(2);
+  ReliabilityConfig cfg;
+  cfg.ack_every = 8;
+  cfg.initial_rto = std::chrono::hours(1);
+  cfg.max_rto = std::chrono::hours(1);
+  f.enable_reliability(cfg);
+  for (std::uint64_t i = 0; i < 3; ++i) f.send(make(0, 1, 1, i));
+  std::vector<Message> got;
+  while (got.size() < 3) {
+    const auto m = f.recv(1);
+    ASSERT_TRUE(m.has_value());
+    got.push_back(*m);
+  }
+  const MetricsSnapshot snap = f.metrics();
+  ASSERT_EQ(snap.values.count("net.msg.rel_ack"), 1u);
+  ASSERT_EQ(snap.values.count("net.bytes.rel_ack"), 1u);
+  EXPECT_EQ(snap.get("net.msg.rel_ack"), 0u);
+  EXPECT_EQ(snap.get("net.bytes.rel_ack"), 0u);
+  f.shutdown();
+}
+
+TEST(ReliableChannel, FabricWithoutReliabilityReportsNoAckKind) {
+  Fabric f(2);
+  f.name_kind(1, "data");
+  f.send(make(0, 1, 1));
+  ASSERT_TRUE(f.recv(1).has_value());
+  const MetricsSnapshot snap = f.metrics();
+  EXPECT_EQ(snap.values.count("net.msg.rel_ack"), 0u);
+  EXPECT_EQ(snap.get("net.msg.data"), 1u);
+  f.shutdown();
+}
+
 }  // namespace
 }  // namespace mc::net
