@@ -127,7 +127,7 @@ struct Config {
   std::map<BarrierId, std::vector<ProcId>> barrier_members;
 
   /// Elastic membership (dsm/view.h, docs/FAULTS.md "Membership and
-  /// views").  The lock manager doubles as a view manager distributing
+  /// views").  The sync manager doubles as a view manager distributing
   /// epoch-stamped membership views: a PeerUnreachable verdict from the
   /// reliability layer (or an explicit MixedSystem::join / Node::leave)
   /// triggers a propose/ack/commit reconfiguration that revokes the

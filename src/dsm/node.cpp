@@ -19,13 +19,13 @@ namespace {
 constexpr auto kLivenessDeadline = 30s;
 }  // namespace
 
-Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint lock_mgr,
-           net::Endpoint barrier_mgr, StalenessTable* staleness)
+Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint mgr,
+           StalenessTable* staleness)
     : cfg_(cfg),
       self_(self),
       fabric_(fabric),
-      lock_mgr_(lock_mgr),
-      barrier_mgr_(barrier_mgr),
+      mgr_(mgr),
+      stamp_(stamp_form(cfg)),
       staleness_(staleness),
       mem_(cfg.num_vars, cfg.num_procs),
       dep_vc_(cfg.num_procs),
@@ -142,22 +142,12 @@ void Node::deliver(const net::Message& m) {
       GrantInfo info;
       info.episode = m.b;
       info.prev_holders_mask = m.c;
-      info.release_vc = VectorClock(cfg_.num_procs);
-      // Directory mode ships BOTH payload forms: per-sender unlock counts
-      // first, then the merged release clock (see LockManager::send_grant).
-      const std::size_t vc_at = dir_mode_ ? cfg_.num_procs : 0;
-      MC_CHECK(m.payload.size() >= vc_at + cfg_.num_procs + 2 * m.d);
-      if (dir_mode_) {
-        info.counts = VectorClock(cfg_.num_procs);
-        for (ProcId p = 0; p < cfg_.num_procs; ++p) info.counts.set(p, m.payload[p]);
-      }
-      for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-        info.release_vc.set(p, m.payload[vc_at + p]);
-      }
+      const std::size_t at =
+          decode_stamp(stamp_, cfg_.num_procs, m.payload, info.counts, info.release_vc);
+      MC_CHECK(m.payload.size() >= at + 2 * m.d);
       for (std::uint64_t k = 0; k < m.d; ++k) {
-        info.invalid.emplace_back(
-            static_cast<VarId>(m.payload[vc_at + cfg_.num_procs + 2 * k]),
-            static_cast<net::Endpoint>(m.payload[vc_at + cfg_.num_procs + 2 * k + 1]));
+        info.invalid.emplace_back(static_cast<VarId>(m.payload[at + 2 * k]),
+                                  static_cast<net::Endpoint>(m.payload[at + 2 * k + 1]));
       }
       info.trace_id = m.trace_id;
       {
@@ -167,17 +157,10 @@ void Node::deliver(const net::Message& m) {
       break;
     }
     case kBarrierRelease: {
-      // Directory mode: transposed sent-counts first, merged clock second
-      // (see BarrierManager::maybe_release).
-      const std::size_t vc_at = dir_mode_ ? cfg_.num_procs : 0;
-      MC_CHECK(m.payload.size() == vc_at + cfg_.num_procs);
       BarrierRelease rel;
-      rel.vc = VectorClock(cfg_.num_procs);
-      for (ProcId p = 0; p < cfg_.num_procs; ++p) rel.vc.set(p, m.payload[vc_at + p]);
-      if (dir_mode_) {
-        rel.counts = VectorClock(cfg_.num_procs);
-        for (ProcId p = 0; p < cfg_.num_procs; ++p) rel.counts.set(p, m.payload[p]);
-      }
+      const std::size_t words =
+          decode_stamp(stamp_, cfg_.num_procs, m.payload, rel.counts, rel.vc);
+      MC_CHECK(m.payload.size() == words);
       rel.trace_id = m.trace_id;
       {
         std::scoped_lock lk(mu_);
@@ -205,9 +188,6 @@ void Node::deliver(const net::Message& m) {
       break;
     case kViewState:
       if (elastic_) on_view_state(m);
-      break;
-    case kViewBarrierSync:
-      if (elastic_) on_view_barrier_sync(m);
       break;
     case kViewHello:
       if (elastic_) on_view_hello(m);
@@ -432,6 +412,13 @@ void Node::on_view_commit(const net::Message& m) {
     if (leaving_) left_ = true;
     else evicted_ = true;
   }
+  // The joiner's copy carries, past the re-seed assignments, the first
+  // instance of each barrier object it participates in.
+  MC_CHECK(m.payload.size() >= 2 * m.d);
+  for (std::size_t k = 2 * m.d; joiner == self_ && k + 1 < m.payload.size(); k += 2) {
+    auto& e = barrier_epoch_[static_cast<BarrierId>(m.payload[k])];
+    e = std::max(e, m.payload[k + 1]);
+  }
 
   // Staged updates to the departed will never be acknowledged; drop them.
   // Their sent_to_ counts stand — nobody synchronizes on a dead sender's
@@ -563,7 +550,6 @@ void Node::on_view_commit(const net::Message& m) {
 
   // Donor duties: re-seed each departed process's surviving latest writes,
   // or ship the joiner a full snapshot.
-  MC_CHECK(m.payload.size() >= 2 * m.d);
   for (std::uint64_t k = 0; k < m.d; ++k) {
     const auto target = static_cast<ProcId>(m.payload[2 * k]);
     const auto donor = static_cast<ProcId>(m.payload[2 * k + 1]);
@@ -664,17 +650,6 @@ void Node::on_view_state(const net::Message& m) {
   if (m.b == kJoinSnapshot) snapshot_done_ = true;
 }
 
-void Node::on_view_barrier_sync(const net::Message& m) {
-  std::scoped_lock lk(mu_);
-  MC_CHECK(m.payload.size() >= 2 * m.a);
-  for (std::uint64_t k = 0; k < m.a; ++k) {
-    const auto b = static_cast<BarrierId>(m.payload[2 * k]);
-    auto& e = barrier_epoch_[b];
-    e = std::max(e, m.payload[2 * k + 1]);
-  }
-  barrier_synced_ = true;
-}
-
 void Node::on_view_hello(const net::Message& m) {
   const auto sender = static_cast<ProcId>(m.src);
   std::scoped_lock lk(mu_);
@@ -709,14 +684,15 @@ void Node::join() {
     std::scoped_lock lk(mu_);
     MC_CHECK_MSG(!view_.is_alive(self_), "join by a process already in the view");
   }
-  fabric_.send(msg_to(lock_mgr_, kViewJoin, self_));
+  fabric_.send(msg_to(mgr_, kViewJoin, self_));
   std::unique_lock lk(mu_);
   wait_or_die(lk, "join blocked past the liveness deadline", [&] {
-    // Admitted, barrier counters aligned, the donor snapshot landed
-    // (vacuous when this process is the view's only member), and — in
-    // directory mode — every other live node's authoritative sharer rows
-    // arrived (kDirSharerSync, sent even when empty).
-    return view_.is_alive(self_) && barrier_synced_ &&
+    // Admitted (the commit also aligned the barrier counters), the donor
+    // snapshot landed (vacuous when this process is the view's only
+    // member), and — in directory mode — every other live node's
+    // authoritative sharer rows arrived (kDirSharerSync, sent even when
+    // empty).
+    return view_.is_alive(self_) &&
            (snapshot_done_ || view_.live_count() == 1) &&
            (!dir_mode_ ||
             (view_.alive_mask & ~(std::uint64_t{1} << self_) & ~dir_sync_from_) == 0);
@@ -765,7 +741,7 @@ void Node::leave() {
     wait_or_die(lk, "leave handoff blocked past the liveness deadline",
                 [&] { return dir_handoff_wait_ == 0; });
   }
-  fabric_.send(msg_to(lock_mgr_, kViewLeave, self_));
+  fabric_.send(msg_to(mgr_, kViewLeave, self_));
   std::unique_lock lk(mu_);
   wait_or_die(lk, "leave blocked past the liveness deadline", [&] { return left_; });
 }
@@ -1708,26 +1684,19 @@ void Node::barrier(BarrierId b) {
     std::scoped_lock lk(mu_);
     epoch = barrier_epoch_[b]++;
   }
-  net::Message arrive = msg_to(barrier_mgr_, kBarrierArrive, b, epoch);
+  net::Message arrive = msg_to(mgr_, kBarrierArrive, b, epoch);
   {
     std::scoped_lock lk(mu_);
     // Mandatory flush: the snapshot below promises peers that
     // every update it counts is on the wire; staged records would make the
     // promise a lie and Theorem 1's barrier condition unsound.
     flush_staged_locked();
-    // Count mode ships the paper's per-receiver sent-update counts; the
-    // manager transposes them.  VC mode ships the dependency clock.
-    // Directory mode ships both: counts gate reception, the merged clock
+    // Count stamps carry the paper's per-receiver sent-update counts; the
+    // manager transposes them.  Clock stamps carry the dependency clock.
+    // Directory mode carries both: counts gate reception, the merged clock
     // keeps later-phase writes dominant in the LWW order (see barrier
     // resume below).
-    if (dir_mode_) {
-      arrive.payload.assign(sent_to_.components().begin(), sent_to_.components().end());
-      arrive.payload.insert(arrive.payload.end(), dep_vc_.components().begin(),
-                            dep_vc_.components().end());
-    } else {
-      const VectorClock& snapshot = cfg_.omit_timestamps ? sent_to_ : dep_vc_;
-      arrive.payload.assign(snapshot.components().begin(), snapshot.components().end());
-    }
+    encode_stamp(stamp_, sent_to_, dep_vc_, arrive.payload);
   }
   fabric_.send(std::move(arrive));
   // The traced span covers only the post-arrival wait: the arrival send must
@@ -1749,21 +1718,20 @@ void Node::barrier(BarrierId b) {
                            {"barrier", b}, {"proc", self_});
   }
 
-  if (dir_mode_) {
-    // Directory mode: raise the count floor (all pre-barrier updates
-    // addressed to us must land) and merge the clock into the dependency
-    // clock ONLY — not the read floors.  Raising pram/causal floors here
-    // would demand the resolved frontier of every peer on every
-    // post-barrier read (a ping storm); reception counts plus the fill ack
-    // fence already give barrier-ordered visibility, and the dep_vc merge
-    // keeps later-phase writes dominant in the LWW order (bitwise identity
-    // with full replication for race-free phased programs).
-    count_floor_.merge(barrier_release_.at(key).counts);
-    dep_vc_.merge(barrier_release_.at(key).vc);
-  } else if (cfg_.omit_timestamps) {
-    count_floor_.merge(barrier_release_.at(key).vc);
-  } else {
-    absorb_all(barrier_release_.at(key).vc);
+  // Counts raise the count floor: all pre-barrier updates addressed to us
+  // must land.  Directory mode merges the clock into the dependency clock
+  // ONLY — not the read floors.  Raising pram/causal floors there would
+  // demand the resolved frontier of every peer on every post-barrier read
+  // (a ping storm); reception counts plus the fill ack fence already give
+  // barrier-ordered visibility, and the dep_vc merge keeps later-phase
+  // writes dominant in the LWW order (bitwise identity with full
+  // replication for race-free phased programs).
+  const BarrierRelease& rel = barrier_release_.at(key);
+  if (has_counts(stamp_)) count_floor_.merge(rel.counts);
+  if (stamp_ == StampForm::kCountsAndClock) {
+    dep_vc_.merge(rel.vc);
+  } else if (stamp_ == StampForm::kClock) {
+    absorb_all(rel.vc);
   }
   barrier_release_.erase(key);
 
@@ -1784,7 +1752,7 @@ void Node::do_lock(LockId l, LockRequestKind kind) {
     std::scoped_lock lk(mu_);
     MC_CHECK_MSG(held_.find(l) == held_.end(), "locks are not re-entrant");
   }
-  fabric_.send(msg_to(lock_mgr_, kLockReq, l, static_cast<std::uint64_t>(kind)));
+  fabric_.send(msg_to(mgr_, kLockReq, l, static_cast<std::uint64_t>(kind)));
   // Traced span covers only the post-request wait (see barrier()).
   const std::uint64_t trace_t0 = obs::trace_enabled() ? obs::Tracer::now_ns() : 0;
 
@@ -1808,17 +1776,15 @@ void Node::do_lock(LockId l, LockRequestKind kind) {
   }
 
   // |-> lock obligations: the previous episode's context becomes visible.
-  if (dir_mode_) {
-    // Directory mode: counts gate reception, the release clock merges into
-    // the dependency clock only — same reasoning as the barrier resume.
-    count_floor_.merge(info.counts);
+  // Count stamps carry, per sender, how many updates that sender had
+  // shipped to *us* when it last unlocked (Section 6's lazy
+  // implementation: "waits for the required number of messages").  In
+  // directory mode the release clock merges into the dependency clock
+  // only — same reasoning as the barrier resume.
+  if (has_counts(stamp_)) count_floor_.merge(info.counts);
+  if (stamp_ == StampForm::kCountsAndClock) {
     dep_vc_.merge(info.release_vc);
-  } else if (cfg_.omit_timestamps) {
-    // Count mode: the grant carries, per sender, how many updates that
-    // sender had shipped to *us* when it last unlocked (Section 6's lazy
-    // implementation: "waits for the required number of messages").
-    count_floor_.merge(info.release_vc);
-  } else {
+  } else if (stamp_ == StampForm::kClock) {
     dep_vc_.merge(info.release_vc);
     causal_floor_.merge(info.release_vc);
     for (ProcId p = 0; p < cfg_.num_procs; ++p) {
@@ -1902,18 +1868,10 @@ void Node::do_unlock(LockId l, LockRequestKind kind) {
     stats_.unlock_blocked.record(blocked.elapsed());
   }
 
-  net::Message unlock = msg_to(lock_mgr_, kUnlock, l, static_cast<std::uint64_t>(kind));
+  net::Message unlock = msg_to(mgr_, kUnlock, l, static_cast<std::uint64_t>(kind));
   {
     std::scoped_lock lk(mu_);
-    if (dir_mode_) {
-      // Counts first, clock second (see kUnlock in wire.h).
-      unlock.payload.assign(sent_to_.components().begin(), sent_to_.components().end());
-      unlock.payload.insert(unlock.payload.end(), dep_vc_.components().begin(),
-                            dep_vc_.components().end());
-    } else {
-      const VectorClock& snapshot = cfg_.omit_timestamps ? sent_to_ : dep_vc_;
-      unlock.payload.assign(snapshot.components().begin(), snapshot.components().end());
-    }
+    encode_stamp(stamp_, sent_to_, dep_vc_, unlock.payload);
   }
   unlock.d = digest.size();
   for (const VarId x : digest) unlock.payload.push_back(x);

@@ -111,8 +111,9 @@ class StalenessTable;
 
 class Node {
  public:
-  Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint lock_mgr,
-       net::Endpoint barrier_mgr, StalenessTable* staleness = nullptr);
+  /// `mgr` is the sync manager's endpoint (locks, barriers, views).
+  Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint mgr,
+       StalenessTable* staleness = nullptr);
   ~Node();
 
   Node(const Node&) = delete;
@@ -155,10 +156,10 @@ class Node {
   // ----- elastic membership (Config::elastic; dsm/view.h) -----
 
   /// Enter the system live: request admission from the view manager and
-  /// block until the admitting view has committed, the barrier-epoch sync
-  /// has arrived, and the snapshot donor's state transfer has landed.  Must
-  /// be called before any other operation by a process left out of
-  /// Config::initial_members.
+  /// block until the admitting view has committed (its commit carries the
+  /// barrier epochs this process starts at) and the snapshot donor's state
+  /// transfer has landed.  Must be called before any other operation by a
+  /// process left out of Config::initial_members.
   void join();
 
   /// Leave gracefully: request exclusion and block until a view without
@@ -231,12 +232,12 @@ class Node {
     std::chrono::steady_clock::time_point acquired{};
   };
 
+  /// A grant's or release's sync stamp (wire.h), split into the parts its
+  /// form has: per-sender sent-counts and the release clock.
   struct GrantInfo {
     std::uint64_t episode;
     std::uint64_t prev_holders_mask;
     VectorClock release_vc;
-    /// Directory mode: per-sender unlock sent-counts (the count-mode grant
-    /// payload), shipped alongside the release clock.
     VectorClock counts;
     std::vector<std::pair<VarId, net::Endpoint>> invalid;
     /// Flow id of the kLockGrant message; the blocked application thread
@@ -246,7 +247,6 @@ class Node {
 
   struct BarrierRelease {
     VectorClock vc;
-    /// Directory mode: transposed per-sender sent-counts (see GrantInfo).
     VectorClock counts;
     std::uint64_t trace_id = 0;  // kBarrierRelease flow id (see GrantInfo)
   };
@@ -296,7 +296,6 @@ class Node {
   void on_view_propose(const net::Message& m);
   void on_view_commit(const net::Message& m);
   void on_view_state(const net::Message& m);
-  void on_view_barrier_sync(const net::Message& m);
   void on_view_hello(const net::Message& m);
 
   // ----- directory-based partial replication (Config::directory) -----
@@ -470,8 +469,9 @@ class Node {
   const Config& cfg_;
   const ProcId self_;
   net::Fabric& fabric_;
-  const net::Endpoint lock_mgr_;
-  const net::Endpoint barrier_mgr_;
+  const net::Endpoint mgr_;
+  /// The sync-stamp form of this system's lock and barrier traffic.
+  const StampForm stamp_;
   /// Shared read-staleness registry (owned by MixedSystem); nullptr unless
   /// Config::track_staleness.
   StalenessTable* const staleness_;
@@ -595,8 +595,7 @@ class Node {
   /// eviction error when the commit lands.
   bool leaving_ = false;
   bool left_ = false;
-  /// Joiner handshake progress: barrier-epoch sync and snapshot received.
-  bool barrier_synced_ = false;
+  /// Joiner handshake progress: the donor's snapshot landed.
   bool snapshot_done_ = false;
 
   TraceRecorder trace_;

@@ -10,7 +10,7 @@ namespace mc::dsm {
 
 MixedSystem::MixedSystem(Config cfg)
     : cfg_(std::move(cfg)),
-      fabric_(cfg_.num_procs + 2, cfg_.latency, cfg_.seed) {
+      fabric_(cfg_.num_procs + 1, cfg_.latency, cfg_.seed) {
   MC_CHECK(cfg_.num_procs >= 1);
   if (cfg_.directory.has_value()) {
     MC_CHECK_MSG(!cfg_.omit_timestamps,
@@ -56,40 +56,35 @@ MixedSystem::MixedSystem(Config cfg)
   }
   if (cfg_.reliable) fabric_.enable_reliability(cfg_.reliability);
   if (cfg_.faults.has_value()) fabric_.inject_faults(*cfg_.faults);
-  const auto lock_ep = static_cast<net::Endpoint>(cfg_.num_procs);
-  const auto barrier_ep = static_cast<net::Endpoint>(cfg_.num_procs + 1);
+  const auto mgr_ep = static_cast<net::Endpoint>(cfg_.num_procs);
   const std::optional<std::uint64_t> initial_alive =
       cfg_.elastic ? std::optional<std::uint64_t>(
                          cfg_.initial_members.has_value()
                              ? mask_of(*cfg_.initial_members)
                              : full_mask(cfg_.num_procs))
                    : std::nullopt;
-  lock_manager_ = std::make_unique<LockManager>(fabric_, lock_ep, cfg_.num_procs,
-                                                cfg_.omit_timestamps, initial_alive,
-                                                cfg_.directory.has_value());
-  barrier_manager_ =
-      std::make_unique<BarrierManager>(fabric_, barrier_ep, cfg_.num_procs,
-                                       cfg_.barrier_members, cfg_.omit_timestamps,
-                                       initial_alive, cfg_.directory.has_value());
+  manager_ = std::make_unique<SyncManager>(fabric_, mgr_ep, cfg_.num_procs,
+                                           cfg_.barrier_members, stamp_form(cfg_),
+                                           initial_alive);
   if (cfg_.elastic) {
     // Crash detection: the reliability layer's give-up verdict becomes a
     // fault report to the view manager (a suspect manager endpoint is not
     // reconfigurable — that failure stays a watchdog matter).
     if (net::ReliableChannel* rel = fabric_.reliable_channel()) {
       rel->set_unreachable_callback(
-          [this, lock_ep](const net::ReliableChannel::PeerUnreachable& err) {
+          [this, mgr_ep](const net::ReliableChannel::PeerUnreachable& err) {
             if (err.dst >= cfg_.num_procs || err.src == err.dst) return;
             net::Message fault;
             fault.src = err.src;
-            fault.dst = lock_ep;
+            fault.dst = mgr_ep;
             fault.kind = kViewFault;
             fault.a = err.dst;
             fabric_.send(std::move(fault));
           });
     }
-    lock_manager_->set_view_listener(
-        [this](const View& v, std::uint64_t departed_mask, ProcId joiner) {
-          (void)joiner;
+    manager_->set_view_listener(
+        [this](const View& v, std::uint64_t departed_mask, ProcId joiner,
+               const std::vector<std::pair<BarrierId, std::uint64_t>>& joined_from) {
           // Silence retransmissions to the removed: their channels would
           // otherwise keep reporting the same corpse.
           if (net::ReliableChannel* rel = fabric_.reliable_channel()) {
@@ -98,13 +93,10 @@ MixedSystem::MixedSystem(Config cfg)
             }
           }
           if (obs::OpSink* sink = op_sink_.load(std::memory_order_acquire)) {
+            for (const auto& [b, from_epoch] : joined_from) {
+              sink->on_barrier_member_from(b, joiner, from_epoch);
+            }
             sink->on_view(v.epoch, v.alive_mask);
-          }
-        });
-    barrier_manager_->set_join_listener(
-        [this](BarrierId b, ProcId p, std::uint64_t from_epoch) {
-          if (obs::OpSink* sink = op_sink_.load(std::memory_order_acquire)) {
-            sink->on_barrier_member_from(b, p, from_epoch);
           }
         });
   }
@@ -113,23 +105,20 @@ MixedSystem::MixedSystem(Config cfg)
   }
   nodes_.reserve(cfg_.num_procs);
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    nodes_.push_back(std::make_unique<Node>(cfg_, p, fabric_, lock_ep, barrier_ep,
-                                            staleness_.get()));
+    nodes_.push_back(std::make_unique<Node>(cfg_, p, fabric_, mgr_ep, staleness_.get()));
   }
   if (cfg_.profile.has_value()) {
     // One profiler per component keeps hot-path recording uncontended
     // across processes; profile() merges them.  Attached before run(), so
     // every record site sees the pointer through the thread-start /
     // mailbox synchronization that also orders the first message.
-    profilers_.reserve(cfg_.num_procs + 2);
+    profilers_.reserve(cfg_.num_procs + 1);
     for (ProcId p = 0; p < cfg_.num_procs; ++p) {
       profilers_.push_back(std::make_unique<obs::ContentionProfiler>(*cfg_.profile));
       nodes_[p]->set_profiler(profilers_.back().get());
     }
     profilers_.push_back(std::make_unique<obs::ContentionProfiler>(*cfg_.profile));
-    lock_manager_->set_profiler(profilers_.back().get());
-    profilers_.push_back(std::make_unique<obs::ContentionProfiler>(*cfg_.profile));
-    barrier_manager_->set_profiler(profilers_.back().get());
+    manager_->set_profiler(profilers_.back().get());
   }
 }
 
@@ -166,12 +155,12 @@ MixedSystem::RunOutcome MixedSystem::run(
   Watchdog::Options opts;
   opts.stall_timeout = timeout;
   Watchdog wd(opts);
-  wd.set_wait_graph_source([this] { return lock_manager_->wait_edges(); });
+  wd.set_wait_graph_source([this] { return manager_->wait_edges(); });
   wd.set_diagnostics_source([this](Watchdog::Diagnostics& d) {
-    d.locks = lock_manager_->dump();
-    d.barriers = barrier_manager_->dump();
+    d.locks = manager_->dump_locks();
+    d.barriers = manager_->dump_barriers();
     d.in_flight = fabric_.in_flight();
-    if (cfg_.elastic) d.view = lock_manager_->view_string();
+    if (cfg_.elastic) d.view = manager_->view_string();
     // Name the culprits: a stall report that says WHICH lock and variable
     // are hottest beats a bare wait set (requires Config::profile).
     if (cfg_.profile.has_value()) d.hot = profile().hot_summary();
@@ -187,14 +176,9 @@ MixedSystem::RunOutcome MixedSystem::run(
   });
   wd.set_manager_probe([this] {
     const std::vector<std::size_t> depth = fabric_.in_flight();
-    const auto lock_ep = static_cast<std::size_t>(cfg_.num_procs);
-    const auto barrier_ep = lock_ep + 1;
+    const auto mgr_ep = static_cast<std::size_t>(cfg_.num_procs);
     return std::vector<Watchdog::ManagerHealth>{
-        {"lock manager", lock_manager_->heartbeats(),
-         lock_ep < depth.size() ? depth[lock_ep] : 0},
-        {"barrier manager", barrier_manager_->heartbeats(),
-         barrier_ep < depth.size() ? depth[barrier_ep] : 0},
-    };
+        {"sync manager", manager_->heartbeats(), mgr_ep < depth.size() ? depth[mgr_ep] : 0}};
   });
   for (auto& n : nodes_) n->set_watchdog(&wd);
 
@@ -232,7 +216,7 @@ void MixedSystem::attach_op_sink(obs::OpSink* sink) {
 
 View MixedSystem::view() const {
   MC_CHECK_MSG(cfg_.elastic, "view() requires Config::elastic");
-  return lock_manager_->view();
+  return manager_->view();
 }
 
 std::map<BarrierId, std::size_t> MixedSystem::barrier_membership() const {
@@ -348,22 +332,22 @@ MetricsSnapshot MixedSystem::metrics() const {
       reseeds_out += n->stats().reseeds_out.get();
       reseeds_in += n->stats().reseeds_in.get();
     }
-    snap.values["view.epoch"] = lock_manager_->view().epoch;
-    snap.values["view.changes"] = lock_manager_->view_changes();
-    snap.values["view.joins"] = lock_manager_->view_joins();
-    snap.values["view.leaves"] = lock_manager_->view_leaves();
-    snap.values["view.faults"] = lock_manager_->view_faults();
-    snap.values["view.locks_revoked"] = lock_manager_->locks_revoked();
-    snap.values["view.reseed_assignments"] = lock_manager_->reseed_assignments();
+    snap.values["view.epoch"] = manager_->view().epoch;
+    snap.values["view.changes"] = manager_->view_changes();
+    snap.values["view.joins"] = manager_->view_joins();
+    snap.values["view.leaves"] = manager_->view_leaves();
+    snap.values["view.faults"] = manager_->view_faults();
+    snap.values["view.locks_revoked"] = manager_->locks_revoked();
+    snap.values["view.reseed_assignments"] = manager_->reseed_assignments();
     snap.values["view.reseed_records_out"] = reseeds_out;
     snap.values["view.reseed_records_in"] = reseeds_in;
   }
-  snap.values["lockmgr.grants"] = lock_manager_->grants_sent();
-  snap.add_histogram("lockmgr.grant_wait_ns", lock_manager_->grant_wait());
-  snap.values["lockmgr.heartbeats"] = lock_manager_->heartbeats();
-  snap.values["barriermgr.releases"] = barrier_manager_->releases_sent();
-  snap.add_histogram("barriermgr.assemble_ns", barrier_manager_->assemble_time());
-  snap.values["barriermgr.heartbeats"] = barrier_manager_->heartbeats();
+  snap.values["lockmgr.grants"] = manager_->grants_sent();
+  snap.add_histogram("lockmgr.grant_wait_ns", manager_->grant_wait());
+  snap.values["lockmgr.heartbeats"] = manager_->lock_heartbeats();
+  snap.values["barriermgr.releases"] = manager_->releases_sent();
+  snap.add_histogram("barriermgr.assemble_ns", manager_->assemble_time());
+  snap.values["barriermgr.heartbeats"] = manager_->barrier_heartbeats();
   if (cfg_.profile.has_value()) {
     // Sketch occupancy only — the full attribution lives in profile().
     // Guarded so an unprofiled run has ZERO profile.* keys.
@@ -391,8 +375,7 @@ void MixedSystem::shutdown() {
   if (down_) return;
   down_ = true;
   fabric_.shutdown();
-  lock_manager_->join();
-  barrier_manager_->join();
+  manager_->join();
   for (auto& n : nodes_) n->stop();
 }
 

@@ -1,7 +1,8 @@
 // MixedSystem: one mixed-consistency DSM instance — the processes, the
-// simulated fabric connecting them, and the lock/barrier manager processes
-// of Section 6 — with lifecycle management, metrics aggregation, and trace
-// collection.
+// simulated fabric connecting them, and the sync manager process of
+// Section 6 (locks, barriers, views) — with lifecycle management, metrics
+// aggregation, and trace collection.  Fabric endpoints: processes
+// 0..num_procs-1, the manager at num_procs.
 
 #pragma once
 
@@ -11,11 +12,10 @@
 #include <memory>
 #include <vector>
 
-#include "dsm/barrier_manager.h"
 #include "dsm/config.h"
-#include "dsm/lock_manager.h"
 #include "dsm/node.h"
 #include "dsm/staleness.h"
+#include "dsm/sync_manager.h"
 #include "dsm/watchdog.h"
 #include "history/history.h"
 
@@ -72,7 +72,7 @@ class MixedSystem {
   /// Fabric- and node-level metrics (messages, bytes, blocked time).
   [[nodiscard]] MetricsSnapshot metrics() const;
 
-  /// Merged contention profile across every node and both managers
+  /// Merged contention profile across every node and the manager
   /// (Config::profile; src/obs/profiler.h).  Safe to call while the
   /// system runs — each per-component profiler is snapshotted under its
   /// own mutex.  Returns an empty report when profiling is off.
@@ -97,16 +97,15 @@ class MixedSystem {
  private:
   Config cfg_;
   net::Fabric fabric_;
-  std::unique_ptr<LockManager> lock_manager_;
-  std::unique_ptr<BarrierManager> barrier_manager_;
+  std::unique_ptr<SyncManager> manager_;
   /// Issued-write counters shared by every node (Config::track_staleness).
   std::unique_ptr<StalenessTable> staleness_;
-  /// Contention profilers (Config::profile): one per node, then one per
-  /// manager (lock, barrier) — merged by profile().  Empty when off.
+  /// Contention profilers (Config::profile): one per node, then the
+  /// manager's — merged by profile().  Empty when off.
   std::vector<std::unique_ptr<obs::ContentionProfiler>> profilers_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  /// The attached live sink (attach_op_sink); the elastic view listeners
-  /// forward membership events to it from manager threads.
+  /// The attached live sink (attach_op_sink); the elastic view listener
+  /// forwards membership events to it from the manager thread.
   std::atomic<obs::OpSink*> op_sink_{nullptr};
   bool down_ = false;
 };

@@ -3,7 +3,7 @@
 //
 // A view is the pair (epoch, alive mask): which processes are members of
 // the system right now, and a monotone counter stamping the configuration.
-// The lock manager doubles as the *view manager*: it proposes view v+1 on
+// The sync manager doubles as the *view manager*: it proposes view v+1 on
 // a fault report / join / leave, collects acks from the surviving members
 // (each ack carries the acker's applied clock, taken after flushing its
 // staging buffers), and commits — revoking the departed process's locks,
@@ -11,7 +11,7 @@
 // fence to a committed view: reads, awaits, and causal delivery mask out
 // the dead components (common/vector_clock.h `*_masked`).
 //
-// Membership is encoded as a 64-bit mask, matching the lock manager's
+// Membership is encoded as a 64-bit mask, matching the sync manager's
 // prev_holders_mask encoding (num_procs <= 64 is enforced at system
 // construction).
 

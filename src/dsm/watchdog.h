@@ -7,7 +7,7 @@
 //
 //   - every blocking DSM operation registers itself while blocked; a
 //     monitor thread fires once any wait exceeds the stall deadline;
-//   - the lock manager exposes its wait-for graph; a cycle that persists
+//   - the sync manager exposes its wait-for graph; a cycle that persists
 //     across two consecutive polls is reported as a true lock-order
 //     deadlock (with the cycle spelled out) rather than a generic stall;
 //   - on firing, the watchdog assembles a Diagnostics dump — blocked
@@ -72,7 +72,7 @@ class Watchdog {
     std::string reason;
     std::vector<std::string> stalled_waits;   ///< "p1: barrier ... (5023 ms)"
     std::vector<std::string> deadlock_cycle;  ///< "p0 -(lock 1)-> p1"
-    std::vector<std::string> locks;           ///< lock-manager table dump
+    std::vector<std::string> locks;           ///< sync-manager lock table dump
     std::vector<std::string> barriers;        ///< open barrier instances
     std::vector<std::size_t> in_flight;       ///< per-endpoint mailbox depth
     std::vector<std::string> unreachable;     ///< dead reliable channels
@@ -93,7 +93,7 @@ class Watchdog {
   /// `pending > 0` means the thread is wedged (not merely idle) — traffic is
   /// waiting that it never dequeues.
   struct ManagerHealth {
-    std::string name;            ///< e.g. "lock manager"
+    std::string name;            ///< e.g. "sync manager"
     std::uint64_t heartbeat = 0; ///< messages dequeued so far
     std::size_t pending = 0;     ///< messages sitting in its mailbox
   };
@@ -122,7 +122,7 @@ class Watchdog {
     std::uint64_t token_;
   };
 
-  /// Source of lock wait-for edges (the lock manager).  Called from the
+  /// Source of lock wait-for edges (the sync manager).  Called from the
   /// monitor thread without the watchdog mutex held.
   void set_wait_graph_source(std::function<std::vector<WaitEdge>()> source);
 

@@ -1,15 +1,20 @@
 // Wire protocol of the mixed-consistency DSM (Section 6 of the paper).
 //
-// Processes broadcast vector-timestamped updates; a lock manager and a
-// barrier manager run as ordinary endpoints above the process endpoints.
-// Payload layouts are documented per kind; scalar fields a..d are assigned
-// per kind below.
+// Processes broadcast vector-timestamped updates; one sync manager (locks,
+// barriers and views) runs as an ordinary endpoint above the process
+// endpoints.  Payload layouts are documented per kind; scalar fields a..d
+// are assigned per kind below.
 
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
+#include "common/vector_clock.h"
+#include "dsm/config.h"
 #include "net/fabric.h"
 
 namespace mc::dsm {
@@ -31,26 +36,24 @@ enum MsgKind : std::uint16_t {
   /// a=lock, b=request kind (0=read, 1=write).
   kLockReq = 6,
   /// a=lock, b=episode, c=releasing endpoint (kNoEndpoint if none yet),
-  /// d=digest length k; payload = [release vector clock (num_procs words),
-  /// k invalid-variable descriptors (var, owner) pairs].  Directory mode
-  /// prepends num_procs per-sender unlock sent-counts before the clock.
+  /// d=digest length k; payload = [sync stamp (below): per-sender unlock
+  /// sent-counts to the grantee and the merged release clock, k
+  /// invalid-variable descriptors (var, owner) pairs].
   kLockGrant = 7,
-  /// a=lock, b=request kind, d=digest length k; payload = [holder's vector
-  /// clock, k written-variable ids].  Directory mode prepends the holder's
-  /// num_procs sent-to counts before the clock.
+  /// a=lock, b=request kind, d=digest length k; payload = [sync stamp: the
+  /// holder's sent-to counts and dependency clock, k written-variable ids].
   kUnlock = 8,
 
-  /// a=barrier object, b=epoch; payload = arriving process's vector clock
-  /// (directory mode: sent-to counts first, then the dependency clock).
+  /// a=barrier object, b=epoch; payload = sync stamp: the arriving
+  /// process's sent-to counts and dependency clock.
   kBarrierArrive = 9,
-  /// a=barrier object, b=epoch; payload = merged vector clock of all
-  /// arrivals (directory mode: transposed per-sender counts first, then
-  /// the merged clock).
+  /// a=barrier object, b=epoch; payload = sync stamp: the arrivals'
+  /// transposed per-sender counts and their merged clock.
   kBarrierRelease = 10,
 
   // --- elastic membership (dsm/view.h, docs/FAULTS.md) -------------------
-  // The view manager is colocated with the lock manager endpoint; all view
-  // traffic flows through it.
+  // The view manager is the sync manager; all view traffic flows through
+  // its endpoint.
 
   /// Fault report: the reliability layer gave up on a peer.  a=suspect
   /// process.  Sent node -> view manager.
@@ -68,7 +71,10 @@ enum MsgKind : std::uint16_t {
   kViewAck = 16,
   /// View commit.  a=epoch, b=alive mask, c=joiner (~0 if none),
   /// d=re-seed assignment count k; payload = k (departed proc, donor proc)
-  /// pairs.  Multicast manager -> view members and the barrier manager.
+  /// pairs.  The joiner's copy appends (barrier, first epoch) pairs: the
+  /// instance of each barrier object it participates from, so its local
+  /// counters line up with the instances already in flight.  Sent manager
+  /// -> every member of the old and new views.
   kViewCommit = 17,
   /// Re-seed / join snapshot transfer.  b=flavour (ViewStateFlavour);
   /// a, c, d and the payload are a snapshot frame (dsm/batch.h) of one
@@ -77,10 +83,6 @@ enum MsgKind : std::uint16_t {
   /// everything else LWW-applies (and the write epoch joins the
   /// concurrent-write tiebreak — see store.cpp).
   kViewState = 18,
-  /// Barrier-epoch sync for a joiner.  a=pair count N, b=epoch; payload =
-  /// N (barrier, next local epoch) pairs so the joiner's local barrier
-  /// counters line up with the instances already in flight.
-  kViewBarrierSync = 19,
   /// Survivor -> joiner FIFO baseline.  a=sender's own clock component,
   /// b=epoch; payload = sender's dependency clock.  Sent atomically with
   /// adding the joiner to the sender's broadcast set, so the joiner can
@@ -174,6 +176,44 @@ enum UpdateFlags : std::uint64_t {
   kFlagCounterBase = 0x08,
 };
 
+/// The synchronization stamp at the head of a kUnlock, kLockGrant,
+/// kBarrierArrive or kBarrierRelease payload.  A system uses one form,
+/// fixed by its Config (stamp_form):
+///   kClock           a vector clock — the default vector-clock protocol;
+///   kCounts          per-process update counts — Section 6's count scheme
+///                    (Config::omit_timestamps);
+///   kCountsAndClock  counts, then the clock — directory mode: counts gate
+///                    reception, the clock keeps the LWW order.
+/// Each part is num_procs words.
+enum class StampForm : std::uint8_t { kClock, kCounts, kCountsAndClock };
+
+[[nodiscard]] inline StampForm stamp_form(const Config& cfg) {
+  if (cfg.directory.has_value()) return StampForm::kCountsAndClock;
+  return cfg.omit_timestamps ? StampForm::kCounts : StampForm::kClock;
+}
+[[nodiscard]] inline bool has_counts(StampForm f) { return f != StampForm::kClock; }
+[[nodiscard]] inline bool has_clock(StampForm f) { return f != StampForm::kCounts; }
+
+/// Append the parts of `f` to `out`: `counts` if it has them, then `clock`.
+inline void encode_stamp(StampForm f, const VectorClock& counts, const VectorClock& clock,
+                         std::vector<std::uint64_t>& out) {
+  if (has_counts(f)) out.insert(out.end(), counts.components().begin(), counts.components().end());
+  if (has_clock(f)) out.insert(out.end(), clock.components().begin(), clock.components().end());
+}
+
+/// Decode the stamp at the head of `payload` into the parts `f` has (the
+/// others are left alone); returns the words it spans — the kind's
+/// trailer starts there.
+inline std::size_t decode_stamp(StampForm f, std::size_t num_procs,
+                                std::span<const std::uint64_t> payload, VectorClock& counts,
+                                VectorClock& clock) {
+  const std::size_t words = (f == StampForm::kCountsAndClock ? 2 : 1) * num_procs;
+  MC_CHECK(payload.size() >= words);
+  if (has_counts(f)) counts.assign(payload.first(num_procs));
+  if (has_clock(f)) clock.assign(payload.subspan(words - num_procs, num_procs));
+  return words;
+}
+
 /// Register human-readable kind names on a fabric (metrics keys).
 inline void register_kind_names(net::Fabric& fabric) {
   fabric.name_kind(kUpdate, "update");
@@ -191,7 +231,6 @@ inline void register_kind_names(net::Fabric& fabric) {
   fabric.name_kind(kViewAck, "view_ack");
   fabric.name_kind(kViewCommit, "view_commit");
   fabric.name_kind(kViewState, "view_state");
-  fabric.name_kind(kViewBarrierSync, "view_barrier_sync");
   fabric.name_kind(kViewHello, "view_hello");
   fabric.name_kind(kFetchBulkReq, "fetch_bulk_req");
   fabric.name_kind(kFetchBulkResp, "fetch_bulk_resp");

@@ -93,7 +93,7 @@ struct Operation {
   ///    (a write, or the final delta), defining the |-> await edge.
   WriteId write_id{};
 
-  /// Lock-grant episode (lock ops only).  The lock manager serializes
+  /// Lock-grant episode (lock ops only).  The sync manager serializes
   /// ownership of each lock into episodes: each write-lock tenure is its own
   /// episode and each maximal group of concurrently-admitted readers shares
   /// one.  Episodes are numbered per lock in grant order; the |-> lock order

@@ -18,7 +18,7 @@
 namespace mc::net {
 
 /// Endpoint index within a fabric.  DSM processes occupy the low indices;
-/// manager processes (lock manager, barrier manager, sequencer) are ordinary
+/// manager processes (the DSM's sync manager, the SC sequencer) are ordinary
 /// endpoints above them, exactly as Section 6 maps every lock/barrier to a
 /// manager *process*.
 using Endpoint = std::uint32_t;

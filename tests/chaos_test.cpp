@@ -360,21 +360,21 @@ TEST(Chaos, RandomLitmusProgramStillChecksUnderFaults) {
 }
 
 TEST(Chaos, WithoutReliabilityTheWatchdogReportsTheStall) {
-  // Reliability off, barrier-arrive traffic from p0 severed: the run must
+  // Reliability off, p0's traffic to the manager severed: the run must
   // come back with a stall report — never hang.  (Endpoint layout: procs
-  // 0..1, lock manager 2, barrier manager 3.)
+  // 0..1, the sync manager 2.)
   dsm::Config cfg;
   cfg.num_procs = 2;
   cfg.num_vars = 1;
   net::FaultPlan plan;
-  plan.channel_drop_prob[{0, 3}] = 1.0;
+  plan.channel_drop_prob[{0, 2}] = 1.0;
   cfg.faults = plan;
   dsm::MixedSystem sys(cfg);
   const auto out = sys.run([](dsm::Node& n, ProcId) { n.barrier(); }, 300ms);
   ASSERT_TRUE(out.stalled);
   EXPECT_FALSE(out.diagnostics.stalled_waits.empty());
-  // The barrier manager saw p1 arrive and is still waiting on p0 — its
-  // occupancy dump names the missing process.
+  // The manager saw p1 arrive and is still waiting on p0 — its occupancy
+  // dump names the missing process.
   ASSERT_FALSE(out.diagnostics.barriers.empty());
   EXPECT_NE(out.diagnostics.barriers[0].find("missing"), std::string::npos)
       << out.diagnostics.barriers[0];

@@ -22,8 +22,7 @@ namespace {
 
 constexpr net::Endpoint kTester = 0;  // plays process 0; no Node behind it
 constexpr net::Endpoint kNode = 1;
-constexpr net::Endpoint kLockMgr = 2;
-constexpr net::Endpoint kBarrierMgr = 3;
+constexpr net::Endpoint kMgr = 2;
 
 net::Message from_tester(std::uint16_t kind) {
   net::Message m;
@@ -84,12 +83,12 @@ void push_as_one_batch(net::Fabric& f, std::vector<net::Message> msgs) {
 }
 
 TEST(DeliveryBatch, UpdatesAndRequestsAreHandledInArrivalOrder) {
-  net::Fabric f(4);
+  net::Fabric f(3);
   Config cfg;
   cfg.num_procs = 2;
   cfg.num_vars = 4;
   {
-    Node node(cfg, kNode, f, kLockMgr, kBarrierMgr);
+    Node node(cfg, kNode, f, kMgr);
     net::Message sync = from_tester(kSyncReq);
     sync.a = 7;
     std::vector<net::Message> batch;
@@ -128,13 +127,13 @@ TEST(DeliveryBatch, ViewHelloBaselineLandsBeforeTheUpdatesBehindIt) {
   // An elastic joiner learns a survivor's FIFO baseline from kViewHello;
   // the survivor's next update (tick 6) is only in sequence after it.
   // Handling the update first would trip the per-sender FIFO check.
-  net::Fabric f(4);
+  net::Fabric f(3);
   Config cfg;
   cfg.num_procs = 2;
   cfg.num_vars = 4;
   cfg.elastic = true;
   {
-    Node node(cfg, kNode, f, kLockMgr, kBarrierMgr);
+    Node node(cfg, kNode, f, kMgr);
     net::Message hello = from_tester(kViewHello);
     hello.a = 5;
     hello.payload = {5, 0};
@@ -158,13 +157,13 @@ TEST(DeliveryBatch, ViewHelloReleasesUpdatesBufferedOnTheWaivedWrites) {
   // predate this node's admission: it waits in the causal buffer until
   // process 2's kViewHello waives them, and must apply right then — no
   // later message is coming to trigger another causal drain.
-  net::Fabric f(5);
+  net::Fabric f(4);
   Config cfg;
   cfg.num_procs = 3;
   cfg.num_vars = 4;
   cfg.elastic = true;
   {
-    Node node(cfg, kNode, f, /*lock_mgr=*/3, /*barrier_mgr=*/4);
+    Node node(cfg, kNode, f, /*mgr=*/3);
     net::Message dependent = frame({record(2, 41, 1, VectorClock{1, 0, 5})}, 3);
     net::Message hello;
     hello.src = 2;
@@ -204,12 +203,12 @@ net::Message weighted_frame(bool count_mode,
 
 /// Deliver `frames` to a fresh node; true once variable 1 reads `want`.
 bool delivers(bool count_mode, std::vector<net::Message> frames, Value want) {
-  net::Fabric f(4);
+  net::Fabric f(3);
   Config cfg;
   cfg.num_procs = 2;
   cfg.num_vars = 4;
   cfg.omit_timestamps = count_mode;
-  Node node(cfg, kNode, f, kLockMgr, kBarrierMgr);
+  Node node(cfg, kNode, f, kMgr);
   for (net::Message& m : frames) {
     if (!f.mailbox(kNode).push(std::move(m))) return false;
   }

@@ -616,8 +616,8 @@ TEST(Directory, WriterRegisteringMidFillGetsRequesterBit) {
   constexpr VarId kVar = 2;
   constexpr std::uint64_t kToken = 9;
   const Config cfg = dir_config(4, 8);  // vars 2, 3 homed at p1
-  net::Fabric f(6);
-  Node home(cfg, 1, f, /*lock_mgr=*/4, /*barrier_mgr=*/5);
+  net::Fabric f(5);
+  Node home(cfg, 1, f, /*mgr=*/4);
   // Shut the fabric down before the node joins its threads, on every exit.
   struct ShutdownOnExit {
     net::Fabric& f;
@@ -698,7 +698,7 @@ Config demand_dir_config() {
   return cfg;
 }
 
-constexpr net::Endpoint kLockEp = 3, kBarrierEp = 4;
+constexpr net::Endpoint kMgrEp = 3;
 
 /// Process 0's first write to a variable homed at process 1 registers it as
 /// a writer there; the test, playing process 1, answers with an empty row.
@@ -725,7 +725,7 @@ void write_registered(net::Fabric& f, Node& p0, VarId x, std::int64_t v) {
 net::Message writes_behind_demand_lock(net::Fabric& f, Node& p0) {
   write_registered(f, p0, kX, 1);  // clock component 1
   net::Message grant;
-  grant.src = kLockEp;
+  grant.src = kMgrEp;
   grant.dst = 0;
   grant.kind = kLockGrant;
   grant.a = kDemandLock;
@@ -760,8 +760,8 @@ std::vector<net::Message> probe_frontier(net::Fabric& f) {
 
 TEST(DirectoryDemandLocks, FrontierStampsCountOnlyClockedWrites) {
   const Config cfg = demand_dir_config();
-  net::Fabric f(5);
-  Node p0(cfg, 0, f, kLockEp, kBarrierEp);
+  net::Fabric f(4);
+  Node p0(cfg, 0, f, kMgrEp);
   const net::Message first = writes_behind_demand_lock(f, p0);
   EXPECT_EQ(first.kind, kUpdate);
   EXPECT_EQ(first.b, 1u);  // one clocked write, not four write ids
@@ -778,12 +778,12 @@ TEST(DirectoryDemandLocks, CausalReadWaitsForWriteBehindDemandLockWrites) {
   // before p0's frame carrying y arrives.  p1's causal read of y must wait
   // for it: an inflated frontier from p0 would let the read return 0.
   const Config cfg = demand_dir_config();
-  net::Fabric f0(5);
-  Node p0(cfg, 0, f0, kLockEp, kBarrierEp);
+  net::Fabric f0(4);
+  Node p0(cfg, 0, f0, kMgrEp);
   net::Message first = writes_behind_demand_lock(f0, p0);
 
-  net::Fabric f1(5);
-  Node p1(cfg, 1, f1, kLockEp, kBarrierEp);
+  net::Fabric f1(4);
+  Node p1(cfg, 1, f1, kMgrEp);
   ASSERT_TRUE(f1.mailbox(1).push(std::move(first)));
   BatchRecord z;
   z.var = kZ;
@@ -982,9 +982,8 @@ TEST(ElasticDirectory, LiveJoinReceivesSharerMapAndRehomedVariables) {
           // joiner's kDirSharerSync actually has rows to ship.
           n.await_int(p == 0 ? 3 : 0, 11 - p);
           while (!n.view().is_alive(2)) std::this_thread::sleep_for(200us);
-          // Meet the joiner at the barrier instance it was synced to: an
-          // instance we reach before the barrier manager has the commit
-          // releases without it.
+          // Meet the joiner at the barrier instance its commit named: an
+          // instance opened before that commit releases without it.
           std::int64_t start = 0;
           while ((start = n.read_int(kStart, ReadMode::kPram)) == 0) {
             std::this_thread::sleep_for(200us);

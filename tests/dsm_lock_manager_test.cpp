@@ -1,10 +1,11 @@
-// Direct protocol tests of the lock manager: episode numbering, FIFO
-// fairness, reader batching, release-clock accumulation, and demand
-// ownership digests — driven by raw fabric messages, no Node involved.
+// Direct protocol tests of the sync manager's lock side: episode
+// numbering, FIFO fairness, reader batching, release-clock accumulation,
+// and demand ownership digests — driven by raw fabric messages, no Node
+// involved.
 
 #include <gtest/gtest.h>
 
-#include "dsm/lock_manager.h"
+#include "dsm/sync_manager.h"
 
 namespace mc::dsm {
 namespace {
@@ -14,7 +15,7 @@ constexpr net::Endpoint kMgr = kProcs;
 
 struct Harness {
   net::Fabric fabric{kProcs + 1};
-  LockManager mgr{fabric, kMgr, kProcs};
+  SyncManager mgr{fabric, kMgr, kProcs};
 
   ~Harness() { fabric.shutdown(); }
 

@@ -329,7 +329,7 @@ TEST(ElasticView, JoinWithEmptyDonorSnapshotCompletes) {
           n.join();
           n.write_int(0, 3);
         } else {
-          n.await_int(0, 3);  // p1 joined: the barrier manager knows it too
+          n.await_int(0, 3);  // p1 joined: the manager knows it too
         }
         n.barrier();
         EXPECT_EQ(n.read_int(0, ReadMode::kPram), 3);
@@ -342,11 +342,57 @@ TEST(ElasticView, JoinWithEmptyDonorSnapshotCompletes) {
   EXPECT_EQ(snap.get("view.reseed_records_out"), 0u);
 }
 
+// A joiner's starting barrier instances ride its copy of the commit: no
+// separate barrier-epoch sync is sent, and the joiner starts each barrier
+// object at its next unreleased instance.  Each view change sends one
+// commit per member of the old and new views, and none to anyone else.
+TEST(ElasticView, JoinerBarrierEpochsRideItsCommit) {
+  Config cfg = elastic_cfg(3);
+  cfg.initial_members = std::vector<ProcId>{0, 1};
+  MixedSystem sys(cfg);
+  constexpr VarId kJoined = 0;
+
+  // Phase 1, before the join: barrier 0 releases instances 0..2 and
+  // barrier 1 instance 0; nothing is open afterwards.
+  sys.run([](Node& n, ProcId p) {
+    if (p == 2) return;
+    for (int i = 0; i < 3; ++i) n.barrier(0);
+    n.barrier(1);
+  });
+  std::atomic<std::uint64_t> joined_at_0{0}, joined_at_1{0};
+  const auto outcome = sys.run(
+      [&](Node& n, ProcId p) {
+        if (p == 2) {
+          n.join();
+          joined_at_0 = n.next_barrier_epoch(0);
+          joined_at_1 = n.next_barrier_epoch(1);
+          n.write_int(kJoined, 1);
+        } else {
+          n.await_int(kJoined, 1);
+        }
+        n.barrier(0);
+        n.barrier(1);
+      },
+      kDeadline);
+  EXPECT_FALSE(outcome.stalled) << outcome.diagnostics.reason;
+  EXPECT_EQ(joined_at_0.load(), 3u);
+  EXPECT_EQ(joined_at_1.load(), 1u);
+  for (ProcId p = 0; p < 3; ++p) {
+    EXPECT_EQ(sys.node(p).next_barrier_epoch(0), 4u) << "p" << p;
+    EXPECT_EQ(sys.node(p).next_barrier_epoch(1), 2u) << "p" << p;
+  }
+
+  const auto snap = sys.metrics();
+  EXPECT_EQ(snap.get("view.changes"), 1u);
+  EXPECT_EQ(snap.values.count("net.msg.view_barrier_sync"), 0u);
+  EXPECT_EQ(snap.get("net.msg.view_commit"), 3u);  // p0, p1 and the joiner
+}
+
 // ----------------------------------------------------------------------
 // One node driven by hand: the test plays every other endpoint.
 // ----------------------------------------------------------------------
 
-constexpr net::Endpoint kLockEp = 3, kBarrierEp = 4;
+constexpr net::Endpoint kMgrEp = 3;
 
 /// Shuts the fabric down on every exit path, before the node's destructor
 /// joins its delivery thread.
@@ -357,7 +403,7 @@ struct FabricShutdown {
 
 net::Message to_p0(std::uint16_t kind) {
   net::Message m;
-  m.src = kLockEp;
+  m.src = kMgrEp;
   m.dst = 0;
   m.kind = kind;
   return m;
@@ -380,8 +426,8 @@ net::Message view_commit(std::uint64_t epoch, std::uint64_t alive,
 // skips its counters.
 TEST(ElasticView, ReseedSkipsCounters) {
   const Config cfg = elastic_cfg(3);
-  net::Fabric f(5);
-  Node p0(cfg, 0, f, kLockEp, kBarrierEp);
+  net::Fabric f(4);
+  Node p0(cfg, 0, f, kMgrEp);
   const FabricShutdown shutdown{f};
   constexpr VarId kWritten = 1, kCounter = 2;
   std::vector<BatchRecord> recs(2);
@@ -422,8 +468,8 @@ TEST(ElasticView, DemandFetchFromDepartedOwnerFallsBackToLocalCopy) {
   constexpr LockId kLock = 1;
   cfg.demand_association[kVar] = kLock;
   cfg.lock_policy_override[kLock] = LockPolicy::kDemand;
-  net::Fabric f(5);
-  Node p0(cfg, 0, f, kLockEp, kBarrierEp);
+  net::Fabric f(4);
+  Node p0(cfg, 0, f, kMgrEp);
   const FabricShutdown shutdown{f};
 
   // Grant kLock, naming p1 as the last writer of kVar.

@@ -1,6 +1,6 @@
 // The stall/deadlock watchdog (dsm/watchdog.h) through MixedSystem's
-// timeout-guarded run overload: a partitioned barrier manager must produce
-// a stall report instead of a hang, a classic lock-order inversion must be
+// timeout-guarded run overload: a manager partitioned from a process must
+// produce a stall report instead of a hang, a classic lock-order inversion must be
 // reported as a deadlock cycle, and a healthy run must come back clean.
 
 #include "dsm/watchdog.h"
@@ -41,26 +41,39 @@ TEST(Watchdog, PartitionedBarrierManagerTripsStallNotHang) {
   Config cfg;
   cfg.num_procs = 2;
   cfg.num_vars = 1;
-  // Endpoint layout: processes 0..1, lock manager 2, barrier manager 3.
-  // Severing the processes from the barrier manager (no reliability layer
-  // to repair it) makes every barrier() wait forever.
+  // Endpoint layout: processes 0..1, the sync manager 2.  Severing p0 from
+  // the manager (no reliability layer to repair it) makes every barrier()
+  // wait forever; p1 takes a lock first, so the lock table has an entry.
   net::FaultPlan plan;
   net::FaultPlan::Partition part;
-  part.group_a = {0, 1};
-  part.group_b = {3};
+  part.group_a = {0};
+  part.group_b = {2};
   part.from_send = 0;
   part.until_send = ~0ull;
   plan.partitions.push_back(part);
   cfg.faults = plan;
 
   MixedSystem sys(cfg);
-  const auto out = sys.run([](Node& n, ProcId) { n.barrier(); }, 300ms);
+  const auto out = sys.run(
+      [](Node& n, ProcId p) {
+        if (p == 1) n.wlock(0);
+        n.barrier();
+      },
+      300ms);
   ASSERT_TRUE(out.stalled);
   EXPECT_TRUE(contains(out.diagnostics.reason, "stall")) << out.diagnostics.reason;
   EXPECT_FALSE(out.diagnostics.stalled_waits.empty());
-  // The fabric dump is present (one entry per endpoint: 2 procs + 2
-  // managers), even if the partitioned channels are empty.
-  EXPECT_EQ(out.diagnostics.in_flight.size(), 4u);
+  // The fabric dump is present (one entry per endpoint: 2 procs + the
+  // manager), even if the partitioned channels are empty.
+  EXPECT_EQ(out.diagnostics.in_flight.size(), 3u);
+  // The manager saw p1 only: the open barrier instance names the missing
+  // p0, and the lock table names p1's tenure.
+  ASSERT_EQ(out.diagnostics.barriers.size(), 1u);
+  EXPECT_TRUE(contains(out.diagnostics.barriers[0], "missing=[p0]"))
+      << out.diagnostics.barriers[0];
+  ASSERT_EQ(out.diagnostics.locks.size(), 1u);
+  EXPECT_TRUE(contains(out.diagnostics.locks[0], "holders=[p1]"))
+      << out.diagnostics.locks[0];
 }
 
 TEST(Watchdog, LockOrderInversionReportsDeadlockCycle) {

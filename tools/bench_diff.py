@@ -16,8 +16,8 @@ tools/bench_tolerances.json:
          bounded-noise, timing), a 'better' direction (lower, higher, or
          equal) and a layer.  A key fails only when it moves in a worse
          direction by more than the absolute floor and by more than the
-         relative tolerance; the failing line names the key's class and
-         layer.  Moves the other way beyond tolerance are printed as
+         relative tolerance (a rule may set its own of either); the
+         failing line names the key's class and layer.  Moves the other way beyond tolerance are printed as
          improvements.  Keys whose rule says 'compare': false (durations,
          rates, percentiles, scheduler counts) are not diffed.
 
@@ -61,6 +61,9 @@ def check_rules(rules, where):
         if rule.get("better") not in DIRECTIONS:
             fail(f"{where}: rule {rule['match']!r} has better "
                  f"{rule.get('better')!r}, expected one of {', '.join(DIRECTIONS)}")
+        for key in ("relative", "absolute_floor"):
+            if key in rule and not numeric(rule[key]):
+                fail(f"{where}: rule {rule['match']!r} has non-numeric {key}")
 
 
 def rule_for(name, rules):
@@ -134,7 +137,7 @@ def diff_rows(base_row, fresh_row, policy, rules, where, failures):
     that moved the worse way; returns the number of keys compared.  Params
     are part of the row identity, so both rows are the same shape."""
     rel_default = policy["relative"]
-    floor = policy["absolute_floor"]
+    floor_default = policy["absolute_floor"]
     layers = policy.get("layers", {})
     compared = 0
     for section in ("stats", "metrics"):
@@ -161,6 +164,7 @@ def diff_rows(base_row, fresh_row, policy, rules, where, failures):
                 continue
             compared += 1
             rel = rule.get("relative", rel_default)
+            floor = rule.get("absolute_floor", floor_default)
             delta = abs(fv - bv)
             scale = max(abs(bv), abs(fv))
             if delta <= floor or delta <= rel * scale:
