@@ -187,7 +187,8 @@ SolverRun run_handshake(const LinearSystem& sys, const SolverOptions& opt, bool 
 
 /// Variable layout of the elastic variant: the estimate, the done flag, the
 /// coordinator's per-sweep plan word (bit w = worker w computes), and one
-/// readiness flag per worker for the join handshake.
+/// readiness word per worker for the join handshake: the first sweep a
+/// joiner may be planned into (0 until it has joined).
 ///
 /// The plan is double-buffered by sweep parity: the plan governing sweep k
 /// lives in slot k%2.  A worker reads slot (k+1)%2 right after sweep k's
@@ -270,13 +271,11 @@ SolverResult solve_barrier_elastic(const LinearSystem& sys, const SolverOptions&
       // before the compute barrier — workers pick it up after the install
       // barrier, one sweep ahead of using it.
       std::vector<double> xs(sys.n);
-      std::vector<bool> ready_seen(opt.workers, false);
+      std::vector<std::int64_t> ready_from(opt.workers, 0);
       std::size_t sweep = 0;
       for (;;) {
         for (const std::size_t w : sched.joiners) {
-          if (!ready_seen[w] && node.read_int(lay.ready(w), ReadMode::kPram) != 0) {
-            ready_seen[w] = true;
-          }
+          if (ready_from[w] == 0) ready_from[w] = node.read_int(lay.ready(w), ReadMode::kPram);
         }
         for (std::size_t i = 0; i < sys.n; ++i) {
           xs[i] = node.read_double(lay.x(i), ReadMode::kPram);
@@ -288,8 +287,10 @@ SolverResult solve_barrier_elastic(const LinearSystem& sys, const SolverOptions&
         if (stop) node.write_int(lay.done(), static_cast<std::int64_t>(sweep) + 1);
         const dsm::View view = node.view();
         std::uint64_t plan = 0;
+        const auto next = static_cast<std::int64_t>(sweep) + 1;
         for (std::size_t w = 0; w < opt.workers; ++w) {
-          const bool scripted = ((initial >> w) & 1) != 0 || ready_seen[w];
+          const bool scripted = ((initial >> w) & 1) != 0 ||
+                                (ready_from[w] > 0 && next >= ready_from[w]);
           const auto lv = sched.leave_after.find(w);
           const bool left = lv != sched.leave_after.end() && sweep + 1 > lv->second;
           if (scripted && !left && view.is_alive(static_cast<ProcId>(w + 1))) {
@@ -315,10 +316,15 @@ SolverResult solve_barrier_elastic(const LinearSystem& sys, const SolverOptions&
     std::size_t sweep = 0;
     if (((initial >> w) & 1) == 0) {
       // Joiner: enter the view, align with the two-barriers-per-sweep
-      // structure already in flight, and announce readiness.  The plan can
-      // only name this worker after the announcement is read, and the plan
-      // itself is always read at the sweep boundary, so there is no sweep
-      // where this worker is planned without knowing it.
+      // structure already in flight, and announce the first sweep it can
+      // compute: the one after the sweep it enters passively.  The
+      // coordinator may still be a sweep behind that alignment — another
+      // joiner consuming its pending install barrier opens instance 2k+1
+      // before the coordinator has planned sweep k+1 — so a bare "ready"
+      // would let it plan this worker into its passive sweep and leave
+      // those rows uncomputed.  The plan itself is always read at the sweep
+      // boundary, so there is no sweep where this worker is planned
+      // without knowing it.
       // A joiner that already sees `done` may still have been counted into
       // the final sweep's two barrier instances (2k and 2k+1 for final
       // sweep k); leaving without arriving there would strand everyone.
@@ -335,12 +341,12 @@ SolverResult solve_barrier_elastic(const LinearSystem& sys, const SolverOptions&
         node.barrier();  // consume the pending install-phase barrier
         if (finished()) return;
       }
-      node.write_int(lay.ready(w), 1);
       plan = 0;  // passive until the coordinator plans us in
       // Recover the global sweep number from the barrier instance: sweep k
       // uses instances 2k (compute) and 2k+1 (install), so after the
       // alignment the next pending instance is sweep*2.
       sweep = node.next_barrier_epoch() / 2;
+      node.write_int(lay.ready(w), static_cast<std::int64_t>(sweep) + 1);
     }
     std::vector<double> temp(sys.n, 0.0);
     for (;;) {
