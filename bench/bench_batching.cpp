@@ -23,7 +23,7 @@
 // both the message count and the ack ratio collapse.  A second table runs
 // the 2-D Yee grid unbatched vs batched as a stencil cross-check.
 //
-// Whether an owed ack finds reverse traffic before its flush timer fires
+// Whether an owed ack finds reverse traffic before its flush deadline comes due
 // depends on how fast the host runs, so standalone-ack counts are timing.
 // Every row therefore runs kRuns times and reports the run whose
 // ack-to-data ratio is the median; the C12 ratio gate reads that median.

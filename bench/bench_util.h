@@ -59,7 +59,8 @@ inline std::size_t process_threads() {
 
 /// Samples process_threads() every millisecond on a thread of its own and
 /// keeps the peak, not counting itself: how many threads the runtime runs
-/// while a case is live (app, delivery, manager and timer threads).
+/// while a case is live (app, delivery and manager threads, plus whatever
+/// a harness starts itself, such as a metrics sampler).
 class ThreadPeak {
  public:
   ThreadPeak()

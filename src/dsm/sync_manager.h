@@ -85,14 +85,12 @@ class SyncManager {
 
   /// Messages the manager thread has dequeued, split by handler: barrier
   /// arrivals (`barriermgr.heartbeats`) and everything else — lock and
-  /// view traffic (`lockmgr.heartbeats`).  A heartbeat that freezes while
-  /// the manager's mailbox has pending traffic is a wedged manager thread —
-  /// the watchdog's manager probe (Watchdog::set_manager_probe) flags it.
+  /// view traffic (`lockmgr.heartbeats`).  Messages the reliability layer
+  /// consumes inside the drain (acks, probes, deadlines) are not counted,
+  /// so the watchdog's manager probe reads the mailbox's released count
+  /// instead (Watchdog::ManagerHealth).
   [[nodiscard]] std::uint64_t lock_heartbeats() const { return lock_heartbeats_.get(); }
   [[nodiscard]] std::uint64_t barrier_heartbeats() const { return barrier_heartbeats_.get(); }
-  [[nodiscard]] std::uint64_t heartbeats() const {
-    return lock_heartbeats() + barrier_heartbeats();
-  }
 
   /// Wait-for edges of the current lock table (each queued requester waits
   /// for every current holder) — the watchdog's deadlock probe.

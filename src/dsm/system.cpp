@@ -1,5 +1,7 @@
 #include "dsm/system.h"
 
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "common/check.h"
@@ -130,23 +132,7 @@ Node& MixedSystem::node(ProcId p) {
 }
 
 void MixedSystem::run(const std::function<void(Node&, ProcId)>& body) {
-  std::vector<std::thread> threads;
-  threads.reserve(cfg_.num_procs);
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    threads.emplace_back([this, &body, p] {
-      // Marks this thread as an application lane for the critical-path
-      // analyzer (gaps between its events are compute, not idle).
-      obs::trace_instant("proc.start", "dsm", {"proc", p});
-      try {
-        body(*nodes_[p], p);
-      } catch (const EvictedError&) {
-        // Elastic: this process was removed from the view mid-body; the
-        // survivors carry on and its exit is clean, not a stall.
-      }
-      obs::trace_instant("proc.end", "dsm", {"proc", p});
-    });
-  }
-  for (auto& t : threads) t.join();
+  run_threads(body, nullptr);
 }
 
 MixedSystem::RunOutcome MixedSystem::run(
@@ -175,38 +161,59 @@ MixedSystem::RunOutcome MixedSystem::run(
     }
   });
   wd.set_manager_probe([this] {
-    const std::vector<std::size_t> depth = fabric_.in_flight();
-    const auto mgr_ep = static_cast<std::size_t>(cfg_.num_procs);
-    return std::vector<Watchdog::ManagerHealth>{
-        {"sync manager", manager_->heartbeats(), mgr_ep < depth.size() ? depth[mgr_ep] : 0}};
+    const net::Mailbox& mb = fabric_.mailbox(static_cast<net::Endpoint>(cfg_.num_procs));
+    return Watchdog::ManagerHealth{mb.released(), mb.pending()};
   });
   for (auto& n : nodes_) n->set_watchdog(&wd);
-
-  std::vector<std::thread> threads;
-  threads.reserve(cfg_.num_procs);
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    threads.emplace_back([this, &body, p] {
-      obs::trace_instant("proc.start", "dsm", {"proc", p});
-      try {
-        body(*nodes_[p], p);
-      } catch (const EvictedError&) {
-        // Elastic: removed from the view mid-body — a clean per-process
-        // exit (the watchdog never fired), not a stall.
-      } catch (const StallError&) {
-        // The watchdog fired while this thread was blocked; its dump is the
-        // run's result.  Unwinding here keeps the join below prompt.
-      }
-      obs::trace_instant("proc.end", "dsm", {"proc", p});
-    });
-  }
-  for (auto& t : threads) t.join();
+  run_threads(body, &wd);
   for (auto& n : nodes_) n->set_watchdog(nullptr);
-  wd.stop();
 
   RunOutcome out;
   out.stalled = wd.fired();
   out.diagnostics = wd.diagnostics();
   return out;
+}
+
+void MixedSystem::run_threads(const std::function<void(Node&, ProcId)>& body,
+                              Watchdog* wd) {
+  std::mutex done_mu;
+  std::condition_variable done_cv;
+  std::size_t running = cfg_.num_procs;
+  std::vector<std::thread> threads;
+  threads.reserve(cfg_.num_procs);
+  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
+    threads.emplace_back([&, p] {
+      // Marks this thread as an application lane for the critical-path
+      // analyzer (gaps between its events are compute, not idle).
+      obs::trace_instant("proc.start", "dsm", {"proc", p});
+      try {
+        body(*nodes_[p], p);
+      } catch (const EvictedError&) {
+        // Elastic: this process was removed from the view mid-body; the
+        // survivors carry on and its exit is clean, not a stall.
+      } catch (const StallError&) {
+        // The watchdog fired while this thread was blocked; its dump is the
+        // run's result.  Unwinding here keeps the join below prompt.
+      }
+      obs::trace_instant("proc.end", "dsm", {"proc", p});
+      {
+        std::scoped_lock lk(done_mu);
+        --running;
+      }
+      done_cv.notify_one();
+    });
+  }
+  if (wd != nullptr) {
+    // The caller supervises: one watchdog pass per poll period until every
+    // application thread has returned.
+    std::unique_lock lk(done_mu);
+    while (!done_cv.wait_for(lk, wd->poll_interval(), [&] { return running == 0; })) {
+      lk.unlock();
+      wd->poll();
+      lk.lock();
+    }
+  }
+  for (auto& t : threads) t.join();
 }
 
 void MixedSystem::attach_op_sink(obs::OpSink* sink) {

@@ -48,7 +48,8 @@ class MixedSystem {
   /// Like run(), but supervised by a watchdog with the given stall
   /// deadline: a wedged program (lost messages, partitioned manager, lock
   /// deadlock) terminates with diagnostics instead of hanging the caller.
-  /// Application threads unwind via StallError on the watchdog firing.
+  /// The calling thread runs the watchdog's passes (Watchdog::poll) while
+  /// it waits; application threads unwind via StallError once it fires.
   RunOutcome run(const std::function<void(Node&, ProcId)>& body,
                  std::chrono::nanoseconds timeout);
 
@@ -95,6 +96,11 @@ class MixedSystem {
   void shutdown();
 
  private:
+  /// Run `body` on one thread per process and join them; with a watchdog,
+  /// poll it from this thread every Options::poll until they have all
+  /// returned.
+  void run_threads(const std::function<void(Node&, ProcId)>& body, Watchdog* wd);
+
   Config cfg_;
   net::Fabric fabric_;
   std::unique_ptr<SyncManager> manager_;

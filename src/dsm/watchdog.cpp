@@ -21,19 +21,6 @@ std::string format_ms(std::chrono::nanoseconds d) {
 Watchdog::Watchdog(Options opts) : opts_(opts) {
   MC_CHECK(opts_.stall_timeout.count() > 0);
   MC_CHECK(opts_.poll.count() > 0);
-  monitor_ = std::thread([this] { monitor_loop(); });
-}
-
-Watchdog::~Watchdog() { stop(); }
-
-void Watchdog::stop() {
-  {
-    std::scoped_lock lk(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (monitor_.joinable()) monitor_.join();
 }
 
 std::uint64_t Watchdog::wait_begin(ProcId proc, const char* what) {
@@ -60,8 +47,7 @@ void Watchdog::set_diagnostics_source(
   diag_source_ = std::move(source);
 }
 
-void Watchdog::set_manager_probe(
-    std::function<std::vector<ManagerHealth>()> probe) {
+void Watchdog::set_manager_probe(std::function<ManagerHealth()> probe) {
   std::scoped_lock lk(mu_);
   manager_probe_ = std::move(probe);
 }
@@ -165,90 +151,69 @@ Watchdog::Diagnostics Watchdog::diagnostics() const {
   return diag_;
 }
 
-void Watchdog::monitor_loop() {
-  std::unique_lock lk(mu_);
-  while (!stop_) {
-    cv_.wait_for(lk, opts_.poll);
-    if (stop_ || fired_.load(std::memory_order_relaxed)) continue;
+void Watchdog::poll() {
+  if (fired()) return;
+  std::function<std::vector<WaitEdge>()> graph;
+  std::function<ManagerHealth()> probe;
+  {
+    std::scoped_lock lk(mu_);
+    graph = wait_graph_;
+    probe = manager_probe_;
+  }
 
-    // 1. Deadlock probe: a wait-for cycle seen on two consecutive polls is
-    //    reported as a deadlock (one sighting can be a transient snapshot
-    //    of a healthy handoff).
-    std::function<std::vector<WaitEdge>()> graph = wait_graph_;
-    if (graph) {
-      lk.unlock();
-      std::vector<std::string> cycle = find_cycle(graph());
-      lk.lock();
-      if (stop_) break;
-      if (!cycle.empty() && cycle == prev_cycle_) {
-        // Build the reason before passing `cycle` by value: argument
-        // evaluation order is unspecified, and the parameter's move
-        // construction must not race the front()/size() reads.
-        const std::string reason =
-            "lock-order deadlock: " + cycle.front() +
-            (cycle.size() > 1
-                 ? " ... (" + std::to_string(cycle.size()) + " edges)"
-                 : "");
-        lk.unlock();
-        fire(reason, std::move(cycle));
-        lk.lock();
-        continue;
-      }
-      prev_cycle_ = std::move(cycle);
+  // 1. Deadlock probe: a wait-for cycle seen on two consecutive passes is
+  //    reported as a deadlock (one sighting can be a transient snapshot of
+  //    a healthy handoff).
+  if (graph) {
+    std::vector<std::string> cycle = find_cycle(graph());
+    if (!cycle.empty() && cycle == prev_cycle_) {
+      // Build the reason before passing `cycle` by value: argument
+      // evaluation order is unspecified, and the parameter's move
+      // construction must not race the front()/size() reads.
+      const std::string reason =
+          "lock-order deadlock: " + cycle.front() +
+          (cycle.size() > 1 ? " ... (" + std::to_string(cycle.size()) + " edges)" : "");
+      fire(reason, std::move(cycle));
+      return;
     }
+    prev_cycle_ = std::move(cycle);
+  }
 
-    // 2. Manager probe: a manager whose heartbeat stays frozen across the
-    //    stall deadline while its mailbox holds traffic is wedged — it will
-    //    never grant or release anything, so don't wait for an application
-    //    thread's own deadline to name the real culprit.
-    std::function<std::vector<ManagerHealth>()> probe = manager_probe_;
-    if (probe) {
-      lk.unlock();
-      std::vector<ManagerHealth> health = probe();
-      lk.lock();
-      if (stop_) break;
-      const auto probe_now = std::chrono::steady_clock::now();
-      for (const ManagerHealth& h : health) {
-        if (h.pending == 0) {
-          manager_track_.erase(h.name);  // idle, not wedged
-          continue;
-        }
-        auto [it, fresh] = manager_track_.try_emplace(
-            h.name, ManagerTrack{h.heartbeat, probe_now});
-        if (!fresh && it->second.heartbeat != h.heartbeat) {
-          it->second = ManagerTrack{h.heartbeat, probe_now};  // made progress
-        } else if (!fresh &&
-                   probe_now - it->second.since >= opts_.stall_timeout) {
-          const std::string reason =
-              "manager thread stalled: " + h.name + " (heartbeat frozen at " +
-              std::to_string(h.heartbeat) + " with " +
-              std::to_string(h.pending) + " pending message" +
-              (h.pending == 1 ? "" : "s") + " for " +
-              format_ms(probe_now - it->second.since) + ")";
-          lk.unlock();
-          fire(reason);
-          lk.lock();
-          break;
-        }
-      }
-      if (stop_ || fired_.load(std::memory_order_relaxed)) continue;
+  // 2. Manager probe: a manager whose mailbox hands it nothing across the
+  //    stall deadline while traffic waits there is wedged — it will never
+  //    grant or release anything, so don't wait for an application
+  //    thread's own deadline to name the real culprit.
+  if (probe) {
+    const ManagerHealth h = probe();
+    const auto now = std::chrono::steady_clock::now();
+    if (h.pending == 0) {
+      manager_track_.reset();  // idle, not wedged
+    } else if (!manager_track_ || manager_track_->consumed != h.consumed) {
+      manager_track_ = ManagerTrack{h.consumed, now};  // made progress
+    } else if (now - manager_track_->since >= opts_.stall_timeout) {
+      fire("manager thread stalled: sync manager (consumed count frozen at " +
+           std::to_string(h.consumed) + " with " + std::to_string(h.pending) +
+           " pending message" + (h.pending == 1 ? "" : "s") + " for " +
+           format_ms(now - manager_track_->since) + ")");
+      return;
     }
+  }
 
-    // 3. Stall probe: any registered wait older than the deadline.
+  // 3. Stall probe: any registered wait older than the deadline.
+  std::string reason;
+  {
+    std::scoped_lock lk(mu_);
     const auto now = std::chrono::steady_clock::now();
     const Wait* oldest = nullptr;
     for (const auto& [token, w] : waits_) {
       if (oldest == nullptr || w.since < oldest->since) oldest = &w;
     }
     if (oldest != nullptr && now - oldest->since >= opts_.stall_timeout) {
-      const std::string reason = "stall: p" + std::to_string(oldest->proc) +
-                                 " " + oldest->what + " for " +
-                                 format_ms(now - oldest->since);
-      lk.unlock();
-      fire(reason);
-      lk.lock();
+      reason = "stall: p" + std::to_string(oldest->proc) + " " + oldest->what +
+               " for " + format_ms(now - oldest->since);
     }
   }
+  if (!reason.empty()) fire(reason);
 }
 
 }  // namespace mc::dsm

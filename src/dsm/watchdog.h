@@ -6,7 +6,8 @@
 // that hang a crisp, diagnosable failure instead:
 //
 //   - every blocking DSM operation registers itself while blocked; a
-//     monitor thread fires once any wait exceeds the stall deadline;
+//     supervision pass (poll()) fires once any wait exceeds the stall
+//     deadline;
 //   - the sync manager exposes its wait-for graph; a cycle that persists
 //     across two consecutive polls is reported as a true lock-order
 //     deadlock (with the cycle spelled out) rather than a generic stall;
@@ -16,22 +17,24 @@
 //     timeout) returns and bench harnesses embed in the RunReport's
 //     "diagnostics" section (docs/METRICS.md).
 //
-// Blocked threads poll Watchdog::fired() on their condition-variable waits
-// and unwind with StallError; the watchdog never unblocks anything itself
-// and never calls back into DSM code while holding its own mutex.
+// The watchdog owns no thread: whoever supervises calls poll() every
+// Options::poll — MixedSystem::run(body, timeout) does so from the calling
+// thread while it waits for the application threads.  Blocked threads
+// check Watchdog::fired() on their condition-variable waits and unwind with
+// StallError; the watchdog never unblocks anything itself and never calls
+// back into DSM code while holding its own mutex.
 
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/types.h"
@@ -61,8 +64,9 @@ class Watchdog {
   struct Options {
     /// A single blocked operation older than this fires the watchdog.
     std::chrono::nanoseconds stall_timeout{std::chrono::seconds(5)};
-    /// Monitor poll period; also the granularity at which blocked threads
-    /// re-check fired().
+    /// Supervision period: MixedSystem::run(body, timeout) calls poll()
+    /// this often from the caller's thread, and blocked threads re-check
+    /// fired() at the same granularity.
     std::chrono::nanoseconds poll{std::chrono::milliseconds(25)};
   };
 
@@ -88,18 +92,19 @@ class Watchdog {
     LockId lock = 0;
   };
 
-  /// One manager thread's liveness sample: its message-dequeue counter and
-  /// its mailbox depth.  A heartbeat frozen across the stall deadline while
-  /// `pending > 0` means the thread is wedged (not merely idle) — traffic is
-  /// waiting that it never dequeues.
+  /// The sync manager's liveness sample: how many messages its mailbox has
+  /// handed to it, and how many still sit there.  A consumed count frozen
+  /// across the stall deadline while `pending > 0` means the thread is
+  /// wedged (not merely idle) — traffic is waiting that it never takes.
+  /// The count includes local deadline messages, so an idle manager whose
+  /// mailbox holds a keepalive deadline still shows progress each time one
+  /// comes due.
   struct ManagerHealth {
-    std::string name;            ///< e.g. "sync manager"
-    std::uint64_t heartbeat = 0; ///< messages dequeued so far
+    std::uint64_t consumed = 0;  ///< messages its mailbox released so far
     std::size_t pending = 0;     ///< messages sitting in its mailbox
   };
 
   explicit Watchdog(Options opts);
-  ~Watchdog();
 
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
@@ -122,19 +127,24 @@ class Watchdog {
     std::uint64_t token_;
   };
 
-  /// Source of lock wait-for edges (the sync manager).  Called from the
-  /// monitor thread without the watchdog mutex held.
+  /// Source of lock wait-for edges (the sync manager).  Called from poll()
+  /// without the watchdog mutex held.
   void set_wait_graph_source(std::function<std::vector<WaitEdge>()> source);
 
   /// Extra diagnostics filled in when the watchdog fires (lock/barrier
   /// dumps, fabric in-flight counts).  Called without the mutex held.
   void set_diagnostics_source(std::function<void(Diagnostics&)> source);
 
-  /// Source of manager liveness samples (heartbeat counter + mailbox
-  /// depth per manager thread).  The monitor fires once a manager's
-  /// heartbeat stays frozen for the stall deadline while its mailbox has
-  /// pending traffic.  Called without the mutex held.
-  void set_manager_probe(std::function<std::vector<ManagerHealth>()> probe);
+  /// Source of the manager liveness sample.  poll() fires once the
+  /// consumed count stays frozen for the stall deadline while the mailbox
+  /// has pending traffic.  Called without the mutex held.
+  void set_manager_probe(std::function<ManagerHealth()> probe);
+
+  /// One supervision pass: the deadlock probe (a wait-for cycle seen on two
+  /// consecutive passes), the manager probe, then the stall probe (any
+  /// registered wait older than the deadline).  A no-op once fired.  One
+  /// caller at a time.
+  void poll();
 
   [[nodiscard]] bool fired() const {
     return fired_.load(std::memory_order_relaxed);
@@ -156,9 +166,6 @@ class Watchdog {
   /// Fire explicitly (first fire wins; later calls are no-ops).
   void fire(const std::string& reason, std::vector<std::string> cycle = {});
 
-  /// Join the monitor thread.  Idempotent; the destructor calls it.
-  void stop();
-
  private:
   struct Wait {
     ProcId proc;
@@ -166,7 +173,6 @@ class Watchdog {
     std::chrono::steady_clock::time_point since;
   };
 
-  void monitor_loop();
   [[nodiscard]] std::vector<std::string> describe_waits(
       std::chrono::steady_clock::time_point now) const;  // expects mu_ held
   /// One cycle of the wait-for graph as printable edges; empty if acyclic.
@@ -176,25 +182,24 @@ class Watchdog {
   const Options opts_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
   std::uint64_t next_token_ = 1;
   std::map<std::uint64_t, Wait> waits_;
   Diagnostics diag_;
-  std::vector<std::string> prev_cycle_;  // deadlock persistence across polls
 
   std::function<std::vector<WaitEdge>()> wait_graph_;
   std::function<void(Diagnostics&)> diag_source_;
-  std::function<std::vector<ManagerHealth>()> manager_probe_;
+  std::function<ManagerHealth()> manager_probe_;
+
+  // Touched only by poll().
+  std::vector<std::string> prev_cycle_;  // deadlock persistence across passes
   struct ManagerTrack {
-    std::uint64_t heartbeat = 0;
+    std::uint64_t consumed = 0;
     std::chrono::steady_clock::time_point since;
   };
-  /// Per-manager last-progress sample, keyed by ManagerHealth::name.
-  std::map<std::string, ManagerTrack> manager_track_;
+  /// The manager's last progress while it had pending traffic.
+  std::optional<ManagerTrack> manager_track_;
 
   std::atomic<bool> fired_{false};
-  std::thread monitor_;
 };
 
 }  // namespace mc::dsm

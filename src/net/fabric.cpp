@@ -132,14 +132,8 @@ void Fabric::multicast(const Message& m, const std::vector<Endpoint>& dsts) {
 }
 
 void Fabric::shutdown() {
-  // Stop retransmissions before closing mailboxes so the timer thread never
-  // races shutdown with late pushes (they would be rejected and counted as
-  // send_after_close, muddying the metric).
-  Ext* ext = ext_.load(std::memory_order_acquire);
-  if (ext != nullptr) {
-    ReliableChannel* rel = ext->reliable.load(std::memory_order_acquire);
-    if (rel != nullptr) rel->stop();
-  }
+  // Reliability deadlines held in a mailbox are released at close and are
+  // no-ops there (ReliableChannel::drain), so no late retransmit follows.
   for (auto& mb : mailboxes_) mb->close();
 }
 

@@ -84,8 +84,7 @@ class Fabric {
   /// Send a copy of `m` from `src` to every endpoint in `dsts`.
   void multicast(const Message& m, const std::vector<Endpoint>& dsts);
 
-  /// Close every mailbox (messages already in flight are still delivered)
-  /// and stop the reliability layer's retransmit timer.
+  /// Close every mailbox (messages already in flight are still delivered).
   void shutdown();
 
   // --- fault injection & reliability (docs/FAULTS.md) ---

@@ -27,6 +27,12 @@
 //
 // The consumer receives in bulk: drain() blocks until one message is
 // deliverable and then moves out every message deliverable at that instant.
+//
+// Deliver_at also carries local deadlines: a node's staging flush and the
+// reliability layer's timeouts are messages an endpoint pushes into its own
+// lane, due at the deadline, so the consumer's park timeout is the only
+// timer an endpoint needs.  At close every held message is released at
+// once; their handlers check closed() and do nothing.
 
 #pragma once
 
@@ -82,6 +88,13 @@ class Mailbox {
 
   /// Messages accepted and not yet received (a racy snapshot).
   [[nodiscard]] std::size_t pending() const;
+
+  /// Messages handed to receivers so far: the consumer's progress count,
+  /// which advances on local deadline messages too (the watchdog's manager
+  /// probe reads it).
+  [[nodiscard]] std::uint64_t released() const {
+    return released_.load(std::memory_order_acquire);
+  }
 
   /// Times the consumer blocked, and producer notifications that woke it.
   [[nodiscard]] std::uint64_t parks() const { return parks_.get(); }

@@ -44,25 +44,15 @@ ReliableChannel::ReliableChannel(Fabric& fabric, std::size_t endpoints,
       cfg_(cfg),
       send_(endpoints * endpoints),
       recv_(endpoints * endpoints),
-      ready_(endpoints) {
+      ready_(endpoints),
+      posted_(endpoints) {
   MC_CHECK(cfg_.initial_rto.count() > 0);
   MC_CHECK(cfg_.max_retries >= 1);
   MC_CHECK(cfg_.ack_every >= 1);
   MC_CHECK(cfg_.jitter >= 0.0 && cfg_.jitter <= 1.0);
-  timer_ = std::thread([this] { timer_loop(); });
 }
 
-ReliableChannel::~ReliableChannel() { stop(); }
-
-void ReliableChannel::stop() {
-  {
-    std::scoped_lock lk(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  timer_cv_.notify_all();
-  if (timer_.joinable()) timer_.join();
-}
+ReliableChannel::~ReliableChannel() = default;
 
 void ReliableChannel::set_unreachable_callback(
     std::function<void(const PeerUnreachable&)> cb) {
@@ -98,16 +88,23 @@ void ReliableChannel::on_send(Message& m) {
     entry.msg = m;
     entry.rto = cfg_.initial_rto;
     entry.deadline = st.last_activity + entry.rto;
-    arm(entry.deadline);
+    arm(m.src, entry.deadline);
     st.inflight.emplace(m.rel_seq, std::move(entry));
   }
 }
 
-void ReliableChannel::arm(Clock::time_point deadline) {
-  if (deadline >= timer_wake_at_) return;
-  timer_wake_at_ = deadline;
-  timer_kicked_ = true;
-  timer_cv_.notify_one();
+void ReliableChannel::arm(Endpoint e, Clock::time_point deadline) {
+  std::multiset<Clock::time_point>& posted = posted_[e];
+  if (!posted.empty() && *posted.begin() <= deadline) return;
+  posted.insert(deadline);
+  Message due;
+  due.src = e;
+  due.dst = e;
+  due.kind = kRelDeadlineKind;
+  due.deliver_at = deadline;
+  // Straight into e's own lane, not through Fabric::send: the deadline is
+  // local and costs no wire message.
+  (void)fabric_.mailbox(e).push(std::move(due));
 }
 
 Message ReliableChannel::make_ack(Endpoint from, Endpoint to, std::uint64_t acked) const {
@@ -119,23 +116,23 @@ Message ReliableChannel::make_ack(Endpoint from, Endpoint to, std::uint64_t acke
   return a;
 }
 
-void ReliableChannel::handle_ack(std::size_t ch, std::uint64_t acked) {
-  SendState& st = send_[ch];
+void ReliableChannel::handle_ack(Endpoint e, Endpoint peer, std::uint64_t acked) {
+  SendState& st = send_[channel(e, peer)];
   const bool had_inflight = !st.inflight.empty();
   st.inflight.erase(st.inflight.begin(), st.inflight.upper_bound(acked));
   st.last_activity = Clock::now();
   // A channel that just went quiet starts its keepalive countdown.
   if (had_inflight && st.inflight.empty() && cfg_.keepalive.count() > 0) {
-    arm(st.last_activity + cfg_.keepalive);
+    arm(e, st.last_activity + cfg_.keepalive);
   }
 }
 
 void ReliableChannel::process(Endpoint e, Message m, std::vector<Message>& acks_out) {
   // Any message carries a cumulative ack for the channel we send on
   // (e -> m.src), piggybacked or standalone.
-  if (m.rel_ack != 0) handle_ack(channel(e, m.src), m.rel_ack);
+  if (m.rel_ack != 0) handle_ack(e, m.src, m.rel_ack);
   if (m.kind == kRelAckKind) {
-    handle_ack(channel(e, m.src), m.a);
+    handle_ack(e, m.src, m.a);
     // Acks are consumed here, never handed up: close their flow so every
     // flow start has a matching end.
     obs::trace_flow_end("msg", "net", m.trace_id);
@@ -183,10 +180,10 @@ void ReliableChannel::process(Endpoint e, Message m, std::vector<Message>& acks_
     acks_out.push_back(make_ack(e, sender, st.delivered));
   } else if (st.delivered > st.acked) {
     // Delayed cumulative ack: suppress the standalone ack; a later k-th
-    // delivery, reverse-traffic piggyback, or the flush timer covers it.
+    // delivery, reverse-traffic piggyback, or the flush deadline covers it.
     if (!was_pending) {
       st.ack_pending_since = Clock::now();
-      arm(st.ack_pending_since + ack_flush_window(cfg_));
+      arm(e, st.ack_pending_since + ack_flush_window(cfg_));
     }
     acks_delayed_.add();
   }
@@ -195,153 +192,133 @@ void ReliableChannel::process(Endpoint e, Message m, std::vector<Message>& acks_
 bool ReliableChannel::drain(Endpoint e, std::vector<Message>& out, std::size_t max) {
   out.clear();
   std::vector<Message> raw;
-  std::vector<Message> acks;
+  Outbox sends;
   bool open = true;
   for (;;) {
+    std::function<void(const PeerUnreachable&)> cb;
     {
       std::scoped_lock lk(mu_);
-      for (Message& m : raw) process(e, std::move(m), acks);
+      bool due = false;
+      for (Message& m : raw) {
+        if (m.kind == kRelDeadlineKind) {
+          std::multiset<Clock::time_point>& posted = posted_[e];
+          if (auto it = posted.find(m.deliver_at); it != posted.end()) posted.erase(it);
+          timer_wakeups_.add();
+          due = true;
+          continue;
+        }
+        process(e, std::move(m), sends.acks);
+      }
+      // Deadlines fire after the rest of their batch, so an ack that
+      // arrived with them cancels the retransmit instead of racing it.
+      // Once closed, the mailbox releases what it held without waiting for
+      // deliver_at, and nobody is left to receive a late retransmit.
+      if (due && !fabric_.mailbox(e).closed()) fire_due(e, sends);
       std::deque<Message>& ready = ready_[e];
       while (!ready.empty() && out.size() < max) {
         out.push_back(std::move(ready.front()));
         ready.pop_front();
       }
+      // Snapshot the callback under the lock; invoke it outside so it may
+      // re-enter the fabric (e.g. to send a view-fault report).
+      if (!sends.errors.empty()) cb = unreachable_cb_;
     }
-    for (Message& a : acks) {
+    for (Message& m : sends.resends) fabric_.send_raw(std::move(m));
+    // Pings take the full send path: they must be sequenced (on_send) and
+    // are subject to the fault plan like any other message.
+    for (Message& m : sends.pings) fabric_.send(std::move(m));
+    for (Message& a : sends.acks) {
       acks_sent_.add();
       ack_bytes_.add(a.wire_bytes());
       fabric_.send_raw(std::move(a));
     }
-    acks.clear();
+    if (cb) {
+      for (const PeerUnreachable& err : sends.errors) cb(err);
+    }
+    sends = Outbox{};
     if (!out.empty()) return true;
     if (!open) return false;
     open = fabric_.mailbox(e).drain(raw);
   }
 }
 
-void ReliableChannel::timer_loop() {
-  std::unique_lock lk(mu_);
-  while (!stop_) {
-    const auto now = Clock::now();
-    auto next = Clock::time_point::max();  // earliest deadline left armed
-    std::vector<Message> resends;
-    std::vector<PeerUnreachable> new_errors;
-    for (std::size_t ch = 0; ch < send_.size(); ++ch) {
-      SendState& st = send_[ch];
-      if (st.dead || st.inflight.empty()) continue;
-      for (auto& [seq, entry] : st.inflight) {
-        if (entry.deadline > now) {
-          next = std::min(next, entry.deadline);
-          continue;
-        }
-        if (entry.attempts >= cfg_.max_retries) {
-          st.dead = true;
-          PeerUnreachable err;
-          err.src = static_cast<Endpoint>(ch / endpoints_);
-          err.dst = static_cast<Endpoint>(ch % endpoints_);
-          err.first_unacked = seq;
-          err.retries = entry.attempts;
-          errors_.push_back(err);
-          new_errors.push_back(err);
-          if (obs::trace_enabled()) {
-            obs::trace_instant("rel.peer_unreachable", "net", {"dst", err.dst},
-                               {"seq", seq});
-          }
-          break;
-        }
-        ++entry.attempts;
-        entry.rto = backoff_rto(entry.rto, cfg_, ch, seq, entry.attempts);
-        entry.deadline = now + entry.rto;
-        rto_ns_.record(entry.rto);
-        retransmits_.add();
-        if (obs::trace_enabled()) {
-          obs::trace_instant("rel.retransmit", "net", {"dst", entry.msg.dst},
-                             {"seq", seq});
-        }
-        resends.push_back(entry.msg);
-        if (obs::trace_enabled()) {
-          // Each physical copy gets its own flow, marked so the
-          // critical-path analyzer bills its transit to `retransmit`.
-          resends.back().trace_id = obs::next_flow_id() | obs::kFlowRetransmitBit;
-        }
+void ReliableChannel::fire_due(Endpoint e, Outbox& out) {
+  const auto now = Clock::now();
+  auto next = Clock::time_point::max();  // earliest deadline left armed
+  for (Endpoint dst = 0; dst < endpoints_; ++dst) {
+    const std::size_t ch = channel(e, dst);
+    SendState& st = send_[ch];
+    if (st.dead) continue;
+    for (auto& [seq, entry] : st.inflight) {
+      if (entry.deadline > now) {
+        next = std::min(next, entry.deadline);
+        continue;
       }
-      if (st.dead) st.inflight.clear();
+      if (entry.attempts >= cfg_.max_retries) {
+        st.dead = true;
+        PeerUnreachable err;
+        err.src = e;
+        err.dst = dst;
+        err.first_unacked = seq;
+        err.retries = entry.attempts;
+        errors_.push_back(err);
+        out.errors.push_back(err);
+        if (obs::trace_enabled()) {
+          obs::trace_instant("rel.peer_unreachable", "net", {"dst", dst}, {"seq", seq});
+        }
+        break;
+      }
+      ++entry.attempts;
+      entry.rto = backoff_rto(entry.rto, cfg_, ch, seq, entry.attempts);
+      entry.deadline = now + entry.rto;
+      next = std::min(next, entry.deadline);
+      rto_ns_.record(entry.rto);
+      retransmits_.add();
+      out.resends.push_back(entry.msg);
+      if (obs::trace_enabled()) {
+        obs::trace_instant("rel.retransmit", "net", {"dst", dst}, {"seq", seq});
+        // Each physical copy gets its own flow, marked so the
+        // critical-path analyzer bills its transit to `retransmit`.
+        out.resends.back().trace_id = obs::next_flow_id() | obs::kFlowRetransmitBit;
+      }
+    }
+    if (st.dead) {
+      st.inflight.clear();
+      continue;
     }
     // Keepalive probing: a once-used channel with nothing in flight and no
     // recent ack gets a sequenced ping, so a silently dead peer is detected
     // even when every sender is blocked and producing no app traffic.
-    std::vector<Message> pings;
-    if (cfg_.keepalive.count() > 0) {
-      for (std::size_t ch = 0; ch < send_.size(); ++ch) {
-        SendState& st = send_[ch];
-        const auto src = static_cast<Endpoint>(ch / endpoints_);
-        const auto dst = static_cast<Endpoint>(ch % endpoints_);
-        if (st.dead || src == dst || st.next_seq == 1 || !st.inflight.empty()) {
-          continue;
-        }
-        if (now - st.last_activity < cfg_.keepalive) {
-          next = std::min(next, st.last_activity + cfg_.keepalive);
-          continue;
-        }
-        Message ping;
-        ping.src = src;
-        ping.dst = dst;
-        ping.kind = kRelPingKind;
-        pings.push_back(ping);
-        st.last_activity = now;  // rate-limit until on_send restamps it
-        keepalives_.add();
-      }
+    if (cfg_.keepalive.count() == 0 || dst == e || st.next_seq == 1 ||
+        !st.inflight.empty()) {
+      continue;
     }
-    // Flush suppressed acks past their window, so sender RTOs never fire
-    // on a healthy-but-quiet channel.
-    std::vector<Message> ack_flushes;
-    const auto flush = ack_flush_window(cfg_);
-    for (std::size_t ch = 0; ch < recv_.size(); ++ch) {
-      RecvState& st = recv_[ch];
-      if (st.delivered == st.acked) continue;
-      if (now - st.ack_pending_since < flush) {
-        next = std::min(next, st.ack_pending_since + flush);
-        continue;
-      }
-      st.acked = st.delivered;
-      ack_flushes.push_back(make_ack(static_cast<Endpoint>(ch % endpoints_),
-                                     static_cast<Endpoint>(ch / endpoints_),
-                                     st.delivered));
+    if (now - st.last_activity < cfg_.keepalive) {
+      next = std::min(next, st.last_activity + cfg_.keepalive);
+      continue;
     }
-    if (!resends.empty() || !ack_flushes.empty() || !new_errors.empty() ||
-        !pings.empty()) {
-      // Snapshot the callback under the lock; invoke it outside so it may
-      // re-enter the fabric (e.g. to send a view-fault report).
-      auto cb = unreachable_cb_;
-      lk.unlock();
-      for (Message& m : resends) fabric_.send_raw(std::move(m));
-      // Pings take the full send path: they must be sequenced (on_send) and
-      // are subject to the fault plan like any other message.
-      for (Message& m : pings) fabric_.send(std::move(m));
-      for (Message& a : ack_flushes) {
-        acks_sent_.add();
-        ack_bytes_.add(a.wire_bytes());
-        fabric_.send_raw(std::move(a));
-      }
-      if (cb) {
-        for (const PeerUnreachable& err : new_errors) cb(err);
-      }
-      lk.lock();
-      continue;  // the sends may have armed deadlines: rescan before sleeping
-    }
-    // Sleep until the earliest armed deadline, or until arm() brings one
-    // earlier; with nothing armed, sleep until kicked.
-    timer_wake_at_ = next;
-    timer_kicked_ = false;
-    const auto woken = [this] { return stop_ || timer_kicked_; };
-    if (next == Clock::time_point::max()) {
-      timer_cv_.wait(lk, woken);
-    } else {
-      timer_cv_.wait_until(lk, next, woken);
-    }
-    timer_wake_at_ = Clock::time_point::min();
-    timer_wakeups_.add();
+    Message ping;
+    ping.src = e;
+    ping.dst = dst;
+    ping.kind = kRelPingKind;
+    out.pings.push_back(ping);
+    st.last_activity = now;  // rate-limit until on_send restamps it
+    keepalives_.add();
   }
+  // Flush suppressed acks past their window, so sender RTOs never fire on
+  // a healthy-but-quiet channel.
+  const auto flush = ack_flush_window(cfg_);
+  for (Endpoint src = 0; src < endpoints_; ++src) {
+    RecvState& st = recv_[channel(src, e)];
+    if (st.delivered == st.acked) continue;
+    if (now - st.ack_pending_since < flush) {
+      next = std::min(next, st.ack_pending_since + flush);
+      continue;
+    }
+    st.acked = st.delivered;
+    out.acks.push_back(make_ack(e, src, st.delivered));
+  }
+  if (next != Clock::time_point::max()) arm(e, next);
 }
 
 std::vector<ReliableChannel::PeerUnreachable> ReliableChannel::errors() const {

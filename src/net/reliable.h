@@ -6,11 +6,15 @@
 // receiver-side dedup and reorder buffering, cumulative acks (piggybacked
 // on reverse traffic, otherwise sent standalone every few deliveries or
 // after a flush window), and retransmission on timeout with exponential
-// backoff.  One timer thread fires every deadline — retransmit timeouts,
-// ack flushes and keepalive probes — sleeping until the earliest one.  A
-// channel that exhausts its retries surfaces a structured PeerUnreachable
-// record instead of retrying forever — the stall itself is the watchdog's
-// job to report (src/dsm/watchdog.h).
+// backoff.  No thread of its own keeps time: each deadline belongs to one
+// endpoint — retransmit timeouts and keepalive probes to the channel's
+// sender, ack flushes to its receiver — which posts it as a local
+// kRelDeadlineKind message into its own mailbox, due at the deadline.  The
+// endpoint's consumer handles it inside drain(), after the rest of the
+// batch it arrived with, so an ack already in the mailbox is always seen
+// before the timeout it would cancel.  A channel that exhausts its retries
+// surfaces a structured PeerUnreachable record instead of retrying forever
+// — the stall itself is the watchdog's job to report (src/dsm/watchdog.h).
 //
 // The protocol state machine (sender and receiver sides) is documented in
 // docs/FAULTS.md.  When reliability is disabled the fabric never consults
@@ -20,15 +24,13 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
-#include <optional>
-#include <thread>
+#include <set>
 #include <vector>
 
 #include "common/stats.h"
@@ -41,6 +43,12 @@ class Fabric;
 /// Wire kind of standalone cumulative acks (field a = acked sequence).
 /// Chosen high so protocol layers' own kinds (1..~20) never collide.
 inline constexpr std::uint16_t kRelAckKind = 62;
+
+/// Kind of the local deadline message an endpoint posts into its own
+/// mailbox (ReliableChannel::drain handles it).  Never on the wire: it
+/// bypasses Fabric::send, so it is never stamped, counted, faulted or
+/// traced.
+inline constexpr std::uint16_t kRelDeadlineKind = 60;
 
 /// Wire kind of keepalive probes (ReliabilityConfig::keepalive).  Probes
 /// are sequenced like app traffic — so an unreachable peer fails them
@@ -112,20 +120,20 @@ class ReliableChannel {
   /// endpoint `e` — the reliable replacement for Mailbox::drain.  Drains
   /// the raw mailbox in bulk and processes the whole drain under one
   /// channel-lock hold, consuming protocol traffic (acks, duplicates,
-  /// out-of-order buffering) internally; the acks it owes go out after the
-  /// lock is released.  Clears `out` and moves up to `max` in-order
-  /// messages into it (any surplus waits for the next call).  Returns false
-  /// once the underlying mailbox is closed and drained.  One consumer
-  /// thread per endpoint.
+  /// out-of-order buffering) internally, then fires `e`'s due deadlines if
+  /// the drain held a deadline message; the acks, retransmits and probes
+  /// this produces go out after the lock is released.  Clears `out` and
+  /// moves up to `max` in-order messages into it (any surplus waits for
+  /// the next call).  Returns false once the underlying mailbox is closed
+  /// and drained.  One consumer thread per endpoint, and every endpoint
+  /// that sends or receives reliably needs one: its deadlines fire only
+  /// here.
   bool drain(Endpoint e, std::vector<Message>& out,
              std::size_t max = std::numeric_limits<std::size_t>::max());
 
-  /// Stop the retransmit timer (idempotent; called by Fabric::shutdown
-  /// before mailboxes close).
-  void stop();
-
   /// Register a callback invoked — outside the channel lock, from the
-  /// timer thread — each time a channel exhausts its retries.  Elastic
+  /// sender's consumer inside drain() — each time a channel exhausts its
+  /// retries.  Elastic
   /// membership (dsm/view.h) routes the verdict to the view manager as a
   /// fault report.  Install before protocol traffic flows.
   void set_unreachable_callback(std::function<void(const PeerUnreachable&)> cb);
@@ -142,9 +150,9 @@ class ReliableChannel {
       std::chrono::nanoseconds prev, const ReliabilityConfig& cfg,
       std::uint64_t channel, std::uint64_t seq, int attempt);
 
-  /// How long a suppressed ack may stay owed before the timer ships it: a
-  /// third of cfg.initial_rto (667 us at the default 2 ms RTO).  Shorter
-  /// windows leave reverse traffic too little time to carry the ack.
+  /// How long a suppressed ack may stay owed before its flush deadline
+  /// ships it: a third of cfg.initial_rto (667 us at the default 2 ms RTO).
+  /// Shorter windows leave reverse traffic too little time to carry the ack.
   [[nodiscard]] static std::chrono::nanoseconds ack_flush_window(
       const ReliabilityConfig& cfg) {
     return cfg.initial_rto / 3;
@@ -156,13 +164,13 @@ class ReliableChannel {
   [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_.get(); }
   [[nodiscard]] std::uint64_t ack_bytes() const { return ack_bytes_.get(); }
   /// Deliveries whose standalone ack was suppressed by ack_every (they were
-  /// covered later by a cumulative ack, a piggyback, or the flush timer).
+  /// covered later by a cumulative ack, a piggyback, or a flush deadline).
   [[nodiscard]] std::uint64_t acks_delayed() const { return acks_delayed_.get(); }
   /// Owed acks satisfied by a reverse-traffic piggyback instead of a
   /// standalone ack.
   [[nodiscard]] std::uint64_t acks_piggybacked() const { return acks_piggybacked_.get(); }
-  /// Times the timer thread woke (a deadline came due or an earlier one
-  /// was armed).
+  /// Deadline messages handled (`net.rel_timer.wakeups`): one per posted
+  /// deadline, whether or not anything was due when it came.
   [[nodiscard]] std::uint64_t timer_wakeups() const { return timer_wakeups_.get(); }
   /// Keepalive probes sent (ReliabilityConfig::keepalive).
   [[nodiscard]] std::uint64_t keepalives() const { return keepalives_.get(); }
@@ -194,7 +202,7 @@ class ReliableChannel {
     std::uint64_t delivered = 0;  // highest in-order sequence handed up
     std::uint64_t acked = 0;      // highest sequence the sender knows about
     /// A suppressed ack is owed since this instant (valid when
-    /// acked < delivered); the timer flushes it after ack_flush_window().
+    /// acked < delivered); the receiver flushes it after ack_flush_window().
     Clock::time_point ack_pending_since{};
     std::map<std::uint64_t, Message> reorder;
   };
@@ -203,17 +211,28 @@ class ReliableChannel {
     return static_cast<std::size_t>(src) * endpoints_ + dst;
   }
 
+  /// What one drain pass transmits once mu_ is released.
+  struct Outbox {
+    std::vector<Message> acks;     // standalone acks (send_raw)
+    std::vector<Message> resends;  // retransmitted copies (send_raw)
+    std::vector<Message> pings;    // keepalive probes (full send path)
+    std::vector<PeerUnreachable> errors;
+  };
+
   /// Process one raw message for consumer `e` (caller holds mu_); in-order
-  /// app messages are appended to ready_[e].  Returns acks to transmit
-  /// (sent without the lock held).
+  /// app messages are appended to ready_[e], owed acks to `acks_out`.
   void process(Endpoint e, Message m, std::vector<Message>& acks_out);
-  void handle_ack(std::size_t ch, std::uint64_t acked);
+  /// A cumulative ack for channel e -> peer arrived at e.
+  void handle_ack(Endpoint e, Endpoint peer, std::uint64_t acked);
   [[nodiscard]] Message make_ack(Endpoint from, Endpoint to, std::uint64_t acked) const;
 
-  /// A deadline was armed (caller holds mu_): wake the timer if it sleeps
-  /// past it.
-  void arm(Clock::time_point deadline);
-  void timer_loop();
+  /// Endpoint `e` armed a deadline (caller holds mu_): post a deadline
+  /// message into e's mailbox unless one due no later already waits there.
+  void arm(Endpoint e, Clock::time_point deadline);
+  /// Fire e's due deadlines (caller holds mu_): retransmits and keepalives
+  /// on e's row of send_, ack flushes on e's column of recv_.  Re-arms e's
+  /// earliest remaining deadline.
+  void fire_due(Endpoint e, Outbox& out);
 
   Fabric& fabric_;
   const std::size_t endpoints_;
@@ -230,13 +249,9 @@ class ReliableChannel {
   Counter acks_piggybacked_, keepalives_, timer_wakeups_;
   LatencyHistogram rto_ns_;
 
-  std::condition_variable timer_cv_;
-  /// When the sleeping timer wakes by itself; min() while it is awake (it
-  /// rescans before sleeping again, so arming needs no wake then).
-  Clock::time_point timer_wake_at_ = Clock::time_point::min();
-  bool timer_kicked_ = false;  // an earlier deadline was armed
-  bool stop_ = false;
-  std::thread timer_;
+  /// Per endpoint, the due times of the deadline messages it has posted
+  /// and not yet handled.
+  std::vector<std::multiset<Clock::time_point>> posted_;
 };
 
 }  // namespace mc::net

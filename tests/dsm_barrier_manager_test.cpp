@@ -44,7 +44,9 @@ struct Harness {
   /// lanes are drained in no fixed order across senders, so a test that
   /// needs one sender's message handled first waits for it.
   void wait_handled(std::uint64_t n) {
-    while (mgr.heartbeats() < n) std::this_thread::sleep_for(std::chrono::microseconds(100));
+    while (mgr.lock_heartbeats() + mgr.barrier_heartbeats() < n) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
   }
 
   std::uint16_t next_kind(net::Endpoint who) {

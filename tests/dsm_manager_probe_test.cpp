@@ -1,6 +1,8 @@
-// Watchdog manager probe: a manager thread whose heartbeat counter stays
-// frozen while its mailbox holds traffic is reported as wedged; an idle
-// manager (pending == 0) and a progressing one are not.
+// Watchdog manager probe: a manager whose mailbox hands it nothing while
+// traffic waits there is reported as wedged; an idle manager (pending == 0)
+// and a progressing one are not.  The watchdog owns no thread: the unit
+// tests drive its passes with poll(), the system test through
+// MixedSystem::run(body, timeout).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 #include <chrono>
 #include <thread>
 
+#include "dsm/system.h"
 #include "dsm/watchdog.h"
 
 namespace mc::dsm {
@@ -22,62 +25,73 @@ Watchdog::Options fast_options() {
   return o;
 }
 
-bool wait_fired(const Watchdog& wd, std::chrono::milliseconds deadline) {
-  const auto until = std::chrono::steady_clock::now() + deadline;
-  while (std::chrono::steady_clock::now() < until) {
-    if (wd.fired()) return true;
-    std::this_thread::sleep_for(5ms);
+/// Run supervision passes every poll period for `span`, or until fired.
+bool poll_for(Watchdog& wd, std::chrono::milliseconds span) {
+  const auto until = std::chrono::steady_clock::now() + span;
+  while (std::chrono::steady_clock::now() < until && !wd.fired()) {
+    std::this_thread::sleep_for(wd.poll_interval());
+    wd.poll();
   }
   return wd.fired();
 }
 
 TEST(ManagerProbeTest, FrozenHeartbeatWithPendingTrafficFires) {
   Watchdog wd(fast_options());
-  wd.set_manager_probe([] {
-    return std::vector<Watchdog::ManagerHealth>{{"lock manager", 7, 3}};
-  });
-  ASSERT_TRUE(wait_fired(wd, 3000ms));
+  wd.set_manager_probe([] { return Watchdog::ManagerHealth{7, 3}; });
+  ASSERT_TRUE(poll_for(wd, 3000ms));
   const Watchdog::Diagnostics d = wd.diagnostics();
   EXPECT_NE(d.reason.find("manager thread stalled"), std::string::npos) << d.reason;
-  EXPECT_NE(d.reason.find("lock manager"), std::string::npos) << d.reason;
+  EXPECT_NE(d.reason.find("sync manager"), std::string::npos) << d.reason;
 }
 
 TEST(ManagerProbeTest, IdleManagerDoesNotFire) {
   Watchdog wd(fast_options());
-  wd.set_manager_probe([] {
-    // Heartbeat frozen but nothing pending: merely idle.
-    return std::vector<Watchdog::ManagerHealth>{{"barrier manager", 42, 0}};
-  });
-  std::this_thread::sleep_for(400ms);
-  EXPECT_FALSE(wd.fired());
+  // Consumed count frozen but nothing pending: merely idle.
+  wd.set_manager_probe([] { return Watchdog::ManagerHealth{42, 0}; });
+  EXPECT_FALSE(poll_for(wd, 400ms));
 }
 
 TEST(ManagerProbeTest, ProgressingManagerDoesNotFire) {
   Watchdog wd(fast_options());
   std::atomic<std::uint64_t> hb{0};
-  wd.set_manager_probe([&hb] {
-    return std::vector<Watchdog::ManagerHealth>{
-        {"lock manager", hb.fetch_add(1) + 1, 5}};
-  });
-  std::this_thread::sleep_for(400ms);
-  EXPECT_FALSE(wd.fired());
+  wd.set_manager_probe([&hb] { return Watchdog::ManagerHealth{hb.fetch_add(1) + 1, 5}; });
+  EXPECT_FALSE(poll_for(wd, 400ms));
 }
 
 TEST(ManagerProbeTest, PendingResetClearsTheClock) {
   Watchdog wd(fast_options());
   std::atomic<std::uint64_t> polls{0};
-  // Alternate pending on/off on every probe call (the monitor thread itself
-  // drives the toggle, so the cadence is immune to test-thread scheduling):
-  // the tracker resets each time the mailbox drains, and the watchdog stays
+  // Alternate pending on/off on every probe call (each pass drives the
+  // toggle, so the cadence is immune to test-thread scheduling): the
+  // tracker resets each time the mailbox drains, and the watchdog stays
   // quiet no matter how long the test runs.
   wd.set_manager_probe([&polls] {
     const bool pending = (polls.fetch_add(1) % 2) == 0;
-    return std::vector<Watchdog::ManagerHealth>{
-        {"lock manager", 9, pending ? std::size_t{1} : std::size_t{0}}};
+    return Watchdog::ManagerHealth{9, pending ? std::size_t{1} : std::size_t{0}};
   });
-  std::this_thread::sleep_for(400ms);
-  EXPECT_FALSE(wd.fired());
+  EXPECT_FALSE(poll_for(wd, 400ms));
   EXPECT_GE(polls.load(), 2u);
+}
+
+TEST(ManagerProbeTest, IdleElasticManagerHoldingAKeepaliveDeadlineIsNotStalled) {
+  // Elastic mode turns keepalives on, so the manager's mailbox holds a
+  // keepalive deadline for as long as the run lasts.  A body that stops
+  // synchronizing for longer than the stall deadline leaves the manager
+  // idle, not wedged.
+  Config cfg;
+  cfg.num_procs = 3;
+  cfg.num_vars = 4;
+  cfg.elastic = true;
+  cfg.reliable = true;
+  MixedSystem sys(cfg);
+  const auto out = sys.run(
+      [](Node& n, ProcId) {
+        n.barrier();
+        std::this_thread::sleep_for(1s);
+        n.barrier();
+      },
+      300ms);
+  EXPECT_FALSE(out.stalled) << out.diagnostics.reason;
 }
 
 }  // namespace

@@ -50,7 +50,8 @@ TEST(ReliableChannel, RestoresCompleteFifoStreamUnderDrops) {
     }
   });
   // The sender endpoint needs a consumer too: acks for 0's messages arrive
-  // in 0's mailbox and are only processed inside recv(0).
+  // in 0's mailbox, and 0's retransmit deadlines come due there; both are
+  // only processed inside recv(0).
   std::thread ack_drain([&] {
     while (f.recv(0).has_value()) {
     }
@@ -114,6 +115,11 @@ TEST(ReliableChannel, SurfacesPeerUnreachableInsteadOfRetryingForever) {
   FaultPlan plan;
   plan.channel_drop_prob[{0, 1}] = 1.0;  // the forward channel is severed
   f.inject_faults(plan);
+  // Retransmits and the give-up verdict fire on the sender's consumer.
+  std::thread ack_drain([&] {
+    while (f.recv(0).has_value()) {
+    }
+  });
 
   f.send(make(0, 1, 1, 1));
   ReliableChannel* rel = f.reliable_channel();
@@ -121,6 +127,8 @@ TEST(ReliableChannel, SurfacesPeerUnreachableInsteadOfRetryingForever) {
   while (rel->errors().empty() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  f.shutdown();
+  ack_drain.join();
   const auto errs = rel->errors();
   ASSERT_EQ(errs.size(), 1u);
   EXPECT_EQ(errs[0].src, 0u);
@@ -128,7 +136,44 @@ TEST(ReliableChannel, SurfacesPeerUnreachableInsteadOfRetryingForever) {
   EXPECT_EQ(errs[0].first_unacked, 1u);
   EXPECT_EQ(errs[0].retries, cfg.max_retries);
   EXPECT_EQ(f.metrics().get("net.peer_unreachable"), 1u);
+}
+
+TEST(ReliableChannel, AcksWaitingInTheSendersMailboxCancelItsTimeouts) {
+  // Deadlines fire on the sender's own consumer, after the rest of the
+  // batch they arrive with.  A sender that does not drain for five times
+  // its whole retry budget still finds the peer's ack ahead of its
+  // timeouts: it neither retransmits nor declares the peer unreachable.
+  Fabric f(2);
+  ReliabilityConfig cfg;
+  cfg.initial_rto = std::chrono::milliseconds(1);
+  cfg.max_rto = std::chrono::milliseconds(10);
+  cfg.max_retries = 3;
+  f.enable_reliability(cfg);
+  ReliableChannel* rel = f.reliable_channel();
+
+  std::thread receiver([&] {
+    while (f.recv(1).has_value()) {
+    }
+  });
+  f.send(make(0, 1, 1, 5));
+  std::this_thread::sleep_for(5 * cfg.max_retries * cfg.max_rto);
+  // The receiver's flush deadline ships the ack into 0's mailbox.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (rel->acks_sent() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(rel->acks_sent(), 1u);
+  // Something for recv(0) to return: the drain that hands it up also
+  // handles the ack and every timeout waiting in 0's mailbox.
+  f.send(make(1, 0, 2, 6));
+  const auto m = f.recv(0);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->a, 6u);
+  EXPECT_GE(rel->timer_wakeups(), 2u);  // 0's RTO and 1's ack flush
+  EXPECT_EQ(rel->retransmits(), 0u);
+  EXPECT_TRUE(rel->errors().empty());
   f.shutdown();
+  receiver.join();
 }
 
 TEST(ReliableChannel, CleanFabricCostsAcksButNoRetransmits) {
@@ -203,7 +248,7 @@ TEST(ReliableChannel, DelayedAcksSuppressStandaloneAckTraffic) {
 }
 
 TEST(ReliableChannel, AckFlushWindowAcksShortStreamsBeforeRtoFires) {
-  // Fewer messages than the ack stride: only the flush timer can ack them.
+  // Fewer messages than the ack stride: only the flush deadline can ack them.
   // It must do so well inside the (huge) retransmit timeout, otherwise the
   // sender would spuriously back off — why the flush window is derived
   // from initial_rto.
@@ -215,18 +260,14 @@ TEST(ReliableChannel, AckFlushWindowAcksShortStreamsBeforeRtoFires) {
 
   std::vector<std::uint64_t> got;
   std::thread receiver([&] {
-    while (got.size() < 3) {
-      const auto m = f.recv(1);
-      if (!m.has_value()) break;
-      got.push_back(m->a);
-    }
+    // Drains past the stream: 1's ack flush deadline fires in recv(1).
+    while (const auto m = f.recv(1)) got.push_back(m->a);
   });
   std::thread ack_drain([&] {
     while (f.recv(0).has_value()) {
     }
   });
   for (std::uint64_t i = 0; i < 3; ++i) f.send(make(0, 1, 1, i));
-  receiver.join();
 
   ReliableChannel* rel = f.reliable_channel();
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -234,17 +275,18 @@ TEST(ReliableChannel, AckFlushWindowAcksShortStreamsBeforeRtoFires) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   f.shutdown();
+  receiver.join();
   ack_drain.join();
 
   ASSERT_EQ(got.size(), 3u);
-  EXPECT_GE(rel->acks_sent(), 1u);   // the flush timer fired
+  EXPECT_GE(rel->acks_sent(), 1u);   // the flush deadline fired
   EXPECT_EQ(rel->retransmits(), 0u); // ...before the sender's RTO did
   EXPECT_GT(rel->acks_delayed(), 0u);
 }
 
 TEST(ReliableChannel, DelayedAcksStillRepairDropsViaRetransmit) {
   // Lossy fabric with stride acking: cumulative acks mean a lost stride
-  // ack is subsumed by the next one (or by the flush timer), and dropped
+  // ack is subsumed by the next one (or by the flush deadline), and dropped
   // data still triggers retransmission — the stream stays complete FIFO.
   constexpr std::uint64_t kTotal = 300;
   Fabric f(2);
@@ -321,7 +363,7 @@ TEST(ReliableChannel, PingPongAcksRideReverseTraffic) {
   // Every request is answered before the next one goes out, so each owed
   // ack leaves on the reply (and each reply's ack on the next request)
   // instead of as a standalone message.  The 500 ms flush window keeps the
-  // flush timer from beating a reply on a slow host.
+  // flush deadline from beating a reply on a slow host.
   constexpr std::uint64_t kRounds = 50;
   Fabric f(2);
   ReliabilityConfig cfg;
@@ -364,11 +406,8 @@ TEST(ReliableChannel, LowRtoWithDefaultStrideFlushesAtThirdOfRto) {
 
   std::vector<std::uint64_t> got;
   std::thread receiver([&] {
-    while (got.size() < 3) {
-      const auto m = f.recv(1);
-      if (!m.has_value()) break;
-      got.push_back(m->a);
-    }
+    // Drains past the stream: 1's ack flush deadline fires in recv(1).
+    while (const auto m = f.recv(1)) got.push_back(m->a);
   });
   std::thread ack_drain([&] {
     while (f.recv(0).has_value()) {
@@ -377,7 +416,6 @@ TEST(ReliableChannel, LowRtoWithDefaultStrideFlushesAtThirdOfRto) {
   ReliableChannel* rel = f.reliable_channel();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < 3; ++i) f.send(make(0, 1, 1, i));
-  receiver.join();
   // Fewer deliveries than the stride: only the flush (or, on a host too
   // slow for a 200 us RTO, a re-ack of a retransmitted copy) acks them,
   // and neither can go out before the window has passed.
@@ -387,6 +425,7 @@ TEST(ReliableChannel, LowRtoWithDefaultStrideFlushesAtThirdOfRto) {
   }
   const auto acked_after = std::chrono::steady_clock::now() - t0;
   f.shutdown();
+  receiver.join();
   ack_drain.join();
 
   ASSERT_EQ(got.size(), 3u);
@@ -397,8 +436,8 @@ TEST(ReliableChannel, LowRtoWithDefaultStrideFlushesAtThirdOfRto) {
 }
 
 TEST(ReliableChannel, TimerSleepsWhileNoDeadlineIsArmed) {
-  // The timer sleeps until its earliest deadline instead of polling: with
-  // keepalive off and nothing in flight or owed, it does not wake at all.
+  // A deadline is a message posted only when armed, never a poll: with
+  // keepalive off and nothing in flight or owed, none is handled at all.
   Fabric f(2);
   ReliabilityConfig cfg;
   ASSERT_EQ(cfg.keepalive.count(), 0);
@@ -409,22 +448,18 @@ TEST(ReliableChannel, TimerSleepsWhileNoDeadlineIsArmed) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(rel->timer_wakeups(), idle);
 
-  // After a short stream is delivered and acked, the timer goes back to
-  // sleeping without a deadline.
+  // After a short stream is delivered and acked, no further deadline is
+  // posted.
   std::vector<std::uint64_t> got;
   std::thread receiver([&] {
-    while (got.size() < 3) {
-      const auto m = f.recv(1);
-      if (!m.has_value()) break;
-      got.push_back(m->a);
-    }
+    // Drains past the stream: 1's ack flush deadline fires in recv(1).
+    while (const auto m = f.recv(1)) got.push_back(m->a);
   });
   std::thread ack_drain([&] {
     while (f.recv(0).has_value()) {
     }
   });
   for (std::uint64_t i = 0; i < 3; ++i) f.send(make(0, 1, 1, i));
-  receiver.join();
   bool quiet = false;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (!quiet && std::chrono::steady_clock::now() < deadline) {
@@ -433,11 +468,12 @@ TEST(ReliableChannel, TimerSleepsWhileNoDeadlineIsArmed) {
     quiet = rel->acks_sent() > 0 && rel->timer_wakeups() == before;
   }
   f.shutdown();
+  receiver.join();
   ack_drain.join();
 
   ASSERT_EQ(got.size(), 3u);
   EXPECT_TRUE(quiet);
-  EXPECT_GT(rel->timer_wakeups(), idle);  // the flush deadline woke it
+  EXPECT_GT(rel->timer_wakeups(), idle);  // the flush deadline came due
   EXPECT_EQ(f.metrics().get("net.rel_timer.wakeups"), rel->timer_wakeups());
 }
 
@@ -548,6 +584,11 @@ TEST(ReliableChannel, UnreachableCallbackFiresAndMarkDeadSilencesChannel) {
   FaultPlan plan;
   plan.channel_drop_prob[{0, 1}] = 1.0;
   f.inject_faults(plan);
+  // The callback runs on the sender's consumer.
+  std::thread ack_drain([&] {
+    while (f.recv(0).has_value()) {
+    }
+  });
   f.send(make(0, 1, 1, 9));
 
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -570,6 +611,7 @@ TEST(ReliableChannel, UnreachableCallbackFiresAndMarkDeadSilencesChannel) {
   EXPECT_EQ(fired.load(), 1);
   EXPECT_EQ(rel->errors().size(), 1u);
   f.shutdown();
+  ack_drain.join();
 }
 
 TEST(ReliableChannel, UnfilledAckStrideStillReportsZeroStandaloneAcks) {
