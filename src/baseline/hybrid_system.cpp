@@ -1,25 +1,15 @@
 #include "baseline/hybrid_system.h"
 
-#include <chrono>
+#include <numeric>
 
+#include "baseline/run.h"
 #include "common/check.h"
-#include "obs/tracer.h"
 
 namespace mc::baseline {
 
-using namespace std::chrono_literals;
+using net::wait_or_die;
 
 namespace {
-constexpr auto kLivenessDeadline = 30s;
-
-template <typename Pred>
-void wait_or_die(std::condition_variable& cv, std::unique_lock<std::mutex>& lk,
-                 const char* what, Pred pred) {
-  if (!cv.wait_for(lk, kLivenessDeadline, pred)) {
-    MC_CHECK_MSG(false, what);
-  }
-}
-
 void register_hybrid_kind_names(net::Fabric& fabric) {
   fabric.name_kind(kHybridWeak, "hy_weak");
   fabric.name_kind(kHybridStrongWrite, "hy_strong_write");
@@ -35,73 +25,37 @@ HybridNode::HybridNode(const HybridConfig& cfg, ProcId self, net::Fabric& fabric
                        net::Endpoint sequencer)
     : cfg_(cfg), self_(self), fabric_(fabric), sequencer_(sequencer),
       store_(cfg.num_vars, 0) {
-  delivery_ = std::thread([this] { run_delivery(); });
-}
-
-HybridNode::~HybridNode() { stop(); }
-
-void HybridNode::stop() {
-  if (delivery_.joinable()) delivery_.join();
-}
-
-void HybridNode::run_delivery() {
-  std::vector<net::Message> batch;
-  while (fabric_.drain(self_, batch)) {
-    for (const net::Message& m : batch) {
-      obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
-      obs::trace_flow_end("msg", "net", m.trace_id);
-      switch (m.kind) {
-        case kHybridWeak: {
-          {
-            std::scoped_lock lk(mu_);
-            store_[static_cast<VarId>(m.a)] = m.b;
-          }
-          cv_.notify_all();
-          break;
-        }
-        case kHybridOrdered: {
-          {
-            std::scoped_lock lk(mu_);
-            MC_CHECK_MSG(m.d == applied_global_ + 1, "strong order gap at a replica");
-            applied_global_ = m.d;
-            store_[static_cast<VarId>(m.a)] = m.b;
-            if (static_cast<ProcId>(m.payload.at(0)) == self_) ++applied_own_strong_;
-          }
-          cv_.notify_all();
-          break;
-        }
-        case kHybridFlush: {
-          // FIFO channels: by the time the probe arrives, every earlier weak
-          // write from the prober has been applied here.
-          net::Message ack;
-          ack.src = self_;
-          ack.dst = m.src;
-          ack.kind = kHybridFlushAck;
-          ack.a = m.a;
-          fabric_.send(std::move(ack));
-          break;
-        }
-        case kHybridFlushAck: {
-          {
-            std::scoped_lock lk(mu_);
-            ++flush_acks_[m.a];
-          }
-          cv_.notify_all();
-          break;
-        }
-        case kHybridTicket: {
-          {
-            std::scoped_lock lk(mu_);
-            read_tickets_[m.a] = m.b;
-          }
-          cv_.notify_all();
-          break;
-        }
-        default:
-          break;
-      }
-    }
-  }
+  actor_.on(kHybridWeak, [this](const net::Message& m) {
+    std::scoped_lock lk(mu_);
+    store_[static_cast<VarId>(m.a)] = m.b;
+  });
+  actor_.on(kHybridOrdered, [this](const net::Message& m) {
+    std::scoped_lock lk(mu_);
+    MC_CHECK_MSG(m.d == applied_global_ + 1, "strong order gap at a replica");
+    applied_global_ = m.d;
+    store_[static_cast<VarId>(m.a)] = m.b;
+    if (static_cast<ProcId>(m.payload.at(0)) == self_) ++applied_own_strong_;
+  });
+  actor_.on(kHybridFlush, [this](const net::Message& m) {
+    // FIFO channels: by the time the probe arrives, every earlier weak
+    // write from the prober has been applied here.
+    net::Message ack;
+    ack.src = self_;
+    ack.dst = m.src;
+    ack.kind = kHybridFlushAck;
+    ack.a = m.a;
+    fabric_.send(std::move(ack));
+  });
+  actor_.on(kHybridFlushAck, [this](const net::Message& m) {
+    std::scoped_lock lk(mu_);
+    ++flush_acks_[m.a];
+  });
+  actor_.on(kHybridTicket, [this](const net::Message& m) {
+    std::scoped_lock lk(mu_);
+    read_tickets_[m.a] = m.b;
+  });
+  actor_.after_batch([this] { cv_.notify_all(); });
+  actor_.start();
 }
 
 Value HybridNode::weak_read(VarId x) {
@@ -198,49 +152,32 @@ HybridSystem::HybridSystem(HybridConfig cfg)
   for (ProcId p = 0; p < cfg_.num_procs; ++p) {
     nodes_.push_back(std::make_unique<HybridNode>(cfg_, p, fabric_, seq_ep));
   }
-  sequencer_ = std::thread([this] { run_sequencer(); });
+  std::vector<net::Endpoint> everyone(cfg_.num_procs);
+  std::iota(everyone.begin(), everyone.end(), net::Endpoint{0});
+  sequencer_.on(kHybridStrongWrite, [this, seq_ep, everyone](const net::Message& m) {
+    net::Message ordered;
+    ordered.src = seq_ep;
+    ordered.kind = kHybridOrdered;
+    ordered.a = m.a;
+    ordered.b = m.b;
+    ordered.c = m.c;
+    ordered.d = ++next_seq_;
+    ordered.payload = {m.src};
+    fabric_.multicast(ordered, everyone);
+  });
+  sequencer_.on(kHybridReadTicket, [this, seq_ep](const net::Message& m) {
+    net::Message ticket;
+    ticket.src = seq_ep;
+    ticket.dst = m.src;
+    ticket.kind = kHybridTicket;
+    ticket.a = m.a;
+    ticket.b = next_seq_;  // the strong prefix the reader must apply
+    fabric_.send(std::move(ticket));
+  });
+  sequencer_.start();
 }
 
 HybridSystem::~HybridSystem() { shutdown(); }
-
-void HybridSystem::run_sequencer() {
-  const auto seq_ep = static_cast<net::Endpoint>(cfg_.num_procs);
-  std::vector<net::Endpoint> everyone(cfg_.num_procs);
-  for (net::Endpoint e = 0; e < cfg_.num_procs; ++e) everyone[e] = e;
-  std::vector<net::Message> batch;
-  while (fabric_.drain(seq_ep, batch)) {
-    for (const net::Message& m : batch) {
-      obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
-      obs::trace_flow_end("msg", "net", m.trace_id);
-      switch (m.kind) {
-        case kHybridStrongWrite: {
-          net::Message ordered;
-          ordered.src = seq_ep;
-          ordered.kind = kHybridOrdered;
-          ordered.a = m.a;
-          ordered.b = m.b;
-          ordered.c = m.c;
-          ordered.d = ++next_seq_;
-          ordered.payload = {m.src};
-          fabric_.multicast(ordered, everyone);
-          break;
-        }
-        case kHybridReadTicket: {
-          net::Message ticket;
-          ticket.src = seq_ep;
-          ticket.dst = m.src;
-          ticket.kind = kHybridTicket;
-          ticket.a = m.a;
-          ticket.b = next_seq_;  // the strong prefix the reader must apply
-          fabric_.send(std::move(ticket));
-          break;
-        }
-        default:
-          break;
-      }
-    }
-  }
-}
 
 HybridNode& HybridSystem::node(ProcId p) {
   MC_CHECK(p < nodes_.size());
@@ -248,17 +185,7 @@ HybridNode& HybridSystem::node(ProcId p) {
 }
 
 void HybridSystem::run(const std::function<void(HybridNode&, ProcId)>& body) {
-  std::vector<std::thread> threads;
-  threads.reserve(cfg_.num_procs);
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    threads.emplace_back([this, &body, p] {
-      // Application-lane marker for the critical-path analyzer.
-      obs::trace_instant("proc.start", "dsm", {"proc", p});
-      body(*nodes_[p], p);
-      obs::trace_instant("proc.end", "dsm", {"proc", p});
-    });
-  }
-  for (auto& t : threads) t.join();
+  run_threads(nodes_, body);
 }
 
 MetricsSnapshot HybridSystem::metrics() const {
@@ -273,7 +200,7 @@ void HybridSystem::shutdown() {
   if (down_) return;
   down_ = true;
   fabric_.shutdown();
-  if (sequencer_.joinable()) sequencer_.join();
+  sequencer_.join();
   for (auto& n : nodes_) n->stop();
 }
 

@@ -27,11 +27,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/stats.h"
 #include "common/types.h"
+#include "net/actor.h"
 #include "net/fabric.h"
 #include "net/fault.h"
 #include "net/reliable.h"
@@ -77,7 +77,6 @@ class HybridNode {
  public:
   HybridNode(const HybridConfig& cfg, ProcId self, net::Fabric& fabric,
              net::Endpoint sequencer);
-  ~HybridNode();
 
   HybridNode(const HybridNode&) = delete;
   HybridNode& operator=(const HybridNode&) = delete;
@@ -91,10 +90,9 @@ class HybridNode {
 
   [[nodiscard]] const HybridStats& stats() const { return stats_; }
 
-  void stop();
+  void stop() { actor_.join(); }
 
  private:
-  void run_delivery();
   /// Ensure every peer has applied this process's weak prefix (the
   /// weak-before-strong ordering guarantee).
   void flush(std::unique_lock<std::mutex>& lk);
@@ -115,7 +113,7 @@ class HybridNode {
   std::map<std::uint64_t, std::uint64_t> read_tickets_;
 
   HybridStats stats_;
-  std::thread delivery_;
+  net::Actor actor_{fabric_, self_};
 };
 
 /// The sequencer + node bundle, mirroring ScSystem.
@@ -133,14 +131,13 @@ class HybridSystem {
   void shutdown();
 
  private:
-  void run_sequencer();
-
   HybridConfig cfg_;
   net::Fabric fabric_;
   std::vector<std::unique_ptr<HybridNode>> nodes_;
   std::uint64_t next_seq_ = 0;
-  std::thread sequencer_;
   bool down_ = false;
+  /// The sequencer, on the endpoint after the processes'.
+  net::Actor sequencer_{fabric_, static_cast<net::Endpoint>(cfg_.num_procs)};
 };
 
 }  // namespace mc::baseline

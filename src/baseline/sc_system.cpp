@@ -1,74 +1,34 @@
 #include "baseline/sc_system.h"
 
-#include <chrono>
-
+#include "baseline/run.h"
 #include "common/check.h"
-#include "obs/tracer.h"
 
 namespace mc::baseline {
 
-using namespace std::chrono_literals;
-
-namespace {
-constexpr auto kLivenessDeadline = 30s;
-
-template <typename Pred>
-void wait_or_die(std::condition_variable& cv, std::unique_lock<std::mutex>& lk,
-                 const char* what, Pred pred) {
-  if (!cv.wait_for(lk, kLivenessDeadline, pred)) {
-    MC_CHECK_MSG(false, what);
-  }
-}
-}  // namespace
+using net::wait_or_die;
 
 ScNode::ScNode(const ScConfig& cfg, ProcId self, net::Fabric& fabric,
                net::Endpoint sequencer)
     : cfg_(cfg), self_(self), fabric_(fabric), sequencer_(sequencer),
       store_(cfg.num_vars) {
-  delivery_ = std::thread([this] { run_delivery(); });
-}
-
-ScNode::~ScNode() { stop(); }
-
-void ScNode::stop() {
-  if (delivery_.joinable()) delivery_.join();
-}
-
-void ScNode::run_delivery() {
-  std::vector<net::Message> batch;
-  while (fabric_.drain(self_, batch)) {
-    for (const net::Message& m : batch) {
-      obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
-      obs::trace_flow_end("msg", "net", m.trace_id);
-      switch (m.kind) {
-        case kScOrdered: {
-          std::unique_lock lk(mu_);
-          // The sequencer multicasts in sequence order over FIFO channels, so
-          // ordered writes arrive — and are applied — in global order.
-          MC_CHECK_MSG(m.d == applied_seq_ + 1, "global order gap at a replica");
-          applied_seq_ = m.d;
-          const auto writer = static_cast<ProcId>(m.payload.at(0));
-          Slot& s = store_[static_cast<VarId>(m.a)];
-          s.value = m.b;
-          s.last = WriteId{writer, m.c};
-          if (writer == self_) ++applied_own_writes_;
-          lk.unlock();
-          cv_.notify_all();
-          break;
-        }
-        case kScBarrierRelease: {
-          {
-            std::scoped_lock lk(mu_);
-            barrier_release_[{static_cast<BarrierId>(m.a), m.b}] = m.c;
-          }
-          cv_.notify_all();
-          break;
-        }
-        default:
-          break;
-      }
-    }
-  }
+  actor_.on(kScOrdered, [this](const net::Message& m) {
+    std::scoped_lock lk(mu_);
+    // The sequencer multicasts in sequence order over FIFO channels, so
+    // ordered writes arrive — and are applied — in global order.
+    MC_CHECK_MSG(m.d == applied_seq_ + 1, "global order gap at a replica");
+    applied_seq_ = m.d;
+    const auto writer = static_cast<ProcId>(m.payload.at(0));
+    Slot& s = store_[static_cast<VarId>(m.a)];
+    s.value = m.b;
+    s.last = WriteId{writer, m.c};
+    if (writer == self_) ++applied_own_writes_;
+  });
+  actor_.on(kScBarrierRelease, [this](const net::Message& m) {
+    std::scoped_lock lk(mu_);
+    barrier_release_[{static_cast<BarrierId>(m.a), m.b}] = m.c;
+  });
+  actor_.after_batch([this] { cv_.notify_all(); });
+  actor_.start();
 }
 
 Value ScNode::read(VarId x) {
@@ -196,17 +156,7 @@ ScNode& ScSystem::node(ProcId p) {
 }
 
 void ScSystem::run(const std::function<void(ScNode&, ProcId)>& body) {
-  std::vector<std::thread> threads;
-  threads.reserve(cfg_.num_procs);
-  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-    threads.emplace_back([this, &body, p] {
-      // Application-lane marker for the critical-path analyzer.
-      obs::trace_instant("proc.start", "dsm", {"proc", p});
-      body(*nodes_[p], p);
-      obs::trace_instant("proc.end", "dsm", {"proc", p});
-    });
-  }
-  for (auto& t : threads) t.join();
+  run_threads(nodes_, body);
 }
 
 history::History ScSystem::collect_history() const {

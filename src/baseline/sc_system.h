@@ -14,13 +14,13 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "baseline/sequencer.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "history/history.h"
+#include "net/actor.h"
 #include "net/fabric.h"
 #include "net/fault.h"
 #include "net/reliable.h"
@@ -50,7 +50,6 @@ struct ScStats {
 class ScNode {
  public:
   ScNode(const ScConfig& cfg, ProcId self, net::Fabric& fabric, net::Endpoint sequencer);
-  ~ScNode();
 
   ScNode(const ScNode&) = delete;
   ScNode& operator=(const ScNode&) = delete;
@@ -71,11 +70,9 @@ class ScNode {
   [[nodiscard]] const ScStats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<history::Operation>& trace() const { return trace_; }
 
-  void stop();
+  void stop() { actor_.join(); }
 
  private:
-  void run_delivery();
-
   const ScConfig& cfg_;
   const ProcId self_;
   net::Fabric& fabric_;
@@ -96,7 +93,7 @@ class ScNode {
 
   std::vector<history::Operation> trace_;
   ScStats stats_;
-  std::thread delivery_;
+  net::Actor actor_{fabric_, self_};
 };
 
 class ScSystem {

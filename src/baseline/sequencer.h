@@ -15,10 +15,9 @@
 #pragma once
 
 #include <map>
-#include <thread>
-#include <vector>
 
 #include "baseline/wire.h"
+#include "net/actor.h"
 #include "net/fabric.h"
 
 namespace mc::baseline {
@@ -26,22 +25,19 @@ namespace mc::baseline {
 class Sequencer {
  public:
   Sequencer(net::Fabric& fabric, net::Endpoint self, std::size_t num_procs);
-  ~Sequencer();
 
   Sequencer(const Sequencer&) = delete;
   Sequencer& operator=(const Sequencer&) = delete;
 
-  void join();
+  void join() { actor_.join(); }
 
  private:
-  void run();
-
   net::Fabric& fabric_;
   net::Endpoint self_;
   std::size_t num_procs_;
   std::uint64_t next_seq_ = 0;
   std::map<std::pair<BarrierId, std::uint64_t>, std::size_t> arrivals_;
-  std::thread thread_;
+  net::Actor actor_{fabric_, self_};
 };
 
 }  // namespace mc::baseline

@@ -13,12 +13,6 @@
 
 namespace mc::dsm {
 
-using namespace std::chrono_literals;
-
-namespace {
-constexpr auto kLivenessDeadline = 30s;
-}  // namespace
-
 Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint mgr,
            StalenessTable* staleness)
     : cfg_(cfg),
@@ -61,13 +55,8 @@ Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint mg
       writer_mask_[x] |= std::uint64_t{1} << static_home(x);
     }
   }
-  delivery_ = std::thread([this] { run_delivery(); });
-}
-
-Node::~Node() { stop(); }
-
-void Node::stop() {
-  if (delivery_.joinable()) delivery_.join();
+  register_handlers();
+  actor_.start();
 }
 
 template <typename Pred>
@@ -79,9 +68,7 @@ void Node::wait_or_die(std::unique_lock<std::mutex>& lk, const char* what, Pred 
   auto stop = [&] { return evicted_ || pred(); };
   Watchdog* wd = watchdog_.load(std::memory_order_acquire);
   if (wd == nullptr) {
-    if (!cv_.wait_for(lk, kLivenessDeadline, stop)) {
-      MC_CHECK_MSG(false, what);
-    }
+    net::wait_or_die(cv_, lk, what, stop);
     if (evicted_) throw EvictedError(what);
     return;
   }
@@ -90,7 +77,7 @@ void Node::wait_or_die(std::unique_lock<std::mutex>& lk, const char* what, Pred 
   // instead of wedging it until its own deadline.
   if (wd->fired()) throw StallError(what);
   Watchdog::WaitScope scope(*wd, self_, what);
-  const auto deadline = std::chrono::steady_clock::now() + kLivenessDeadline;
+  const auto deadline = net::liveness_deadline();
   for (;;) {
     if (cv_.wait_for(lk, wd->poll_interval(), stop)) {
       if (evicted_) throw EvictedError(what);
@@ -102,150 +89,107 @@ void Node::wait_or_die(std::unique_lock<std::mutex>& lk, const char* what, Pred 
 }
 
 // ----------------------------------------------------------------------
-// Delivery thread
+// Delivery (the endpoint actor's handlers)
 // ----------------------------------------------------------------------
 
-void Node::run_delivery() {
-  // One drained batch is handled in arrival order across kinds: a
-  // kViewHello baseline, say, must land before the updates queued behind
+void Node::register_handlers() {
+  // The actor dispatches one drained batch in arrival order across kinds:
+  // a kViewHello baseline, say, must land before the updates queued behind
   // it.  Each maximal run of consecutive kUpdate frames applies under one
-  // mu_ hold with one causal drain, and the whole batch ends with one wake-up
-  // of the application thread (DESIGN.md decision 9).
-  std::vector<net::Message> batch;
-  while (fabric_.drain(self_, batch)) {
-    const std::span<const net::Message> msgs(batch);
-    for (std::size_t i = 0; i < msgs.size();) {
-      std::size_t end = i;
-      while (end < msgs.size() && msgs[end].kind == kUpdate) ++end;
-      if (end > i) {
-        on_update_frames(msgs.subspan(i, end - i));
-        i = end;
-      } else {
-        deliver(msgs[i++]);
-      }
-    }
+  // mu_ hold with one causal drain, and the whole batch ends with one
+  // wake-up of the application thread (DESIGN.md decision 9).
+  auto bind = [this](void (Node::*h)(const net::Message&)) {
+    return [this, h](const net::Message& m) { (this->*h)(m); };
+  };
+  actor_.on_run(kUpdate, [this](const std::function<void()>& dispatch) {
+    std::scoped_lock lk(mu_);
+    dispatch();
+    // A frame applied in the run may have made buffered ones ready.
+    if (!cfg_.omit_timestamps && !dir_mode_) drain_causal_buffers();
+  });
+  actor_.on(kUpdate, bind(&Node::on_update_frame_locked));
+  actor_.after_batch([this] {
     cv_.notify_all();
     // Let the application thread just woken take mu_ before this thread
     // re-takes it for the next batch: on a busy host, draining straight
     // on hands the woken thread a lock convoy instead of the lock.
     std::this_thread::yield();
+  });
+
+  actor_.on(kLockGrant, [this](const net::Message& m) {
+    GrantInfo info;
+    info.episode = m.b;
+    info.prev_holders_mask = m.c;
+    const std::size_t at =
+        decode_stamp(stamp_, cfg_.num_procs, m.payload, info.counts, info.release_vc);
+    MC_CHECK(m.payload.size() >= at + 2 * m.d);
+    for (std::uint64_t k = 0; k < m.d; ++k) {
+      info.invalid.emplace_back(static_cast<VarId>(m.payload[at + 2 * k]),
+                                static_cast<net::Endpoint>(m.payload[at + 2 * k + 1]));
+    }
+    info.trace_id = m.trace_id;
+    std::scoped_lock lk(mu_);
+    pending_grants_[static_cast<LockId>(m.a)] = std::move(info);
+  });
+  actor_.on(kBarrierRelease, [this](const net::Message& m) {
+    BarrierRelease rel;
+    const std::size_t words =
+        decode_stamp(stamp_, cfg_.num_procs, m.payload, rel.counts, rel.vc);
+    MC_CHECK(m.payload.size() == words);
+    rel.trace_id = m.trace_id;
+    std::scoped_lock lk(mu_);
+    barrier_release_[{static_cast<BarrierId>(m.a), m.b}] = std::move(rel);
+  });
+  actor_.on(kSyncReq, [this](const net::Message& m) {
+    // FIFO channels guarantee the prober's earlier updates were handled
+    // ahead of this probe (the delivery batch keeps arrival order);
+    // acknowledge immediately.
+    fabric_.send(msg_to(m.src, kSyncAck, m.a));
+  });
+  actor_.on(kSyncAck, [this](const net::Message& m) {
+    std::scoped_lock lk(mu_);
+    ++sync_acks_[m.a];
+  });
+  if (elastic_) {
+    actor_.on(kViewPropose, bind(&Node::on_view_propose));
+    actor_.on(kViewCommit, bind(&Node::on_view_commit));
+    actor_.on(kViewState, bind(&Node::on_view_state));
+    actor_.on(kViewHello, bind(&Node::on_view_hello));
   }
+  actor_.on(kFetchBulkReq, bind(&Node::on_fetch_bulk_req));
+  actor_.on(kFetchBulkResp, bind(&Node::on_fetch_bulk_resp));
+  actor_.on(kDirSharerAdd, bind(&Node::on_dir_sharer_add));
+  actor_.on(kDirAck, bind(&Node::on_dir_ack));
+  actor_.on(kDirUnregister, bind(&Node::on_dir_unregister));
+  actor_.on(kDirSharerDel, bind(&Node::on_dir_sharer_del));
+  actor_.on(kFrontierReq, [this](const net::Message& m) {
+    // Flush first, reply second, same channel: FIFO puts every staged
+    // write ahead of the frontier stamp, so the stamp's promise ("all
+    // my writes up to this counter are on the wire to you") holds.
+    net::Message resp;
+    {
+      std::scoped_lock lk(mu_);
+      flush_staged_locked();
+      resp = msg_to(m.src, kFrontierResp, dep_vc_[self_]);
+    }
+    fabric_.send(std::move(resp));
+  });
+  actor_.on(kFrontierResp, [this](const net::Message& m) {
+    std::scoped_lock lk(mu_);
+    resolved_.set(static_cast<ProcId>(m.src),
+                  std::max(resolved_[static_cast<ProcId>(m.src)], m.a));
+  });
+  actor_.on(kDirSharerSync, bind(&Node::on_dir_sharer_sync));
+  actor_.on(kFlushDue, [this](const net::Message& m) {
+    // The staging run this deadline was posted for is still open: its
+    // oldest record has waited max_delay.  After shutdown (the mailbox
+    // releases what it holds at close) nobody is left to receive it.
+    std::scoped_lock lk(mu_);
+    if (m.a == staging_run_ && !fabric_.mailbox(self_).closed()) flush_staged_locked();
+  });
 }
 
-void Node::deliver(const net::Message& m) {
-  obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
-  // Close the message's flow inside the deliver span so the Perfetto
-  // arrow from its send binds to this slice.
-  obs::trace_flow_end("msg", "net", m.trace_id);
-  switch (m.kind) {
-    case kLockGrant: {
-      GrantInfo info;
-      info.episode = m.b;
-      info.prev_holders_mask = m.c;
-      const std::size_t at =
-          decode_stamp(stamp_, cfg_.num_procs, m.payload, info.counts, info.release_vc);
-      MC_CHECK(m.payload.size() >= at + 2 * m.d);
-      for (std::uint64_t k = 0; k < m.d; ++k) {
-        info.invalid.emplace_back(static_cast<VarId>(m.payload[at + 2 * k]),
-                                  static_cast<net::Endpoint>(m.payload[at + 2 * k + 1]));
-      }
-      info.trace_id = m.trace_id;
-      {
-        std::scoped_lock lk(mu_);
-        pending_grants_[static_cast<LockId>(m.a)] = std::move(info);
-      }
-      break;
-    }
-    case kBarrierRelease: {
-      BarrierRelease rel;
-      const std::size_t words =
-          decode_stamp(stamp_, cfg_.num_procs, m.payload, rel.counts, rel.vc);
-      MC_CHECK(m.payload.size() == words);
-      rel.trace_id = m.trace_id;
-      {
-        std::scoped_lock lk(mu_);
-        barrier_release_[{static_cast<BarrierId>(m.a), m.b}] = std::move(rel);
-      }
-      break;
-    }
-    case kSyncReq: {
-      // FIFO channels guarantee the prober's earlier updates were handled
-      // ahead of this probe (the delivery batch keeps arrival order);
-      // acknowledge immediately.
-      fabric_.send(msg_to(m.src, kSyncAck, m.a));
-      break;
-    }
-    case kSyncAck: {
-      std::scoped_lock lk(mu_);
-      ++sync_acks_[m.a];
-      break;
-    }
-    case kViewPropose:
-      if (elastic_) on_view_propose(m);
-      break;
-    case kViewCommit:
-      if (elastic_) on_view_commit(m);
-      break;
-    case kViewState:
-      if (elastic_) on_view_state(m);
-      break;
-    case kViewHello:
-      if (elastic_) on_view_hello(m);
-      break;
-    case kFetchBulkReq:
-      on_fetch_bulk_req(m);
-      break;
-    case kFetchBulkResp:
-      on_fetch_bulk_resp(m);
-      break;
-    case kDirSharerAdd:
-      on_dir_sharer_add(m);
-      break;
-    case kDirAck:
-      on_dir_ack(m);
-      break;
-    case kDirUnregister:
-      on_dir_unregister(m);
-      break;
-    case kDirSharerDel:
-      on_dir_sharer_del(m);
-      break;
-    case kFrontierReq: {
-      // Flush first, reply second, same channel: FIFO puts every staged
-      // write ahead of the frontier stamp, so the stamp's promise ("all
-      // my writes up to this counter are on the wire to you") holds.
-      net::Message resp;
-      {
-        std::scoped_lock lk(mu_);
-        flush_staged_locked();
-        resp = msg_to(m.src, kFrontierResp, dep_vc_[self_]);
-      }
-      fabric_.send(std::move(resp));
-      break;
-    }
-    case kFrontierResp: {
-      std::scoped_lock lk(mu_);
-      resolved_.set(static_cast<ProcId>(m.src),
-                    std::max(resolved_[static_cast<ProcId>(m.src)], m.a));
-      break;
-    }
-    case kDirSharerSync:
-      on_dir_sharer_sync(m);
-      break;
-    case kFlushDue: {
-      // The staging run this deadline was posted for is still open: its
-      // oldest record has waited max_delay.  After shutdown (the mailbox
-      // releases what it holds at close) nobody is left to receive it.
-      std::scoped_lock lk(mu_);
-      if (m.a == staging_run_ && !fabric_.mailbox(self_).closed()) flush_staged_locked();
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void Node::on_update_frames(std::span<const net::Message> run) {
+void Node::on_update_frame_locked(const net::Message& m) {
   const std::size_t procs = cfg_.num_procs;
   const bool count_mode = cfg_.omit_timestamps;
   // Full replication: every write of the sender's reaches this node, so a
@@ -253,69 +197,62 @@ void Node::on_update_frames(std::span<const net::Message> run) {
   // Static subscriptions skip writes per receiver; the directory policy
   // also carries re-homing offers under other writers' clocks.
   const bool full_replication = !dir_mode_ && cfg_.update_subscribers.empty();
-  std::scoped_lock lk(mu_);
-  for (const net::Message& m : run) {
-    obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
-    obs::trace_flow_end("msg", "net", m.trace_id);
-    const auto sender = static_cast<ProcId>(m.src);
-    std::size_t n = 0;
-    for (FrameReader reader(m, procs, count_mode); !reader.done(); ++n) {
-      if (n == frame_.size()) frame_.emplace_back();
-      reader.next(frame_[n]);
-    }
-    const std::span<const BatchRecord> recs(frame_.data(), n);
-
-    // Per-sender FIFO.  Coalescing keeps a merged record at its staging
-    // position with its latest stamp, so the frame's position is the
-    // maximum over its records, not the last record's.
-    std::uint64_t weight = 0;
-    std::uint64_t pos = 0;
-    for (const BatchRecord& r : recs) {
-      weight += r.weight;
-      pos = std::max(pos, count_mode ? r.seq : r.vc[sender]);
-    }
-    if (!dir_mode_) {
-      MC_CHECK_MSG(full_replication ? pos == update_arrived_[sender] + weight
-                                    : pos > update_arrived_[sender],
-                   "per-sender FIFO violated on the update channel");
-    }
-    update_arrived_.set(sender, std::max(update_arrived_[sender], pos));
-
-    if (count_mode) {
-      // Section 6's count vectors: apply in arrival order and advance the
-      // receive index by each record's weight — the collapsed originals
-      // never travel, but the sender counted them in sent_to_.
-      for (const BatchRecord& r : recs) {
-        received_from_.set(sender, received_from_[sender] + r.weight);
-        mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, r.vc,
-                   received_from_[sender], /*force=*/false, r.weight);
-      }
-      continue;
-    }
-    if (dir_mode_) {
-      apply_dir_frame_locked(sender, recs);
-      // The flush stamp: everything this sender addressed to us up to its
-      // m.b-th clocked write has now arrived (per-channel FIFO).
-      resolved_.set(sender, std::max(resolved_[sender], m.b));
-      continue;
-    }
-    frame_vc_.assign(recs[0].vc.components());
-    for (const BatchRecord& r : recs.subspan(1)) frame_vc_.merge(r.vc);
-    if (causal_buffer_[sender].empty() && causally_ready(frame_vc_, sender)) {
-      // The common case: nothing from this sender is waiting and the
-      // frame's dependencies are applied, so it applies now, unbuffered.
-      for (const BatchRecord& r : recs) {
-        mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, r.vc, 0,
-                   /*force=*/false, r.weight, r.epoch);
-      }
-      applied_.set(sender, frame_vc_[sender]);
-      continue;
-    }
-    causal_buffer_[sender].push_back(
-        PendingUpdate{std::vector<BatchRecord>(recs.begin(), recs.end()), frame_vc_});
+  const auto sender = static_cast<ProcId>(m.src);
+  std::size_t n = 0;
+  for (FrameReader reader(m, procs, count_mode); !reader.done(); ++n) {
+    if (n == frame_.size()) frame_.emplace_back();
+    reader.next(frame_[n]);
   }
-  // A frame applied above may have made buffered ones ready.
-  if (!count_mode && !dir_mode_) drain_causal_buffers();
+  const std::span<const BatchRecord> recs(frame_.data(), n);
+
+  // Per-sender FIFO.  Coalescing keeps a merged record at its staging
+  // position with its latest stamp, so the frame's position is the
+  // maximum over its records, not the last record's.
+  std::uint64_t weight = 0;
+  std::uint64_t pos = 0;
+  for (const BatchRecord& r : recs) {
+    weight += r.weight;
+    pos = std::max(pos, count_mode ? r.seq : r.vc[sender]);
+  }
+  if (!dir_mode_) {
+    MC_CHECK_MSG(full_replication ? pos == update_arrived_[sender] + weight
+                                  : pos > update_arrived_[sender],
+                 "per-sender FIFO violated on the update channel");
+  }
+  update_arrived_.set(sender, std::max(update_arrived_[sender], pos));
+
+  if (count_mode) {
+    // Section 6's count vectors: apply in arrival order and advance the
+    // receive index by each record's weight — the collapsed originals
+    // never travel, but the sender counted them in sent_to_.
+    for (const BatchRecord& r : recs) {
+      received_from_.set(sender, received_from_[sender] + r.weight);
+      mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, r.vc,
+                 received_from_[sender], /*force=*/false, r.weight);
+    }
+    return;
+  }
+  if (dir_mode_) {
+    apply_dir_frame_locked(sender, recs);
+    // The flush stamp: everything this sender addressed to us up to its
+    // m.b-th clocked write has now arrived (per-channel FIFO).
+    resolved_.set(sender, std::max(resolved_[sender], m.b));
+    return;
+  }
+  frame_vc_.assign(recs[0].vc.components());
+  for (const BatchRecord& r : recs.subspan(1)) frame_vc_.merge(r.vc);
+  if (causal_buffer_[sender].empty() && causally_ready(frame_vc_, sender)) {
+    // The common case: nothing from this sender is waiting and the
+    // frame's dependencies are applied, so it applies now, unbuffered.
+    for (const BatchRecord& r : recs) {
+      mem_.apply(r.var, r.value, r.flags, WriteId{sender, r.seq}, r.vc, 0,
+                 /*force=*/false, r.weight, r.epoch);
+    }
+    applied_.set(sender, frame_vc_[sender]);
+    return;
+  }
+  causal_buffer_[sender].push_back(
+      PendingUpdate{std::vector<BatchRecord>(recs.begin(), recs.end()), frame_vc_});
 }
 
 void Node::apply_dir_frame_locked(ProcId sender, std::span<const BatchRecord> recs) {

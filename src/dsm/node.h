@@ -34,7 +34,6 @@
 #include <map>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/stats.h"
@@ -47,6 +46,7 @@
 #include "dsm/view.h"
 #include "dsm/watchdog.h"
 #include "dsm/wire.h"
+#include "net/actor.h"
 #include "net/fabric.h"
 
 namespace mc::obs {
@@ -114,7 +114,6 @@ class Node {
   /// `mgr` is the sync manager's endpoint (locks, barriers, views).
   Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint mgr,
        StalenessTable* staleness = nullptr);
-  ~Node();
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -211,7 +210,7 @@ class Node {
   void set_profiler(obs::ContentionProfiler* p) { profiler_ = p; }
 
   /// Join the delivery thread; the fabric must have been shut down first.
-  void stop();
+  void stop() { actor_.join(); }
 
  private:
   /// A unit of causal-buffer admission: one kUpdate frame, all of its
@@ -277,14 +276,13 @@ class Node {
   };
 
   // Delivery-thread handlers.  They never wake the application thread
-  // themselves: run_delivery notifies cv_ once per drained batch.
-  void run_delivery();
-  /// Handle one non-kUpdate message.
-  void deliver(const net::Message& m);
-  /// The one update handler: applies a run of consecutive kUpdate frames
-  /// under one mu_ hold and one causal drain, each frame under the mode's
+  // themselves: the actor's after-batch hook notifies cv_ once per batch.
+  void register_handlers();
+  /// The one update handler: applies one kUpdate frame under the mode's
   /// policy — count vectors, directory, or causal (DESIGN.md decision 6).
-  void on_update_frames(std::span<const net::Message> run);
+  /// Expects mu_, which the kUpdate run hook holds across a whole run of
+  /// frames before one causal drain.
+  void on_update_frame_locked(const net::Message& m);
   /// Directory policy for one decoded frame (expects mu_).
   void apply_dir_frame_locked(ProcId sender, std::span<const BatchRecord> recs);
   /// The next frame from `sender`, whose record clocks merge to `vc`, may
@@ -622,7 +620,7 @@ class Node {
   std::vector<BatchRecord> frame_;
   VectorClock frame_vc_;
 
-  std::thread delivery_;
+  net::Actor actor_{fabric_, self_};
 };
 
 }  // namespace mc::dsm

@@ -23,34 +23,22 @@ SyncManager::SyncManager(net::Fabric& fabric, net::Endpoint self, std::size_t nu
                  "elastic membership requires vector-clock mode");
     view_.alive_mask = *initial_alive & full_mask(num_procs);
   }
-  thread_ = std::thread([this] { run(); });
-}
-
-SyncManager::~SyncManager() { join(); }
-
-void SyncManager::join() {
-  if (thread_.joinable()) thread_.join();
-}
-
-void SyncManager::run() {
-  std::vector<net::Message> batch;
-  while (fabric_.drain(self_, batch)) {
-    for (const net::Message& m : batch) {
-      (m.kind == kBarrierArrive ? barrier_heartbeats_ : lock_heartbeats_).add();
-      obs::TraceSpan span("deliver", "net", {"kind", m.kind}, {"src", m.src});
-      obs::trace_flow_end("msg", "net", m.trace_id);
-      switch (m.kind) {
-        case kLockReq: handle_request(m); break;
-        case kUnlock: handle_unlock(m); break;
-        case kBarrierArrive: handle_arrive(m); break;
-        case kViewFault:
-        case kViewJoin:
-        case kViewLeave: handle_view_trigger(m); break;
-        case kViewAck: handle_view_ack(m); break;
-        default: break;
-      }
-    }
+  // Each handled message is a heartbeat of the side it serves: barrier
+  // arrivals, or lock and view traffic.
+  auto handle = [this](Counter& beats, void (SyncManager::*h)(const net::Message&)) {
+    return [this, &beats, h](const net::Message& m) {
+      beats.add();
+      (this->*h)(m);
+    };
+  };
+  actor_.on(kLockReq, handle(lock_heartbeats_, &SyncManager::handle_request));
+  actor_.on(kUnlock, handle(lock_heartbeats_, &SyncManager::handle_unlock));
+  actor_.on(kBarrierArrive, handle(barrier_heartbeats_, &SyncManager::handle_arrive));
+  for (const std::uint16_t kind : {kViewFault, kViewJoin, kViewLeave}) {
+    actor_.on(kind, handle(lock_heartbeats_, &SyncManager::handle_view_trigger));
   }
+  actor_.on(kViewAck, handle(lock_heartbeats_, &SyncManager::handle_view_ack));
+  actor_.start();
 }
 
 bool SyncManager::stale_sender(net::Endpoint src) const {

@@ -31,7 +31,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -40,6 +39,7 @@
 #include "dsm/view.h"
 #include "dsm/watchdog.h"
 #include "dsm/wire.h"
+#include "net/actor.h"
 #include "net/fabric.h"
 #include "obs/profiler.h"
 
@@ -66,13 +66,11 @@ class SyncManager {
               std::map<BarrierId, std::vector<ProcId>> members = {},
               StampForm stamp = StampForm::kClock,
               std::optional<std::uint64_t> initial_alive = std::nullopt);
-  ~SyncManager();
-
   SyncManager(const SyncManager&) = delete;
   SyncManager& operator=(const SyncManager&) = delete;
 
   /// Join the manager thread (the fabric must have been shut down).
-  void join();
+  void join() { actor_.join(); }
 
   /// Time a request spent queued before its grant was sent
   /// (`lockmgr.grant_wait_ns` in docs/METRICS.md).
@@ -83,9 +81,9 @@ class SyncManager {
   [[nodiscard]] const LatencyHistogram& assemble_time() const { return assemble_ns_; }
   [[nodiscard]] std::uint64_t releases_sent() const { return releases_.get(); }
 
-  /// Messages the manager thread has dequeued, split by handler: barrier
-  /// arrivals (`barriermgr.heartbeats`) and everything else — lock and
-  /// view traffic (`lockmgr.heartbeats`).  Messages the reliability layer
+  /// Messages the manager thread has handled, split by side: barrier
+  /// arrivals (`barriermgr.heartbeats`), and lock and view traffic
+  /// (`lockmgr.heartbeats`).  Messages the reliability layer
   /// consumes inside the drain (acks, probes, deadlines) are not counted,
   /// so the watchdog's manager probe reads the mailbox's released count
   /// instead (Watchdog::ManagerHealth).
@@ -178,7 +176,6 @@ class SyncManager {
     std::map<ProcId, VectorClock> acked_vc;
   };
 
-  void run();
   /// Whether a request from `src` must be dropped: elastic traffic from a
   /// process outside the current view is stale (it raced the sender's
   /// eviction; the commit already revoked or waived it).
@@ -239,7 +236,7 @@ class SyncManager {
   obs::ContentionProfiler* profiler_ = nullptr;
   Counter view_changes_, view_joins_, view_leaves_, view_faults_;
   Counter locks_revoked_, reseed_assignments_;
-  std::thread thread_;
+  net::Actor actor_{fabric_, self_};
 };
 
 }  // namespace mc::dsm

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/actor.h"
+
 #include <atomic>
 #include <map>
 #include <set>
@@ -507,6 +509,98 @@ TEST(Mailbox, PendingAndTryRecvReturnWhileConsumerIsParked) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].a, 2u);
   EXPECT_EQ(mb.pending(), 1u);
+}
+
+
+// The endpoint actor, driven through a real fabric: messages are sent from
+// endpoints 0 and 1 into endpoint 2, whose actor is stepped by hand (or by
+// its own thread in the last case).  Node's end-to-end use of the run hook
+// is covered by the DeliveryBatch suite.
+constexpr std::uint16_t kRunKind = 1;
+
+TEST(Actor, DispatchesInArrivalOrderAndTheRunHookSeesMaximalRuns) {
+  Fabric f(3);
+  Actor actor(f, 2);
+  std::vector<std::string> log;
+  auto record = [&log](const Message& m) {
+    log.push_back(std::to_string(m.kind) + ":" + std::to_string(m.a));
+  };
+  for (const std::uint16_t kind : {kRunKind, std::uint16_t{2}, std::uint16_t{3}}) {
+    actor.on(kind, record);
+  }
+  actor.on_run(kRunKind, [&log](const std::function<void()>& dispatch) {
+    log.emplace_back("[");
+    dispatch();
+    log.emplace_back("]");
+  });
+  const std::vector<std::pair<Endpoint, std::uint16_t>> sends = {
+      {0, 1}, {1, 1}, {0, 2}, {0, 1}, {1, 3}, {1, 1}, {0, 1}, {0, 1}};
+  for (std::uint64_t i = 0; i < sends.size(); ++i) {
+    f.send(make(sends[i].first, 2, sends[i].second, i));
+  }
+  ASSERT_TRUE(actor.step());
+  const std::vector<std::string> want = {"[", "1:0", "1:1", "]", "2:2", "[", "1:3", "]",
+                                         "3:4", "[", "1:5", "1:6", "1:7", "]"};
+  EXPECT_EQ(log, want);
+  f.shutdown();
+}
+
+TEST(Actor, DropsKindsWithoutAHandler) {
+  Fabric f(3);
+  Actor actor(f, 2);
+  std::vector<std::uint64_t> seen;
+  actor.on(kRunKind, [&seen](const Message& m) { seen.push_back(m.a); });
+  // Unregistered kinds, the last at the top of the handler table and one
+  // past it, go nowhere and do not disturb the registered kind's order.
+  const std::vector<std::uint16_t> kinds = {kRunKind, 5, kRunKind, Fabric::kKindBuckets - 1,
+                                            Fabric::kKindBuckets, kRunKind};
+  for (std::uint64_t i = 0; i < kinds.size(); ++i) f.send(make(0, 2, kinds[i], i));
+  ASSERT_TRUE(actor.step());
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 2, 5}));
+  f.shutdown();
+}
+
+TEST(Actor, AfterBatchHookFiresOncePerDrainedBatch) {
+  Fabric f(3);
+  Actor actor(f, 2);
+  std::size_t handled = 0;
+  std::vector<std::size_t> handled_at_batch_end;
+  actor.on(kRunKind, [&handled](const Message&) { ++handled; });
+  actor.after_batch([&] { handled_at_batch_end.push_back(handled); });
+  for (std::uint64_t i = 0; i < 3; ++i) f.send(make(0, 2, kRunKind, i));
+  ASSERT_TRUE(actor.step());
+  f.send(make(1, 2, kRunKind, 3));
+  f.send(make(0, 2, kRunKind, 4));
+  ASSERT_TRUE(actor.step());
+  EXPECT_EQ(handled_at_batch_end, (std::vector<std::size_t>{3, 5}));
+  f.shutdown();
+}
+
+TEST(Actor, StepReturnsFalseOnlyAfterShutdownAndDrain) {
+  Fabric f(3);
+  Actor actor(f, 2);
+  std::vector<std::uint64_t> seen;
+  actor.on(kRunKind, [&seen](const Message& m) { seen.push_back(m.a); });
+  f.send(make(0, 2, kRunKind, 0));
+  f.send(make(1, 2, kRunKind, 1));
+  f.shutdown();
+  // Closed but not drained: the messages already in flight come first.
+  ASSERT_TRUE(actor.step());
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_FALSE(actor.step());
+  EXPECT_FALSE(actor.step());
+
+  // The consumer thread runs the same steps: it handles everything sent
+  // before the shutdown and then exits, so join() returns.
+  Fabric g(3);
+  std::atomic<std::uint64_t> sum{0};
+  Actor threaded(g, 2);
+  threaded.on(kRunKind, [&sum](const Message& m) { sum += m.a; });
+  threaded.start();
+  for (std::uint64_t i = 1; i <= 100; ++i) g.send(make(i % 2, 2, kRunKind, i));
+  g.shutdown();
+  threaded.join();
+  EXPECT_EQ(sum.load(), 5050u);
 }
 
 }  // namespace
