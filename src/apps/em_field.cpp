@@ -140,15 +140,14 @@ EmResult em_mixed(const EmProblem& prob, std::size_t procs, ReadMode mode,
   if (pattern_optimized) {
     // Section 6: elide timestamps (the program is PRAM-consistent) and
     // multicast each boundary value only to the neighbour that reads it.
-    cfg.omit_timestamps = true;
+    auto& subscribers = cfg.count_vectors.emplace().subscribers;
     for (ProcId p = 0; p < procs; ++p) {
       // Edge strips publish values nobody reads: empty subscriber lists
       // suppress those messages entirely.
-      cfg.update_subscribers[first_e(p)] =
+      subscribers[first_e(p)] =
           p > 0 ? std::vector<ProcId>{static_cast<ProcId>(p - 1)} : std::vector<ProcId>{};
-      cfg.update_subscribers[last_h(p)] =
-          p + 1 < procs ? std::vector<ProcId>{static_cast<ProcId>(p + 1)}
-                        : std::vector<ProcId>{};
+      subscribers[last_h(p)] = p + 1 < procs ? std::vector<ProcId>{static_cast<ProcId>(p + 1)}
+                                             : std::vector<ProcId>{};
     }
   }
   dsm::MixedSystem sys(cfg);

@@ -36,7 +36,7 @@ dsm::Config make_config(const LinearSystem& sys, const SolverOptions& opt, bool 
   cfg.latency = opt.latency;
   cfg.seed = opt.seed;
   cfg.record_trace = trace;
-  cfg.omit_timestamps = opt.omit_timestamps;
+  if (opt.omit_timestamps) cfg.count_vectors.emplace();
   cfg.faults = opt.faults;
   cfg.reliable = opt.reliable;
   cfg.reliability = opt.reliability;

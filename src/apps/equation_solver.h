@@ -43,9 +43,10 @@ struct SolverOptions {
   std::uint64_t seed = 1;
   bool record_trace = false;
 
-  /// Section 6 optimization: elide vector timestamps from updates.  Legal
-  /// for the Figure 2 (barrier + PRAM) formulation because the program is
-  /// PRAM-consistent (Corollary 2); rejected at runtime for Figure 3.
+  /// Section 6 optimization: elide vector timestamps from updates (runs the
+  /// system with Config::count_vectors).  Legal for the Figure 2 (barrier +
+  /// PRAM) formulation because the program is PRAM-consistent (Corollary
+  /// 2); rejected at runtime for Figure 3.
   bool omit_timestamps = false;
 
   /// Chaos testing (docs/FAULTS.md): optional seeded fault plan applied to

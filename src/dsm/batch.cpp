@@ -28,22 +28,20 @@ std::uint64_t option_bits(const BatchRecord& r) {
 }
 }  // namespace
 
-net::Message encode_frame(std::span<const BatchRecord> recs, std::size_t num_procs,
-                          bool omit_timestamps) {
-  MC_CHECK_MSG(num_procs <= kMaxProcs, "frame clock-delta masks assume <= 64 processes");
+net::Message encode_frame(std::span<const BatchRecord> recs, std::size_t clock_words) {
+  MC_CHECK_MSG(clock_words <= kMaxProcs, "frame clock-delta masks assume <= 64 processes");
   net::Message m;
   m.kind = kUpdate;
   if (recs.empty()) {
-    MC_CHECK_MSG(!omit_timestamps, "only vector-clock frames may be empty");
+    MC_CHECK_MSG(clock_words != 0, "only vector-clock frames may be empty");
     return m;  // no base clock marks the frame empty
   }
-  const std::size_t clock_words = omit_timestamps ? 0 : num_procs;
   std::array<std::uint64_t, kMaxProcs> base{};
-  if (!omit_timestamps) {
-    for (const BatchRecord& r : recs) MC_CHECK(r.vc.size() == num_procs);
-    std::copy_n(recs[0].vc.components().begin(), num_procs, base.begin());
+  if (clock_words != 0) {
+    for (const BatchRecord& r : recs) MC_CHECK(r.vc.size() == clock_words);
+    std::copy_n(recs[0].vc.components().begin(), clock_words, base.begin());
     for (const BatchRecord& r : recs.subspan(1)) {
-      for (ProcId p = 0; p < num_procs; ++p) base[p] = std::min(base[p], r.vc[p]);
+      for (ProcId p = 0; p < clock_words; ++p) base[p] = std::min(base[p], r.vc[p]);
     }
   }
   // Enough for any one-record frame, so an inline write allocates once.
@@ -59,7 +57,7 @@ net::Message encode_frame(std::span<const BatchRecord> recs, std::size_t num_pro
       if (r.vc[p] != base[p]) mask |= std::uint64_t{1} << p;
     }
     const std::uint64_t flags =
-        r.flags | option_bits(r) | (!omit_timestamps && mask == 0 ? kClockIsBase : 0);
+        r.flags | option_bits(r) | (clock_words != 0 && mask == 0 ? kClockIsBase : 0);
     const std::uint64_t w0 = r.var | (flags << kVarBits) | (r.weight << (kVarBits + kFlagBits));
     if (k == 0) {
       m.a = w0;
@@ -73,24 +71,23 @@ net::Message encode_frame(std::span<const BatchRecord> recs, std::size_t num_pro
     if (flags & kHasBaseline) m.payload.push_back(r.baseline);
     if (mask == 0) continue;
     m.payload.push_back(mask);
-    for (ProcId p = 0; p < num_procs; ++p) {
+    for (ProcId p = 0; p < clock_words; ++p) {
       if (mask & (std::uint64_t{1} << p)) m.payload.push_back(r.vc[p] - base[p]);
     }
   }
   return m;
 }
 
-FrameReader::FrameReader(const net::Message& m, std::size_t num_procs, bool omit_timestamps)
-    : m_(m) {
+FrameReader::FrameReader(const net::Message& m, std::size_t clock_words) : m_(m) {
   MC_CHECK(m.kind == kUpdate || m.kind == kFetchBulkResp || m.kind == kViewState);
-  if (!omit_timestamps) {
+  if (clock_words != 0) {
     if (m.payload.empty()) {
       first_ = false;  // an empty frame: no base clock, no records
       return;
     }
-    MC_CHECK(num_procs <= kMaxProcs && m.payload.size() >= num_procs);
-    base_ = std::span(m.payload).first(num_procs);
-    pos_ = num_procs;
+    MC_CHECK(clock_words <= kMaxProcs && m.payload.size() >= clock_words);
+    base_ = std::span(m.payload).first(clock_words);
+    pos_ = clock_words;
   }
 }
 
@@ -125,10 +122,9 @@ void FrameReader::next(BatchRecord& r) {
   }
 }
 
-std::vector<BatchRecord> decode_frame(const net::Message& m, std::size_t num_procs,
-                                      bool omit_timestamps) {
+std::vector<BatchRecord> decode_frame(const net::Message& m, std::size_t clock_words) {
   std::vector<BatchRecord> recs;
-  for (FrameReader reader(m, num_procs, omit_timestamps); !reader.done();) {
+  for (FrameReader reader(m, clock_words); !reader.done();) {
     reader.next(recs.emplace_back());
   }
   return recs;

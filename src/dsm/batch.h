@@ -15,7 +15,7 @@
 //   base clock           P words: component-wise MINIMUM of the record
 //                        clocks (coalescing can make record clocks
 //                        non-monotone within a frame); absent in
-//                        count-vector mode (Config::omit_timestamps)
+//                        count-vector mode (Config::count_vectors)
 //   record 0's tail
 //   per record 1..N-1:   w0 = var (bits 0..31) | flags (bits 32..39)
 //                        | weight (bits 40..63), then value, seq, tail
@@ -34,6 +34,9 @@
 // plus P words (plus the epoch word in elastic runs), the header alone in
 // count mode.  The payload holds exactly the words a real wire format
 // would ship, so Message::wire_bytes() charges the encoded size.
+//
+// The codec takes the frame's clock width: P words, or 0 for a
+// count-vector frame (wire.h frame_clock_words).
 //
 // `weight` counts the original updates coalesced into a record (LWW
 // writes, summed deltas); receivers advance their per-sender receive index
@@ -71,18 +74,18 @@ struct BatchRecord {
   friend bool operator==(const BatchRecord&, const BatchRecord&) = default;
 };
 
-/// Encode records into one kUpdate frame; snapshot senders re-kind it.
-/// src, dst and b are left for the caller.  `recs` may be empty only in
-/// vector-clock mode.
+/// Encode records into one kUpdate frame whose clocks are `clock_words`
+/// wide (0: count vectors); snapshot senders re-kind it.  src, dst and b
+/// are left for the caller.  `recs` may be empty only in a clocked frame.
 [[nodiscard]] net::Message encode_frame(std::span<const BatchRecord> recs,
-                                        std::size_t num_procs, bool omit_timestamps);
+                                        std::size_t clock_words);
 
 /// Reads a frame produced by encode_frame one record at a time, without
 /// allocating: the base clock is read in place, and each record decodes
 /// into a caller-owned BatchRecord whose clock storage is reused.
 class FrameReader {
  public:
-  FrameReader(const net::Message& m, std::size_t num_procs, bool omit_timestamps);
+  FrameReader(const net::Message& m, std::size_t clock_words);
 
   /// True once every record has been read.
   [[nodiscard]] bool done() const { return !first_ && pos_ == m_.payload.size(); }
@@ -99,7 +102,6 @@ class FrameReader {
 
 /// Decode a whole frame (tests and snapshots).
 [[nodiscard]] std::vector<BatchRecord> decode_frame(const net::Message& m,
-                                                    std::size_t num_procs,
-                                                    bool omit_timestamps);
+                                                    std::size_t clock_words);
 
 }  // namespace mc::dsm

@@ -89,6 +89,26 @@ struct DirectoryConfig {
   std::size_t fetch_frame = 16;
 };
 
+/// Section 6's optimization for PRAM-consistent programs (Corollary 2):
+/// "the extra overhead of sending a timestamp in each message and
+/// performing the updates in the timestamp order can be avoided if all read
+/// operations following a write are PRAM operations."  Updates carry no
+/// vector clock (num_procs fewer words per message), both views apply in
+/// arrival order, and the synchronization protocol switches to the paper's
+/// *count vectors*: barrier arrivals carry per-receiver sent-update counts
+/// which the manager transposes, and lazy unlocks carry them for the next
+/// holder — Section 6's scheme verbatim.  Causal reads and awaits are
+/// rejected at runtime, and demand-driven locks are unavailable.
+struct CountVectorConfig {
+  /// Access-pattern optimization (Section 6: "the overhead of broadcasting
+  /// messages for each update ... may be avoided by making optimizations
+  /// based on the patterns of accesses to shared variables").  A variable
+  /// listed here is multicast only to its subscribers; everyone else keeps
+  /// a stale replica, so only subscribers may read it.  Count vectors
+  /// tolerate such per-receiver gaps; vector-clock causal delivery does not.
+  std::map<VarId, std::vector<ProcId>> subscribers;
+};
+
 struct Config {
   std::size_t num_procs = 2;
   std::size_t num_vars = 64;
@@ -134,7 +154,7 @@ struct Config {
   /// departed process's locks, recomputes barrier membership, and re-seeds
   /// variables whose latest write lived only on the departed node from the
   /// causally-latest surviving replica.  Requires vector-clock mode
-  /// (incompatible with omit_timestamps: count vectors have no per-writer
+  /// (incompatible with count_vectors: count vectors have no per-writer
   /// causality to fence).
   bool elastic = false;
 
@@ -153,33 +173,14 @@ struct Config {
   /// short mutexed clock merge per timestamped write.
   bool track_staleness = false;
 
-  /// Section 6's optimization for PRAM-consistent programs (Corollary 2):
-  /// "the extra overhead of sending a timestamp in each message and
-  /// performing the updates in the timestamp order can be avoided if all
-  /// read operations following a write are PRAM operations."  When set,
-  /// updates carry no vector clock (num_procs fewer words per message),
-  /// both views apply in arrival order, and the synchronization protocol
-  /// switches to the paper's *count vectors*: barrier arrivals carry
-  /// per-receiver sent-update counts which the manager transposes, and lazy
-  /// unlocks carry them for the next holder — Section 6's scheme verbatim.
-  /// Causal reads and awaits are rejected at runtime, and demand-driven
-  /// locks are unavailable.
-  bool omit_timestamps = false;
-
-  /// Access-pattern optimization (Section 6: "the overhead of broadcasting
-  /// messages for each update ... may be avoided by making optimizations
-  /// based on the patterns of accesses to shared variables").  A variable
-  /// listed here is multicast only to its subscribers; everyone else keeps
-  /// a stale replica, so only subscribers may read it.  Requires
-  /// omit_timestamps (count-vector synchronization tolerates per-receiver
-  /// gaps; vector-clock causal delivery does not).
-  std::map<VarId, std::vector<ProcId>> update_subscribers;
+  /// Section 6's count vectors (see CountVectorConfig above); absent, updates
+  /// carry vector clocks.  Excludes directory, elastic and demand locks.
+  std::optional<CountVectorConfig> count_vectors;
 
   /// Directory-based partial replication (see DirectoryConfig above).
-  /// Requires vector-clock mode;
-  /// incompatible with update_subscribers (the directory subsumes static
-  /// subscription).  Elastic membership is supported: view commits purge
-  /// departed sharers and re-home their variables.
+  /// Requires vector-clock mode, so it excludes count_vectors and with it
+  /// static subscriber lists.  Elastic membership is supported: view
+  /// commits purge departed sharers and re-home their variables.
   std::optional<DirectoryConfig> directory;
 
   /// Contention profiler (src/obs/profiler.h, docs/PROFILING.md): per-

@@ -13,6 +13,18 @@
 
 namespace mc::dsm {
 
+namespace {
+
+/// Node::static_dests_ for `cfg`: empty unless it lists subscribers.
+std::vector<std::uint64_t> subscriber_dests(const Config& cfg) {
+  if (!cfg.count_vectors.has_value() || cfg.count_vectors->subscribers.empty()) return {};
+  std::vector<std::uint64_t> dests(cfg.num_vars, full_mask(cfg.num_procs));
+  for (const auto& [x, subs] : cfg.count_vectors->subscribers) dests[x] = mask_of(subs);
+  return dests;
+}
+
+}  // namespace
+
 Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint mgr,
            StalenessTable* staleness)
     : cfg_(cfg),
@@ -20,6 +32,9 @@ Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint mg
       fabric_(fabric),
       mgr_(mgr),
       stamp_(stamp_form(cfg)),
+      clock_words_(has_clock(stamp_) ? cfg.num_procs : 0),
+      static_dests_(subscriber_dests(cfg)),
+      full_replication_(!dir_mode() && static_dests_.empty()),
       staleness_(staleness),
       mem_(cfg.num_vars, cfg.num_procs),
       dep_vc_(cfg.num_procs),
@@ -31,7 +46,6 @@ Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint mg
       sent_to_(cfg.num_procs),
       received_from_(cfg.num_procs),
       count_floor_(cfg.num_procs),
-      dir_mode_(cfg.directory.has_value()),
       elastic_(cfg.elastic),
       trace_(cfg.record_trace) {
   if (elastic_) {
@@ -39,7 +53,7 @@ Node::Node(const Config& cfg, ProcId self, net::Fabric& fabric, net::Endpoint mg
                            ? mask_of(*cfg_.initial_members)
                            : full_mask(cfg_.num_procs);
   }
-  if (dir_mode_) {
+  if (dir_mode()) {
     sharer_mask_.assign(cfg_.num_vars, 0);
     writer_mask_.assign(cfg_.num_vars, elastic_ ? full_mask(cfg_.num_procs) : 0);
     cached_.assign(cfg_.num_vars, false);
@@ -105,7 +119,7 @@ void Node::register_handlers() {
     std::scoped_lock lk(mu_);
     dispatch();
     // A frame applied in the run may have made buffered ones ready.
-    if (!cfg_.omit_timestamps && !dir_mode_) drain_causal_buffers();
+    if (stamp_ == StampForm::kClock) drain_causal_buffers();
   });
   actor_.on(kUpdate, bind(&Node::on_update_frame_locked));
   actor_.after_batch([this] {
@@ -190,16 +204,9 @@ void Node::register_handlers() {
 }
 
 void Node::on_update_frame_locked(const net::Message& m) {
-  const std::size_t procs = cfg_.num_procs;
-  const bool count_mode = cfg_.omit_timestamps;
-  // Full replication: every write of the sender's reaches this node, so a
-  // frame must advance the sender by exactly its total record weight.
-  // Static subscriptions skip writes per receiver; the directory policy
-  // also carries re-homing offers under other writers' clocks.
-  const bool full_replication = !dir_mode_ && cfg_.update_subscribers.empty();
   const auto sender = static_cast<ProcId>(m.src);
   std::size_t n = 0;
-  for (FrameReader reader(m, procs, count_mode); !reader.done(); ++n) {
+  for (FrameReader reader(m, clock_words_); !reader.done(); ++n) {
     if (n == frame_.size()) frame_.emplace_back();
     reader.next(frame_[n]);
   }
@@ -212,16 +219,16 @@ void Node::on_update_frame_locked(const net::Message& m) {
   std::uint64_t pos = 0;
   for (const BatchRecord& r : recs) {
     weight += r.weight;
-    pos = std::max(pos, count_mode ? r.seq : r.vc[sender]);
+    pos = std::max(pos, has_clock(stamp_) ? r.vc[sender] : r.seq);
   }
-  if (!dir_mode_) {
-    MC_CHECK_MSG(full_replication ? pos == update_arrived_[sender] + weight
-                                  : pos > update_arrived_[sender],
+  if (!dir_mode()) {
+    MC_CHECK_MSG(full_replication_ ? pos == update_arrived_[sender] + weight
+                                   : pos > update_arrived_[sender],
                  "per-sender FIFO violated on the update channel");
   }
   update_arrived_.set(sender, std::max(update_arrived_[sender], pos));
 
-  if (count_mode) {
+  if (stamp_ == StampForm::kCounts) {
     // Section 6's count vectors: apply in arrival order and advance the
     // receive index by each record's weight — the collapsed originals
     // never travel, but the sender counted them in sent_to_.
@@ -232,7 +239,7 @@ void Node::on_update_frame_locked(const net::Message& m) {
     }
     return;
   }
-  if (dir_mode_) {
+  if (dir_mode()) {
     apply_dir_frame_locked(sender, recs);
     // The flush stamp: everything this sender addressed to us up to its
     // m.b-th clocked write has now arrived (per-channel FIFO).
@@ -400,7 +407,7 @@ void Node::on_view_commit(const net::Message& m) {
 
   // Directory reconfiguration (docs/DIRECTORY.md): purge dead sharers,
   // re-home, and unwind fills that straddle the view change.
-  if (dir_mode_) {
+  if (dir_mode()) {
     // A departed process can never receive another update; clear its bits
     // from every mirror row so multicasts stop addressing it.
     if (departed != 0) {
@@ -539,7 +546,7 @@ void Node::on_view_commit(const net::Message& m) {
     hello.payload.assign(dep_vc_.components().begin(), dep_vc_.components().end());
     fabric_.send(std::move(hello));
 
-    if (dir_mode_) {
+    if (dir_mode()) {
       // Authoritative directory rows for the joiner's mirror: this node's
       // homed variables.  Sent even when empty — the joiner counts sync
       // senders before finishing join(), and FIFO sequencing puts the sync
@@ -573,8 +580,7 @@ void Node::on_view_commit(const net::Message& m) {
 }
 
 void Node::on_view_state(const net::Message& m) {
-  const std::vector<BatchRecord> recs =
-      decode_frame(m, cfg_.num_procs, /*omit_timestamps=*/false);
+  const std::vector<BatchRecord> recs = decode_frame(m, cfg_.num_procs);
   std::scoped_lock lk(mu_);
   for (const BatchRecord& r : recs) {
     // Directory mode: a snapshot record for a variable this node does not
@@ -598,7 +604,7 @@ void Node::on_view_hello(const net::Message& m) {
   // Directory mode: the hello's clock component is also the sender's
   // resolved frontier — everything before it was broadcast to the old
   // membership only and is waived for this node.
-  if (dir_mode_) resolved_.set(sender, std::max(resolved_[sender], m.a));
+  if (dir_mode()) resolved_.set(sender, std::max(resolved_[sender], m.a));
   // The raised applied floor may have made buffered updates from other
   // senders ready (their clocks can cover the waived writes).
   drain_causal_buffers();
@@ -631,7 +637,7 @@ void Node::join() {
     // empty).
     return view_.is_alive(self_) &&
            (snapshot_done_ || view_.live_count() == 1) &&
-           (!dir_mode_ ||
+           (!dir_mode() ||
             (view_.alive_mask & ~(std::uint64_t{1} << self_) & ~dir_sync_from_) == 0);
   });
 }
@@ -644,7 +650,7 @@ void Node::leave() {
     MC_CHECK_MSG(held_.empty(), "leave while holding a lock");
     MC_CHECK_MSG(view_.is_alive(self_), "leave by a process outside the view");
     leaving_ = true;
-    if (dir_mode_) {
+    if (dir_mode()) {
       // Sole-copy handoff: a variable homed here may have no other sharer,
       // so its state would leave with us.  Offer each cached LWW entry to
       // its next home (ring successor under the shrunken mask) and fence
@@ -688,7 +694,7 @@ void Node::leave() {
 // ----------------------------------------------------------------------
 
 bool Node::dir_managed(VarId x) const {
-  return dir_mode_ &&
+  return dir_mode() &&
          cfg_.demand_association.find(x) == cfg_.demand_association.end();
 }
 
@@ -907,7 +913,7 @@ net::Message Node::snapshot_frame_locked(std::span<const VarId> vars) const {
     r.baseline = e.applied_writes;
     r.vc = e.vc.empty() ? VectorClock(cfg_.num_procs) : e.vc;
   }
-  net::Message m = encode_frame(recs, cfg_.num_procs, /*omit_timestamps=*/false);
+  net::Message m = encode_frame(recs, cfg_.num_procs);
   m.src = self_;
   return m;
 }
@@ -957,11 +963,10 @@ void Node::on_fetch_bulk_resp(const net::Message& m) {
   const std::uint64_t token = m.payload.back();
   net::Message frame = m;
   frame.payload.pop_back();
-  const std::vector<BatchRecord> recs =
-      decode_frame(frame, cfg_.num_procs, /*omit_timestamps=*/false);
+  const std::vector<BatchRecord> recs = decode_frame(frame, cfg_.num_procs);
   std::scoped_lock lk(mu_);
   const auto from = static_cast<ProcId>(m.src);
-  if (dir_mode_) resolved_.set(from, std::max(resolved_[from], m.b));
+  if (dir_mode()) resolved_.set(from, std::max(resolved_[from], m.b));
   const auto it = fills_.find(token);
   // A fetch a view commit already ended (aborted fill, departed owner).
   if (it == fills_.end() || it->second.done) return;
@@ -1007,7 +1012,7 @@ void Node::on_fetch_bulk_resp(const net::Message& m) {
 }
 
 void Node::enforce_budget_locked(std::uint64_t fresh) {
-  if (!dir_mode_ || cfg_.directory->replica_budget == 0) return;
+  if (cfg_.directory->replica_budget == 0) return;
   std::map<std::uint64_t, std::uint64_t> recency;  // by installing token
   std::vector<std::pair<std::uint64_t, VarId>> lru;
   std::size_t unpinned = 0;
@@ -1125,6 +1130,24 @@ void Node::ping_lagging_locked(const VectorClock& floor, VectorClock& pinged) {
 // Consistency bookkeeping
 // ----------------------------------------------------------------------
 
+bool Node::gate_open_locked(ReadMode mode, VectorClock& pinged) {
+  if (stamp_ == StampForm::kCounts) return floors_met(received_from_, count_floor_);
+  const VectorClock& floor = mode == ReadMode::kPram ? pram_floor_ : causal_floor_;
+  if (!dir_mode()) return floors_met(applied_, floor);
+  // Directory mode blocks on two gates: the count floor against the
+  // weighted receive index (everything peers addressed to us has landed)
+  // and the read-label floor against the resolved frontier — applied_ alone
+  // cannot witness writes that travel to other sharers only; the fill ack
+  // fence covers those once resolved_ catches up (see node.h).
+  if (!floors_met(received_from_, count_floor_)) return false;
+  if (floors_met(resolved_, floor)) return true;
+  // A lagging component may never send to us again; probe it (once per
+  // floor level) so its flushed frontier unblocks the wait.
+  if (pinged.empty()) pinged = VectorClock(cfg_.num_procs);
+  ping_lagging_locked(floor, pinged);
+  return false;
+}
+
 void Node::absorb_entry(const VarEntry& e) {
   if (!e.vc.empty()) {
     dep_vc_.merge(e.vc);
@@ -1142,10 +1165,28 @@ void Node::absorb_entry(const VarEntry& e) {
   // Otherwise: location never written (or written locally); nothing to do.
 }
 
-void Node::absorb_all(const VectorClock& vc) {
-  dep_vc_.merge(vc);
-  causal_floor_.merge(vc);
-  pram_floor_.merge(vc);
+void Node::note_issued_locked(VarId x) {
+  static const VectorClock kUnstamped;
+  if (staleness_ != nullptr) staleness_->on_write(x, has_clock(stamp_) ? dep_vc_ : kUnstamped);
+}
+
+void Node::resume_sync_locked(const VectorClock& counts, const VectorClock& clock,
+                              std::uint64_t predecessors) {
+  if (has_counts(stamp_)) count_floor_.merge(counts);
+  if (!has_clock(stamp_)) return;
+  dep_vc_.merge(clock);
+  // Directory mode merges the clock into the dependency clock ONLY — not
+  // the read floors.  Raising pram/causal floors there would demand the
+  // resolved frontier of every peer on every later read (a ping storm);
+  // reception counts plus the fill ack fence already give the visibility,
+  // and the dep_vc merge keeps later-phase writes dominant in the LWW
+  // order (bitwise identity with full replication for race-free phased
+  // programs).
+  if (dir_mode()) return;
+  causal_floor_.merge(clock);
+  for (ProcId p = 0; p < cfg_.num_procs; ++p) {
+    if ((predecessors >> p) & 1) pram_floor_.raise(p, clock[p]);
+  }
 }
 
 std::uint64_t Node::update_dests_locked(VarId x) const {
@@ -1153,11 +1194,8 @@ std::uint64_t Node::update_dests_locked(VarId x) const {
   if (dir_managed(x)) {
     // Directory multicast: registered sharers plus the home, nobody else.
     dests = sharer_mask_[x] | (std::uint64_t{1} << effective_home(x));
-  } else if (const auto subs = cfg_.update_subscribers.find(x);
-             subs != cfg_.update_subscribers.end()) {
-    for (const ProcId p : subs->second) dests |= std::uint64_t{1} << p;
   } else {
-    dests = full_mask(cfg_.num_procs);
+    dests = static_dests_.empty() ? full_mask(cfg_.num_procs) : static_dests_[x];
   }
   // Elastic: non-members get nothing — the departed are gone, and a
   // not-yet-admitted joiner gets its baseline via kViewHello instead.
@@ -1187,9 +1225,8 @@ std::size_t Node::approx_batch_bytes(std::size_t records) const {
   // record in VC mode (var/flags/weight, value, seq, delta mask, ~1 clock
   // delta), 3 words in count mode.  The max_bytes threshold is a staging
   // heuristic, not an exact wire budget.
-  const std::size_t per_record = cfg_.omit_timestamps ? 3 : 5;
-  const std::size_t base = cfg_.omit_timestamps ? 0 : cfg_.num_procs;
-  return net::Message::kHeaderBytes + (base + per_record * records) * sizeof(std::uint64_t);
+  return net::Message::kHeaderBytes +
+         (clock_words_ + approx_record_words() * records) * sizeof(std::uint64_t);
 }
 
 namespace {
@@ -1240,7 +1277,7 @@ void Node::stage_update(std::uint64_t dests, VarId x, Value value, std::uint64_t
     // Approximate per-destination wire cost of this record, the same
     // heuristic as approx_batch_bytes (coalescing may shrink it later).
     profiler_->record_update_bytes(
-        x, copies * (cfg_.omit_timestamps ? 3 : 5) * sizeof(std::uint64_t));
+        x, copies * approx_record_words() * sizeof(std::uint64_t));
   }
   if (!split_ && shared_n_ > 0 && dests != shared_dests_) {
     // A second destination set: give every destination its own copy of
@@ -1264,7 +1301,7 @@ void Node::stage_update(std::uint64_t dests, VarId x, Value value, std::uint64_t
   r.weight = 1;
   r.epoch = epoch;
   r.writer = writer;
-  if (!cfg_.omit_timestamps) r.vc.assign(stamp.components());
+  if (has_clock(stamp_)) r.vc.assign(stamp.components());
   if (!split_) {
     // One destination set so far: the record is staged once for all.
     shared_dests_ = dests;
@@ -1296,11 +1333,11 @@ bool Node::staging_full_locked() const {
 }
 
 void Node::send_frame_locked(std::span<const BatchRecord> recs, std::uint64_t dests) {
-  net::Message m = encode_frame(recs, cfg_.num_procs, cfg_.omit_timestamps);
+  net::Message m = encode_frame(recs, clock_words_);
   m.src = self_;
   // Directory mode: stamp the resolved frontier (wire.h kUpdate) — the
   // clock component, which demand-lock writes never tick.
-  if (dir_mode_) m.b = dep_vc_[self_];
+  if (dir_mode()) m.b = dep_vc_[self_];
   const auto copies = static_cast<std::uint64_t>(popcount64(dests));
   stats_.batch_msgs.add_serialized(copies);
   stats_.batch_updates.add_serialized(copies * recs.size());
@@ -1362,33 +1399,15 @@ void Node::emit_op(history::Operation& op) {
 }
 
 Value Node::read(VarId x, ReadMode mode) {
-  MC_CHECK_MSG(!(cfg_.omit_timestamps && mode == ReadMode::kCausal),
-               "causal reads require vector timestamps (Config::omit_timestamps)");
+  MC_CHECK_MSG(has_clock(stamp_) || mode == ReadMode::kPram,
+               "causal reads require vector timestamps (Config::count_vectors)");
   Stopwatch blocked;
   std::unique_lock lk(mu_);
   (mode == ReadMode::kPram ? stats_.reads_pram : stats_.reads_causal).add();
   if (profiler_ != nullptr) profiler_->record_read(x);
 
-  const bool count_mode = cfg_.omit_timestamps;
-  const VectorClock& applied = count_mode ? received_from_ : applied_;
-  const VectorClock& floor = count_mode ? count_floor_
-                             : mode == ReadMode::kPram ? pram_floor_ : causal_floor_;
-  // Directory mode blocks on two gates: the count floor against the
-  // weighted receive index (everything peers addressed to us has landed)
-  // and the read-label floor against the resolved frontier — applied_ alone
-  // cannot witness writes that travel to other sharers only; the fill ack
-  // fence covers those once resolved_ catches up (see node.h).
   VectorClock pinged;
-  if (dir_mode_) pinged = VectorClock(cfg_.num_procs);
-  auto gate = [&] {
-    if (!dir_mode_) return floors_met(applied, floor);
-    if (!floors_met(received_from_, count_floor_)) return false;
-    if (floors_met(resolved_, floor)) return true;
-    // A lagging component may never send to us again; probe it (once per
-    // floor level) so its flushed frontier unblocks the wait.
-    ping_lagging_locked(floor, pinged);
-    return false;
-  };
+  auto gate = [&] { return gate_open_locked(mode, pinged); };
   const bool was_ready = gate();
   if (!was_ready) {
     wait_or_die(lk, "read blocked past the liveness deadline", gate);
@@ -1429,7 +1448,7 @@ Value Node::read(VarId x, ReadMode mode) {
     (mode == ReadMode::kPram ? stats_.staleness_versions_pram
                              : stats_.staleness_versions_causal)
         .record_ns(lag);
-    if (!cfg_.omit_timestamps) {
+    if (has_clock(stamp_)) {
       (mode == ReadMode::kPram ? stats_.staleness_vc_pram : stats_.staleness_vc_causal)
           .record_ns(staleness_->vc_distance(x, e.vc));
     }
@@ -1473,12 +1492,12 @@ void Node::write(VarId x, Value v) {
       // `force` because the untick'd clock can tie the installed entry's —
       // the write lock orders these writes, so forcing is safe.
       mem_.apply(x, v, kFlagWrite, id, dep_vc_, 0, /*force=*/true, 1, ep);
-      if (staleness_ != nullptr) staleness_->on_write(x, dep_vc_);
+      note_issued_locked(x);
       if (observing_ops()) emit_op(op);
     } else {
       dep_vc_.tick(self_);
       applied_.set(self_, dep_vc_[self_]);
-      if (dir_mode_) {
+      if (dir_mode()) {
         // Own writes are self-resolved by definition.  No write-allocate:
         // writing an uncached variable applies locally and ships to the
         // sharers and home; a later fill LWW-arbitrates against our copy.
@@ -1486,9 +1505,7 @@ void Node::write(VarId x, Value v) {
         if (cached_[x] && dir_managed(x)) last_use_[x] = ++use_tick_;
       }
       mem_.apply(x, v, kFlagWrite, id, dep_vc_, 0, /*force=*/false, 1, ep);
-      if (staleness_ != nullptr) {
-        staleness_->on_write(x, cfg_.omit_timestamps ? VectorClock{} : dep_vc_);
-      }
+      note_issued_locked(x);
       // Sink before broadcast (obs/op_sink.h): no peer can observe this
       // write before the live monitor has it.
       if (observing_ops()) emit_op(op);
@@ -1520,11 +1537,9 @@ void Node::do_delta(VarId x, Value amount, std::uint64_t flags) {
     const WriteId id{self_, seq};
     dep_vc_.tick(self_);
     applied_.set(self_, dep_vc_[self_]);
-    if (dir_mode_) resolved_.set(self_, dep_vc_[self_]);
+    if (dir_mode()) resolved_.set(self_, dep_vc_[self_]);
     mem_.apply(x, amount, flags, id, dep_vc_);
-    if (staleness_ != nullptr) {
-      staleness_->on_write(x, cfg_.omit_timestamps ? VectorClock{} : dep_vc_);
-    }
+    note_issued_locked(x);
     // Sink before broadcast (obs/op_sink.h), as in write().
     if (observing_ops()) {
       history::Operation op;
@@ -1560,8 +1575,8 @@ bool Node::demand_local_write(VarId x, HeldLock** held_out) {
 // ----------------------------------------------------------------------
 
 void Node::await(VarId x, Value v, ReadMode mode) {
-  MC_CHECK_MSG(!(cfg_.omit_timestamps && mode == ReadMode::kCausal),
-               "causal awaits require vector timestamps (Config::omit_timestamps)");
+  MC_CHECK_MSG(has_clock(stamp_) || mode == ReadMode::kPram,
+               "causal awaits require vector timestamps (Config::count_vectors)");
   stats_.awaits.add();
   Stopwatch blocked;
   std::unique_lock lk(mu_);
@@ -1578,23 +1593,10 @@ void Node::await(VarId x, Value v, ReadMode mode) {
   }
   // Busy-wait loop of reads in the selected view (Section 6), realized as a
   // condition wait re-evaluated on every applied update.
-  const bool count_mode = cfg_.omit_timestamps;
-  const VectorClock& applied = count_mode ? received_from_ : applied_;
-  const VectorClock& floor = count_mode ? count_floor_
-                             : mode == ReadMode::kPram ? pram_floor_ : causal_floor_;
   VectorClock pinged;
-  if (dir_mode_) pinged = VectorClock(cfg_.num_procs);
-  auto gate = [&] {
-    if (!dir_mode_) return floors_met(applied, floor);
-    if (!floors_met(received_from_, count_floor_)) return false;
-    if (floors_met(resolved_, floor)) return true;
-    ping_lagging_locked(floor, pinged);  // see read()
-    return false;
-  };
   wait_or_die(lk, "await blocked past the liveness deadline",
-              [&] { return gate() && mem_.entry(x).value == v; });
+              [&] { return gate_open_locked(mode, pinged) && mem_.entry(x).value == v; });
   const auto waited = blocked.elapsed();
-  stats_.await_blocked.record(waited);
   stats_.await_spin_ns.record(waited);
   obs::trace_complete_ns("await", "dsm", static_cast<std::uint64_t>(waited.count()),
                          {"var", x}, {"proc", self_});
@@ -1646,7 +1648,6 @@ void Node::barrier(BarrierId b) {
   wait_or_die(lk, "barrier blocked past the liveness deadline",
               [&] { return barrier_release_.count(key) > 0; });
   const auto waited = blocked.elapsed();
-  stats_.barrier_blocked.record(waited);
   stats_.barrier_wait_ns.record(waited);
   if (trace_t0 != 0 && obs::trace_enabled()) {
     // Bind the release message's arrow to this wait, then close the span.
@@ -1656,20 +1657,9 @@ void Node::barrier(BarrierId b) {
   }
 
   // Counts raise the count floor: all pre-barrier updates addressed to us
-  // must land.  Directory mode merges the clock into the dependency clock
-  // ONLY — not the read floors.  Raising pram/causal floors there would
-  // demand the resolved frontier of every peer on every post-barrier read
-  // (a ping storm); reception counts plus the fill ack fence already give
-  // barrier-ordered visibility, and the dep_vc merge keeps later-phase
-  // writes dominant in the LWW order (bitwise identity with full
-  // replication for race-free phased programs).
+  // must land.  A barrier makes every process a direct predecessor.
   const BarrierRelease& rel = barrier_release_.at(key);
-  if (has_counts(stamp_)) count_floor_.merge(rel.counts);
-  if (stamp_ == StampForm::kCountsAndClock) {
-    dep_vc_.merge(rel.vc);
-  } else if (stamp_ == StampForm::kClock) {
-    absorb_all(rel.vc);
-  }
+  resume_sync_locked(rel.counts, rel.vc, ~std::uint64_t{0});
   barrier_release_.erase(key);
 
   if (observing_ops()) {
@@ -1697,7 +1687,6 @@ void Node::do_lock(LockId l, LockRequestKind kind) {
   wait_or_die(lk, "lock acquisition blocked past the liveness deadline",
               [&] { return pending_grants_.count(l) > 0; });
   const auto waited = blocked.elapsed();
-  stats_.lock_blocked.record(waited);
   stats_.lock_acquire_ns.record(waited);
   if (profiler_ != nullptr) {
     profiler_->record_lock_acquire(l, static_cast<std::uint64_t>(waited.count()));
@@ -1715,21 +1704,9 @@ void Node::do_lock(LockId l, LockRequestKind kind) {
   // |-> lock obligations: the previous episode's context becomes visible.
   // Count stamps carry, per sender, how many updates that sender had
   // shipped to *us* when it last unlocked (Section 6's lazy
-  // implementation: "waits for the required number of messages").  In
-  // directory mode the release clock merges into the dependency clock
-  // only — same reasoning as the barrier resume.
-  if (has_counts(stamp_)) count_floor_.merge(info.counts);
-  if (stamp_ == StampForm::kCountsAndClock) {
-    dep_vc_.merge(info.release_vc);
-  } else if (stamp_ == StampForm::kClock) {
-    dep_vc_.merge(info.release_vc);
-    causal_floor_.merge(info.release_vc);
-    for (ProcId p = 0; p < cfg_.num_procs; ++p) {
-      if (info.prev_holders_mask & (std::uint64_t{1} << p)) {
-        pram_floor_.raise(p, info.release_vc[p]);
-      }
-    }
-  }
+  // implementation: "waits for the required number of messages"); the
+  // previous holders are the direct predecessors.
+  resume_sync_locked(info.counts, info.release_vc, info.prev_holders_mask);
   for (const auto& [var, owner] : info.invalid) {
     if (owner != self_) invalid_[var] = owner;
   }

@@ -61,8 +61,9 @@ namespace mc::dsm {
 struct NodeStats {
   Counter reads_pram, reads_causal, writes, deltas, awaits, locks, barriers;
   Counter fetches;
-  LatencyHistogram read_blocked, await_blocked, lock_blocked, barrier_blocked,
-      unlock_blocked;
+  /// Blocked time of reads and eager unlocks; the other primitives always
+  /// wait, so their full latencies below are their blocked times.
+  LatencyHistogram read_blocked, unlock_blocked;
   /// Full end-to-end latency of each primitive (recorded on every call,
   /// blocked or not) — surfaced through MixedSystem::metrics() as the
   /// `read.pram_ns` / `read.causal_ns` / `await.spin_ns` / `lock.acquire_ns`
@@ -102,8 +103,8 @@ struct NodeStats {
   LatencyHistogram dir_fill_wait_ns;
 
   [[nodiscard]] std::uint64_t total_blocked_ns() const {
-    return read_blocked.sum_ns() + await_blocked.sum_ns() + lock_blocked.sum_ns() +
-           barrier_blocked.sum_ns() + unlock_blocked.sum_ns();
+    return read_blocked.sum_ns() + await_spin_ns.sum_ns() + lock_acquire_ns.sum_ns() +
+           barrier_wait_ns.sum_ns() + unlock_blocked.sum_ns();
   }
 };
 
@@ -364,6 +365,19 @@ class Node {
   void on_dir_sharer_del(const net::Message& m);
   void on_dir_sharer_sync(const net::Message& m);
 
+  /// Directory mode (Config::directory) is the counts-and-clock form.
+  [[nodiscard]] bool dir_mode() const { return stamp_ == StampForm::kCountsAndClock; }
+
+  /// The gate of read() and await(): has everything the `mode` label's
+  /// floor requires landed here?  Directory mode probes each lagging
+  /// component once per floor level (`pinged`).  Expects mu_.
+  [[nodiscard]] bool gate_open_locked(ReadMode mode, VectorClock& pinged);
+  /// Resume after a barrier release or lock grant: counts raise the count
+  /// floor; the clock raises the dependency clock and, outside directory
+  /// mode, the read floors (PRAM on `predecessors` only).  Expects mu_.
+  void resume_sync_locked(const VectorClock& counts, const VectorClock& clock,
+                          std::uint64_t predecessors);
+
   /// Elastic fence: floor dominance with the dead components waived — a
   /// departed process's updates past our applied frontier will never
   /// arrive, and the view commit's re-mastering covers their effects.
@@ -377,11 +391,11 @@ class Node {
   // Absorb an observed value/synchronization context: merge into the
   // dependency clock and the causal floor; raise the PRAM floor on the
   // direct predecessor's component only.  In count-vector mode
-  // (Config::omit_timestamps) the entry's per-receiver arrival index raises
+  // (Config::count_vectors) the entry's per-receiver arrival index raises
   // the count floor instead.
   void absorb_entry(const VarEntry& e);
-  // Barriers make every process a direct predecessor.
-  void absorb_all(const VectorClock& vc);
+  /// Register an issued write to x with the staleness table, if any.
+  void note_issued_locked(VarId x);
 
   void do_lock(LockId l, LockRequestKind kind);
   void do_unlock(LockId l, LockRequestKind kind);
@@ -429,8 +443,8 @@ class Node {
   /// flush deadline when this write started a staging run.  Requires mu_.
   void broadcast_update(VarId x, Value value, std::uint64_t flags, SeqNo seq,
                         const VectorClock& stamp, std::uint64_t epoch = 0);
-  /// Destinations of an update to x: directory sharers plus home, static
-  /// subscribers, or every live peer.  Requires mu_.
+  /// Destinations of an update to x: directory sharers plus home, or
+  /// static_dests_.  Requires mu_.
   [[nodiscard]] std::uint64_t update_dests_locked(VarId x) const;
   [[nodiscard]] bool demand_local_write(VarId x, HeldLock** held_out);
 
@@ -463,13 +477,22 @@ class Node {
   /// already shipped.  Requires mu_.
   void post_flush_deadline_locked();
   [[nodiscard]] std::size_t approx_batch_bytes(std::size_t records) const;
+  [[nodiscard]] std::size_t approx_record_words() const { return has_clock(stamp_) ? 5 : 3; }
 
   const Config& cfg_;
   const ProcId self_;
   net::Fabric& fabric_;
   const net::Endpoint mgr_;
-  /// The sync-stamp form of this system's lock and barrier traffic.
+  /// The replication mode (wire.h): every question about counts, clocks or
+  /// the directory after construction asks this.
   const StampForm stamp_;
+  const std::size_t clock_words_;  // of this node's update frames (batch.h)
+  /// Per variable, its subscribers' mask (CountVectorConfig::subscribers;
+  /// everyone if unlisted).  Empty without subscriber lists.
+  const std::vector<std::uint64_t> static_dests_;
+  /// Every write of a sender reaches this node (no directory, no
+  /// subscribers), so a frame advances its sender by exactly its weight.
+  const bool full_replication_;
   /// Shared read-staleness registry (owned by MixedSystem); nullptr unless
   /// Config::track_staleness.
   StalenessTable* const staleness_;
@@ -506,7 +529,7 @@ class Node {
   SeqNo write_counter_ = 0;
   std::vector<std::deque<PendingUpdate>> causal_buffer_;
 
-  // Count-vector protocol state (Section 6's scheme, omit_timestamps mode):
+  // Count-vector protocol state (Section 6's scheme, Config::count_vectors):
   // cumulative update counts per (this sender -> peer) and per
   // (sender -> this receiver), plus the per-sender expected-count floor
   // raised by barriers, lock grants, and observed values.
@@ -528,7 +551,6 @@ class Node {
   std::map<std::uint64_t, PendingFill> fills_;  // requester side, by token
 
   // Directory state (Config::directory; guarded by mu_).
-  const bool dir_mode_;
   /// Directory rows: bit p of sharer_mask_[x] set means process p holds a
   /// demand-paged replica of x.  The row is kept at x's home (the
   /// authority) and mirrored at x's registered writers — the only nodes

@@ -38,7 +38,7 @@ class StalenessTable {
   StalenessTable& operator=(const StalenessTable&) = delete;
 
   /// Register one issued write (or delta) to x.  `vc` is the writer's stamp;
-  /// empty in count-vector mode (Config::omit_timestamps), which tracks
+  /// empty in count-vector mode (Config::count_vectors), which tracks
   /// version lag only.
   void on_write(VarId x, const VectorClock& vc) {
     if (x >= issued_.size()) return;

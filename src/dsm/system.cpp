@@ -15,29 +15,26 @@ MixedSystem::MixedSystem(Config cfg)
       fabric_(cfg_.num_procs + 1, cfg_.latency, cfg_.seed) {
   MC_CHECK(cfg_.num_procs >= 1);
   if (cfg_.directory.has_value()) {
-    MC_CHECK_MSG(!cfg_.omit_timestamps,
+    MC_CHECK_MSG(!cfg_.count_vectors.has_value(),
                  "directory mode needs vector timestamps: fills install "
                  "LWW winners and deltas merge clocks");
-    MC_CHECK_MSG(cfg_.update_subscribers.empty(),
-                 "directory mode derives each update's destination set from "
-                 "the sharer directory; static subscriber lists conflict");
     MC_CHECK_MSG(cfg_.num_procs <= 64,
                  "directory sharer sets are encoded as 64-bit masks");
   }
-  MC_CHECK_MSG(!(cfg_.omit_timestamps && !cfg_.demand_association.empty()),
-               "timestamp elision assumes all writes are broadcast; "
-               "demand-driven locks are incompatible");
-  MC_CHECK_MSG(cfg_.update_subscribers.empty() || cfg_.omit_timestamps,
-               "selective multicast requires count-vector mode "
-               "(Config::omit_timestamps): vector-clock causal delivery "
-               "cannot tolerate per-receiver gaps");
-  for (const auto& [var, subs] : cfg_.update_subscribers) {
-    MC_CHECK_MSG(var < cfg_.num_vars, "subscriber list for an out-of-range variable");
-    for (const ProcId p : subs) MC_CHECK(p < cfg_.num_procs);
+  if (cfg_.count_vectors.has_value()) {
+    MC_CHECK_MSG(cfg_.demand_association.empty(),
+                 "timestamp elision assumes all writes are broadcast; "
+                 "demand-driven locks are incompatible");
+    MC_CHECK_MSG(!cfg_.elastic,
+                 "elastic membership requires vector-clock mode: count vectors "
+                 "carry no per-writer causality to fence at a view change");
+    for (const auto& [var, subs] : cfg_.count_vectors->subscribers) {
+      MC_CHECK_MSG(var < cfg_.num_vars, "subscriber list for an out-of-range variable");
+      for (const ProcId p : subs) {
+        MC_CHECK_MSG(p < cfg_.num_procs, "subscriber list names an out-of-range process");
+      }
+    }
   }
-  MC_CHECK_MSG(!(cfg_.elastic && cfg_.omit_timestamps),
-               "elastic membership requires vector-clock mode: count vectors "
-               "carry no per-writer causality to fence at a view change");
   MC_CHECK_MSG(!cfg_.elastic || cfg_.num_procs <= 64,
                "elastic membership encodes views as 64-bit masks");
   MC_CHECK_MSG(!cfg_.initial_members.has_value() || cfg_.elastic,
@@ -298,7 +295,7 @@ MetricsSnapshot MixedSystem::metrics() const {
     // (docs/METRICS.md "Read staleness").
     snap.add_histogram("read.staleness_versions.pram", staleness_versions_pram);
     snap.add_histogram("read.staleness_versions.causal", staleness_versions_causal);
-    if (!cfg_.omit_timestamps) {
+    if (!cfg_.count_vectors.has_value()) {
       snap.add_histogram("read.staleness_vc.pram", staleness_vc_pram);
       snap.add_histogram("read.staleness_vc.causal", staleness_vc_causal);
     }

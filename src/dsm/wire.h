@@ -177,19 +177,19 @@ enum UpdateFlags : std::uint64_t {
 };
 
 /// The synchronization stamp at the head of a kUnlock, kLockGrant,
-/// kBarrierArrive or kBarrierRelease payload.  A system uses one form,
-/// fixed by its Config (stamp_form):
+/// kBarrierArrive or kBarrierRelease payload, and so a system's one
+/// replication mode, fixed by its Config (stamp_form):
 ///   kClock           a vector clock — the default vector-clock protocol;
 ///   kCounts          per-process update counts — Section 6's count scheme
-///                    (Config::omit_timestamps);
+///                    (Config::count_vectors);
 ///   kCountsAndClock  counts, then the clock — directory mode: counts gate
 ///                    reception, the clock keeps the LWW order.
-/// Each part is num_procs words.
+/// Each part is num_procs words.  Update frames carry clocks iff stamps do.
 enum class StampForm : std::uint8_t { kClock, kCounts, kCountsAndClock };
 
 [[nodiscard]] inline StampForm stamp_form(const Config& cfg) {
   if (cfg.directory.has_value()) return StampForm::kCountsAndClock;
-  return cfg.omit_timestamps ? StampForm::kCounts : StampForm::kClock;
+  return cfg.count_vectors.has_value() ? StampForm::kCounts : StampForm::kClock;
 }
 [[nodiscard]] inline bool has_counts(StampForm f) { return f != StampForm::kClock; }
 [[nodiscard]] inline bool has_clock(StampForm f) { return f != StampForm::kCounts; }

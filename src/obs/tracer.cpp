@@ -177,10 +177,12 @@ std::string Tracer::chrome_trace_json() const {
   }
   w.end_array();
   // Truncation metadata: droppedEvents > 0 means the rings wrapped and the
-  // file holds only the most recent window per thread (docs/TRACING.md).
+  // file holds only the most recent window per thread (docs/TRACING.md); a
+  // thread holding ringCapacity events may have wrapped.
   w.key("otherData").begin_object();
   w.key("recordedEvents").value(recorded);
   w.key("droppedEvents").value(dropped);
+  w.key("ringCapacity").value(static_cast<std::uint64_t>(kRingCapacity));
   w.end_object();
   w.end_object();
   return w.str();

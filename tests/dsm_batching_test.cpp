@@ -88,10 +88,10 @@ TEST(BatchCodec, RoundTripsRecordsWithClocks) {
     r.vc.set(3, 2);
     recs.push_back(r);
   }
-  const net::Message m = encode_frame(recs, kProcs, false);
+  const net::Message m = encode_frame(recs, kProcs);
   EXPECT_EQ(m.kind, kUpdate);
   EXPECT_EQ(m.d, recs[0].seq);  // record 0 rides in the header
-  EXPECT_EQ(decode_frame(m, kProcs, false), recs);
+  EXPECT_EQ(decode_frame(m, kProcs), recs);
 }
 
 TEST(BatchCodec, RoundTripsCountModeRecords) {
@@ -105,10 +105,10 @@ TEST(BatchCodec, RoundTripsCountModeRecords) {
     r.weight = 2;
     recs.push_back(r);
   }
-  const net::Message m = encode_frame(recs, 8, true);
+  const net::Message m = encode_frame(recs, /*clock_words=*/0);
   // Three words per record after the first, which the header carries.
   EXPECT_EQ(m.payload.size(), 2u * 3u);
-  EXPECT_EQ(decode_frame(m, 8, true), recs);
+  EXPECT_EQ(decode_frame(m, /*clock_words=*/0), recs);
 }
 
 TEST(BatchCodec, OneRecordFrameCostsABareUpdate) {
@@ -118,21 +118,21 @@ TEST(BatchCodec, OneRecordFrameCostsABareUpdate) {
   constexpr std::size_t kProcs = 6;
   BatchRecord r = clocked_record(kProcs, 3, 9);
   r.vc.set(4, 2);
-  const net::Message plain = encode_frame(std::span(&r, 1), kProcs, false);
+  const net::Message plain = encode_frame(std::span(&r, 1), kProcs);
   EXPECT_EQ(plain.wire_bytes(), net::Message::kHeaderBytes + 8 * kProcs);
-  EXPECT_EQ(decode_frame(plain, kProcs, false), std::vector<BatchRecord>{r});
+  EXPECT_EQ(decode_frame(plain, kProcs), std::vector<BatchRecord>{r});
 
   BatchRecord elastic = r;
   elastic.epoch = 3;
-  const net::Message with_epoch = encode_frame(std::span(&elastic, 1), kProcs, false);
+  const net::Message with_epoch = encode_frame(std::span(&elastic, 1), kProcs);
   EXPECT_EQ(with_epoch.wire_bytes(), net::Message::kHeaderBytes + 8 * kProcs + 8);
-  EXPECT_EQ(decode_frame(with_epoch, kProcs, false), std::vector<BatchRecord>{elastic});
+  EXPECT_EQ(decode_frame(with_epoch, kProcs), std::vector<BatchRecord>{elastic});
 
   BatchRecord counted = r;
   counted.vc = VectorClock();
-  const net::Message count_mode = encode_frame(std::span(&counted, 1), kProcs, true);
+  const net::Message count_mode = encode_frame(std::span(&counted, 1), /*clock_words=*/0);
   EXPECT_EQ(count_mode.wire_bytes(), net::Message::kHeaderBytes);
-  EXPECT_EQ(decode_frame(count_mode, kProcs, true), std::vector<BatchRecord>{counted});
+  EXPECT_EQ(decode_frame(count_mode, /*clock_words=*/0), std::vector<BatchRecord>{counted});
 }
 
 TEST(BatchCodec, RoundTripMixesBaseClockAndDeltaRecords) {
@@ -155,11 +155,11 @@ TEST(BatchCodec, RoundTripMixesBaseClockAndDeltaRecords) {
   offer.baseline = 11;
   recs.push_back(offer);
 
-  const net::Message m = encode_frame(recs, kProcs, false);
+  const net::Message m = encode_frame(recs, kProcs);
   // base (4) + record 1: 3 + epoch + mask + 2 deltas + record 2: 3 + writer
   // + baseline.  Record 0 is all header.
   EXPECT_EQ(m.payload.size(), kProcs + (3 + 1 + 1 + 2) + (3 + 2));
-  EXPECT_EQ(decode_frame(m, kProcs, false), recs);
+  EXPECT_EQ(decode_frame(m, kProcs), recs);
 }
 
 TEST(BatchCodec, RoundTripsSnapshotRecords) {
@@ -184,21 +184,21 @@ TEST(BatchCodec, RoundTripsSnapshotRecords) {
   untouched.vc = VectorClock(kProcs);
   recs.push_back(untouched);
 
-  net::Message m = encode_frame(recs, kProcs, false);
+  net::Message m = encode_frame(recs, kProcs);
   m.kind = kViewState;
   // base (3) + record 0: writer, epoch, baseline, mask, 1 delta + record 1:
   // 3 + writer + baseline + mask + 2 deltas + record 2: 3.
   EXPECT_EQ(m.payload.size(), kProcs + 5 + (3 + 2 + 3) + 3);
-  EXPECT_EQ(decode_frame(m, kProcs, false), recs);
+  EXPECT_EQ(decode_frame(m, kProcs), recs);
 }
 
 TEST(BatchCodec, EmptySnapshotFrameIsHeaderOnly) {
   // A join snapshot with nothing to ship: no base clock, no records.
-  net::Message m = encode_frame({}, 4, false);
+  net::Message m = encode_frame({}, 4);
   EXPECT_TRUE(m.payload.empty());
   EXPECT_EQ(m.wire_bytes(), net::Message::kHeaderBytes);
   m.kind = kViewState;
-  EXPECT_TRUE(decode_frame(m, 4, false).empty());
+  EXPECT_TRUE(decode_frame(m, 4).empty());
 }
 
 TEST(BatchCodec, WireBytesChargeDeltaEncodedClocks) {
@@ -212,10 +212,10 @@ TEST(BatchCodec, WireBytesChargeDeltaEncodedClocks) {
   std::size_t unbatched_bytes = 0;
   for (std::size_t i = 0; i < kRecords; ++i) {
     recs.push_back(clocked_record(kProcs, 7, i + 1));
-    unbatched_bytes += encode_frame(std::span(&recs.back(), 1), kProcs, false).wire_bytes();
+    unbatched_bytes += encode_frame(std::span(&recs.back(), 1), kProcs).wire_bytes();
   }
   EXPECT_EQ(unbatched_bytes, kRecords * (net::Message::kHeaderBytes + 8 * kProcs));
-  const net::Message m = encode_frame(recs, kProcs, false);
+  const net::Message m = encode_frame(recs, kProcs);
   // Payload: base clock (P), record 0 at the base, then per record w0,
   // value, seq, mask and one delta word.
   EXPECT_EQ(m.payload.size(), kProcs + (kRecords - 1) * 5);
@@ -291,11 +291,11 @@ TEST(Batching, WriteAndDeltaToSameVarDoNotCrossCoalesce) {
 }
 
 TEST(Batching, CountModeWeightsKeepSentCountsTruthful) {
-  // omit_timestamps: barrier synchronization compares the receiver's
+  // Count vectors: barrier synchronization compares the receiver's
   // weighted receive index against the sender's per-original count.  Wrong
   // weights would leave p1's count floor unreachable (hang) or stale.
   Config cfg = two_proc_cfg(sync_only_batching());
-  cfg.omit_timestamps = true;
+  cfg.count_vectors.emplace();
   MixedSystem sys(cfg);
   const auto out = sys.run(
       [&](Node& n, ProcId p) {

@@ -34,7 +34,7 @@ net::Message from_tester(std::uint16_t kind) {
 
 /// A frame from the tester, encoded by the update-frame codec.
 net::Message frame(std::vector<BatchRecord> recs, std::size_t procs, bool count_mode = false) {
-  net::Message m = encode_frame(recs, procs, count_mode);
+  net::Message m = encode_frame(recs, count_mode ? 0 : procs);
   m.src = kTester;
   m.dst = kNode;
   return m;
@@ -69,7 +69,7 @@ net::Message demand_fetch(VarId x, std::uint64_t token) {
 std::pair<std::uint64_t, BatchRecord> snapshot_reply(net::Message m, std::size_t procs) {
   const std::uint64_t token = m.payload.back();
   m.payload.pop_back();
-  const std::vector<BatchRecord> recs = decode_frame(m, procs, false);
+  const std::vector<BatchRecord> recs = decode_frame(m, procs);
   EXPECT_EQ(recs.size(), 1u);
   return {token, recs.empty() ? BatchRecord{} : recs[0]};
 }
@@ -207,7 +207,7 @@ bool delivers(bool count_mode, std::vector<net::Message> frames, Value want) {
   Config cfg;
   cfg.num_procs = 2;
   cfg.num_vars = 4;
-  cfg.omit_timestamps = count_mode;
+  if (count_mode) cfg.count_vectors.emplace();
   Node node(cfg, kNode, f, kMgr);
   for (net::Message& m : frames) {
     if (!f.mailbox(kNode).push(std::move(m))) return false;

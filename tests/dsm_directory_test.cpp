@@ -669,7 +669,7 @@ TEST(Directory, WriterRegisteringMidFillGetsRequesterBit) {
   ASSERT_FALSE(resp->payload.empty());
   EXPECT_EQ(resp->payload.back(), kToken);
   resp->payload.pop_back();
-  const std::vector<BatchRecord> recs = decode_frame(*resp, 4, false);
+  const std::vector<BatchRecord> recs = decode_frame(*resp, 4);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].var, kVar);
   EXPECT_EQ(int_of(recs[0].value), 5);
@@ -790,7 +790,7 @@ TEST(DirectoryDemandLocks, CausalReadWaitsForWriteBehindDemandLockWrites) {
   z.value = value_of(std::int64_t{1});
   z.seq = 1;
   z.vc = VectorClock{2, 0, 1};
-  net::Message from_p2 = encode_frame(std::span(&z, 1), 3, false);
+  net::Message from_p2 = encode_frame(std::span(&z, 1), 3);
   from_p2.src = 2;
   from_p2.dst = 1;
   from_p2.b = 1;  // p2's own frontier
@@ -855,15 +855,24 @@ using DirectoryDeathTest = ::testing::Test;
 TEST(DirectoryDeathTest, RejectsTimestampElision) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   Config cfg = dir_config(2, 8);
-  cfg.omit_timestamps = true;
+  cfg.count_vectors.emplace();
   EXPECT_DEATH(MixedSystem{cfg}, "vector timestamps");
 }
 
 TEST(DirectoryDeathTest, RejectsStaticSubscriberLists) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
+  // Static subscriber lists belong to the count-vector config, so the
+  // timestamp check rejects them together with the directory.
   Config cfg = dir_config(2, 8);
-  cfg.update_subscribers[0] = {1};
-  EXPECT_DEATH(MixedSystem{cfg}, "sharer directory");
+  cfg.count_vectors.emplace();
+  cfg.count_vectors->subscribers[0] = {1};
+  EXPECT_DEATH(MixedSystem{cfg}, "vector timestamps");
+}
+
+TEST(DirectoryDeathTest, RejectsMoreThan64Processes) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  // Fires before any node or thread is built.
+  EXPECT_DEATH(MixedSystem{dir_config(65, 8)}, "sharer sets are encoded as 64-bit masks");
 }
 
 // ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ Config omit_cfg(std::size_t procs) {
   Config cfg;
   cfg.num_procs = procs;
   cfg.num_vars = 32;
-  cfg.omit_timestamps = true;
+  cfg.count_vectors.emplace();
   cfg.record_trace = true;
   return cfg;
 }
@@ -87,7 +87,7 @@ TEST(OmitTimestamps, UpdatesShrinkOnTheWire) {
     Config cfg;
     cfg.num_procs = 4;
     cfg.num_vars = 8;
-    cfg.omit_timestamps = omit;
+    if (omit) cfg.count_vectors.emplace();
     MixedSystem sys(cfg);
     sys.run([](Node& n, ProcId p) {
       for (int i = 0; i < 20; ++i) n.write_int(p, i);

@@ -113,7 +113,7 @@ TEST(StalenessTest, CountModeTracksVersionsOnly) {
   dsm::Config cfg;
   cfg.num_procs = 2;
   cfg.track_staleness = true;
-  cfg.omit_timestamps = true;
+  cfg.count_vectors.emplace();
   dsm::MixedSystem sys(cfg);
   sys.run([](dsm::Node& node, ProcId p) {
     for (int i = 1; i <= 10; ++i) {

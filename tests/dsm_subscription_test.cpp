@@ -17,14 +17,14 @@ Config subs_cfg(std::size_t procs) {
   Config cfg;
   cfg.num_procs = procs;
   cfg.num_vars = 8;
-  cfg.omit_timestamps = true;  // count-vector mode is a prerequisite
+  cfg.count_vectors.emplace();  // subscriber lists live in the count-vector config
   cfg.record_trace = true;
   return cfg;
 }
 
 TEST(Subscriptions, OnlySubscribersReceiveUpdates) {
   Config cfg = subs_cfg(3);
-  cfg.update_subscribers[0] = {1};  // var 0: p1 only
+  cfg.count_vectors->subscribers[0] = {1};  // var 0: p1 only
   MixedSystem sys(cfg);
   sys.run([](Node& n, ProcId p) {
     if (p == 0) {
@@ -48,8 +48,8 @@ TEST(Subscriptions, BarrierCountsArePerReceiver) {
   // all — both must see consistent post-barrier state for their own
   // subscriptions.
   Config cfg = subs_cfg(3);
-  cfg.update_subscribers[0] = {1};
-  cfg.update_subscribers[1] = {2};
+  cfg.count_vectors->subscribers[0] = {1};
+  cfg.count_vectors->subscribers[1] = {2};
   MixedSystem sys(cfg);
   sys.run([](Node& n, ProcId p) {
     if (p == 0) {
@@ -68,7 +68,7 @@ TEST(Subscriptions, BarrierCountsArePerReceiver) {
 
 TEST(Subscriptions, AwaitWorksOnSubscribedVariable) {
   Config cfg = subs_cfg(2);
-  cfg.update_subscribers[3] = {1};
+  cfg.count_vectors->subscribers[3] = {1};
   MixedSystem sys(cfg);
   sys.run([](Node& n, ProcId p) {
     if (p == 0) {
@@ -89,7 +89,7 @@ TEST(Subscriptions, LazyLocksShipPerReceiverCounts) {
   // update has been applied.  (Note the contract: every reader of a
   // subscribed variable must be in its subscriber list.)
   Config cfg = subs_cfg(2);
-  cfg.update_subscribers[5] = {1};
+  cfg.count_vectors->subscribers[5] = {1};
   MixedSystem sys(cfg);
   sys.run([](Node& n, ProcId p) {
     if (p == 0) {
@@ -111,7 +111,7 @@ TEST(Subscriptions, LazyLocksShipPerReceiverCounts) {
 
 TEST(Subscriptions, SubscriberTraceIsMixedConsistent) {
   Config cfg = subs_cfg(3);
-  cfg.update_subscribers[0] = {1};
+  cfg.count_vectors->subscribers[0] = {1};
   MixedSystem sys(cfg);
   sys.run([](Node& n, ProcId p) {
     if (p == 0) n.write(0, 42);
@@ -132,7 +132,7 @@ TEST(Subscriptions, SubscriberTraceIsMixedConsistent) {
 TEST(Subscriptions, SavesMessagesVersusBroadcast) {
   auto traffic = [](bool subscribe) {
     Config cfg = subs_cfg(4);
-    if (subscribe) cfg.update_subscribers[0] = {1};
+    if (subscribe) cfg.count_vectors->subscribers[0] = {1};
     MixedSystem sys(cfg);
     sys.run([](Node& n, ProcId p) {
       if (p == 0) {
@@ -149,17 +149,18 @@ TEST(Subscriptions, SavesMessagesVersusBroadcast) {
   EXPECT_EQ(traffic(true), 20u);   // 20 updates x 1 subscriber
 }
 
-TEST(Subscriptions, RequireCountVectorMode) {
+TEST(Subscriptions, OutOfRangeVariableIsRejected) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(
-      {
-        Config cfg;
-        cfg.num_procs = 2;
-        cfg.num_vars = 4;
-        cfg.update_subscribers[0] = {1};  // without omit_timestamps
-        MixedSystem sys(cfg);
-      },
-      "selective multicast requires count-vector mode");
+  Config cfg = subs_cfg(2);
+  cfg.count_vectors->subscribers[8] = {1};  // num_vars is 8
+  EXPECT_DEATH(MixedSystem{cfg}, "subscriber list for an out-of-range variable");
+}
+
+TEST(Subscriptions, OutOfRangeProcessIsRejected) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Config cfg = subs_cfg(2);
+  cfg.count_vectors->subscribers[0] = {2};  // num_procs is 2
+  EXPECT_DEATH(MixedSystem{cfg}, "subscriber list names an out-of-range process");
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "gtest_compat.h"
+
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -440,7 +442,7 @@ TEST(ElasticView, ReseedSkipsCounters) {
   recs[1].flags = kFlagIntDelta;
   recs[1].seq = 2;
   recs[1].vc = VectorClock{0, 0, 2};
-  net::Message from_p2 = encode_frame(recs, 3, false);
+  net::Message from_p2 = encode_frame(recs, 3);
   from_p2.src = 2;
   from_p2.dst = 0;
   ASSERT_TRUE(f.mailbox(0).push(std::move(from_p2)));
@@ -452,7 +454,7 @@ TEST(ElasticView, ReseedSkipsCounters) {
   ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->kind, kViewState);
   EXPECT_EQ(st->b, kReseed);
-  const std::vector<BatchRecord> shipped = decode_frame(*st, 3, false);
+  const std::vector<BatchRecord> shipped = decode_frame(*st, 3);
   ASSERT_EQ(shipped.size(), 1u);
   EXPECT_EQ(shipped[0].var, kWritten);
   EXPECT_EQ(int_of(shipped[0].value), 8);
@@ -504,7 +506,7 @@ TEST(ElasticView, DemandFetchFromDepartedOwnerFallsBackToLocalCopy) {
   copy.seq = 4;
   copy.writer = 1;
   copy.vc = VectorClock(3);
-  net::Message resp = encode_frame(std::span(&copy, 1), 3, false);
+  net::Message resp = encode_frame(std::span(&copy, 1), 3);
   resp.kind = kFetchBulkResp;
   resp.src = 1;
   resp.dst = 0;
@@ -525,8 +527,7 @@ TEST(ElasticView, DemandFetchFromDepartedOwnerFallsBackToLocalCopy) {
   p0.wunlock(kLock);
 }
 
-// Config validation: elastic demands vector-clock mode and a sane initial
-// membership.
+// A view 0 of one member: the other process joins before running.
 TEST(ElasticView, RunsWithSingleInitialMemberAndGrows) {
   Config cfg = elastic_cfg(2);
   cfg.initial_members = std::vector<ProcId>{0};
@@ -547,6 +548,36 @@ TEST(ElasticView, RunsWithSingleInitialMemberAndGrows) {
       kDeadline);
   EXPECT_FALSE(outcome.stalled) << outcome.diagnostics.reason;
   EXPECT_EQ(sys.view().live_count(), 2u);
+}
+
+// Config validation: elastic demands vector-clock mode, at most 64
+// processes and a sane initial membership.  Each check fires before any
+// node or thread is built.
+TEST(ElasticViewDeathTest, RejectsCountVectors) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Config cfg = elastic_cfg(2);
+  cfg.count_vectors.emplace();
+  EXPECT_DEATH(MixedSystem{cfg}, "elastic membership requires vector-clock mode");
+}
+
+TEST(ElasticViewDeathTest, RejectsMoreThan64Processes) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(MixedSystem{elastic_cfg(65)}, "elastic membership encodes views as 64-bit masks");
+}
+
+TEST(ElasticViewDeathTest, RejectsInitialMembersWithoutElastic) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Config cfg = elastic_cfg(2);
+  cfg.elastic = false;
+  cfg.initial_members = std::vector<ProcId>{0};
+  EXPECT_DEATH(MixedSystem{cfg}, "initial_members only means something");
+}
+
+TEST(ElasticViewDeathTest, RejectsEmptyInitialMembers) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Config cfg = elastic_cfg(2);
+  cfg.initial_members = std::vector<ProcId>{};
+  EXPECT_DEATH(MixedSystem{cfg}, "view 0 needs at least one member");
 }
 
 }  // namespace

@@ -7,8 +7,12 @@ Two modes:
       Checks a Chrome-trace dump produced by `--trace`: the JSON parses,
       every flow end ('f') refers to a recorded flow start ('s'), flow ends
       do not precede their starts, per-thread timestamps are monotonic,
-      span durations are non-negative, and (unless the rings overflowed) at
-      least --min-bind of all flow starts are consumed by a matching end.
+      span durations are non-negative, and at least --min-bind of the flow
+      starts are consumed by a matching end.  When the rings overflowed,
+      the bind check covers the window every thread still holds: flow starts
+      after the latest first-retained event of any wrapped thread.  A ring
+      drops only its oldest events, so an end recorded in that window is
+      still in the file.
 
   validate_trace.py report <report.json> [--tolerance 0.2] [--min-wall-ms 5]
       Checks a RunReport produced by `--json` under `--trace`: schema
@@ -35,6 +39,9 @@ def validate_trace(path, min_bind):
     starts = {}  # flow id -> earliest start ts
     ends = collections.defaultdict(list)  # flow id -> end timestamps
     last_ts = {}  # (pid, tid) -> last seen ts (dump order is per-thread chronological)
+    # (pid, tid) -> [events retained, earliest record time].  A span is
+    # recorded when it closes, at ts + dur; every other event at its ts.
+    lanes = collections.defaultdict(lambda: [0, float("inf")])
     counts = collections.Counter()
     for ev in events:
         ph = ev.get("ph")
@@ -47,6 +54,9 @@ def validate_trace(path, min_bind):
             fail(f"{path}: non-monotonic ts on thread {lane}: "
                  f"{ts} after {last_ts[lane]} ({ev.get('name')})")
         last_ts[lane] = ts
+        lanes[lane][0] += 1
+        recorded_at = ts + ev.get("dur", 0) if ph == "X" else ts
+        lanes[lane][1] = min(lanes[lane][1], recorded_at)
         if ph == "X":
             if ev.get("dur", 0) < 0:
                 fail(f"{path}: negative span duration: {ev}")
@@ -63,7 +73,8 @@ def validate_trace(path, min_bind):
                 fail(f"{path}: flow end without bp=e (will not bind): {ev}")
             ends[fid].append(ts)
 
-    dropped = doc.get("otherData", {}).get("droppedEvents", 0)
+    other = doc.get("otherData", {})
+    dropped = other.get("droppedEvents", 0)
     for fid, end_ts in ends.items():
         if fid not in starts:
             # With ring overwrite the start may legitimately be gone.
@@ -74,13 +85,23 @@ def validate_trace(path, min_bind):
             fail(f"{path}: flow {fid} ends at {min(end_ts)} before start "
                  f"{starts[fid]}")
 
-    bound = sum(1 for fid in starts if fid in ends)
-    frac = bound / len(starts) if starts else 1.0
-    if dropped == 0 and frac < min_bind:
-        fail(f"{path}: only {bound}/{len(starts)} flow starts bound "
+    window = ""
+    checked = starts
+    if dropped > 0:
+        # Threads that may have wrapped hold a full ring; a trace without
+        # the capacity treats every thread as wrapped.
+        capacity = other.get("ringCapacity", 0)
+        wrapped = [first for n, first in lanes.values() if n >= capacity]
+        since = max(wrapped, default=0.0)
+        checked = {fid: ts for fid, ts in starts.items() if ts > since}
+        window = f" after {since:.0f} us"
+    bound = sum(1 for fid in checked if fid in ends)
+    frac = bound / len(checked) if checked else 1.0
+    if frac < min_bind:
+        fail(f"{path}: only {bound}/{len(checked)} flow starts{window} bound "
              f"({frac:.1%} < {min_bind:.1%})")
     print(f"OK: {path}: {len(events)} events "
-          f"({counts['X']} spans, {len(starts)} flow starts, "
+          f"({counts['X']} spans, {len(checked)} flow starts{window}, "
           f"{frac:.1%} bound, {dropped} dropped)")
 
 
